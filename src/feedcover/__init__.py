@@ -5,6 +5,8 @@ memes (link, in-flow, and delay efficiency), computes approximately
 optimal alternative followee sets via greedy set covers, and contrasts
 the structure of original vs. optimized ego-networks.
 """
+__version__ = "0.1.0"
+
 from .cover import (
     CoverSpec,
     brute_force_cover,

@@ -3,8 +3,9 @@
 Subcommands: ingest, efficiency, cover, optimize, egonet, synth.
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
-sorted by user id. Exit codes: 0 success, 2 input format error,
-3 empty or infeasible data, 4 internal error.
+sorted by user id. Exit codes: 0 success, 2 bad input (a malformed
+input line, an invalid parameter, or a missing, corrupt or stale
+corpus cache), 3 empty or infeasible data, 4 internal error.
 """
 from __future__ import annotations
 
@@ -16,15 +17,31 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from . import cover as cover_mod
 from . import efficiency as eff_mod
 from . import egonet as egonet_mod
 from . import synth as synth_mod
-from .errors import EmptyCorpus, FeedcoverError, InfeasibleCover, MalformedRecord
+from .errors import (
+    CacheError,
+    EmptyCorpus,
+    FeedcoverError,
+    InfeasibleCover,
+    InvalidSpec,
+    MalformedRecord,
+)
 from .ingest import IngestConfig, ego_context, load_corpus
-from .model import MEME_KINDS, Corpus
+from .model import MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
+# Bump when the pickled layout of Corpus or MemeId changes.
+CACHE_FORMAT = 2
+_CACHE_HINT = "re-run `feedcover ingest`"
+# Decoding errors pickle raises on truncated, corrupt or incompatible data.
+_UNPICKLE_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, IndexError, KeyError,
+    OverflowError, TypeError, ValueError,
+)
 
 
 def _fmt(value) -> str:
@@ -76,17 +93,50 @@ def histogram(values, width: float = HIST_BIN_WIDTH) -> list[tuple[float, int]]:
     return [(i * width, c) for i, c in enumerate(counts)]
 
 
+class _CacheUnpickler(pickle.Unpickler):
+    """Resolves only the corpus classes, so a foreign pickle cannot run code."""
+
+    _classes = {("feedcover.model", "Corpus"): Corpus,
+                ("feedcover.model", "MemeId"): MemeId}
+
+    def find_class(self, module, name):
+        try:
+            return self._classes[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(f"refusing global {module}.{name}") from None
+
+
 def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
+    """Pickle the corpus inside an envelope naming the cache format and version."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.pkl"
+    envelope = {"format": CACHE_FORMAT, "version": __version__, "corpus": corpus}
     with open(path, "wb") as fh:
-        pickle.dump(corpus, fh)
+        pickle.dump(envelope, fh)
     return path
 
 
 def _load_cached(path) -> Corpus:
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    """Load a cache written by ``_save_corpus`` of this format and version.
+
+    A missing, unreadable, corrupt, foreign or stale file raises CacheError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            envelope = _CacheUnpickler(fh).load()
+    except OSError as exc:
+        raise CacheError(f"cannot read corpus cache {path}: {exc.strerror}; {_CACHE_HINT}")
+    except _UNPICKLE_ERRORS as exc:
+        raise CacheError(f"{path} is not a readable corpus cache ({exc}); {_CACHE_HINT}")
+    if not isinstance(envelope, dict) or not isinstance(envelope.get("corpus"), Corpus):
+        raise CacheError(f"{path} is not a feedcover corpus cache; {_CACHE_HINT}")
+    found = (envelope.get("format"), envelope.get("version"))
+    if found != (CACHE_FORMAT, __version__):
+        raise CacheError(
+            f"{path} has cache format {found[0]} from feedcover {found[1]}; this "
+            f"feedcover {__version__} reads format {CACHE_FORMAT}; {_CACHE_HINT}"
+        )
+    return envelope["corpus"]
 
 
 def _iso_seconds(text: str) -> int:
@@ -515,10 +565,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "alpha" in vars(args):
+        try:
+            for p in args.coverage or [1.0]:
+                cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
+        except InvalidSpec as exc:
+            parser.error(str(exc))
     try:
         return args.fn(args)
-    except MalformedRecord as exc:
+    except (MalformedRecord, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EmptyCorpus, InfeasibleCover) as exc:

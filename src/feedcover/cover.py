@@ -1,17 +1,28 @@
 """Set-cover engines behind the three efficiency notions.
 
-Greedy variants share one loop; they differ only in the per-candidate
-score, always minimized, with ties broken by smallest user id.
-Candidates whose remaining gain is zero are skipped (their score would
-be a division by zero). ``brute_force_cover`` is an exhaustive oracle
-for small instances, used by tests only.
+The three greedy engines share one lazy kernel (Minoux's accelerated
+greedy, as in CELF). Each pick minimizes ``w / gain``: a fixed,
+non-negative weight per candidate (1, the in-flow, or ``inflow**alpha *
+avg_delay**beta``) over the number of still uncovered universe memes the
+candidate posts. Ties go to the smallest user id; a zero-gain candidate
+is never picked. Each candidate's universe memes are a bitmask over the
+sorted universe. A heap holds ``(score, user id)`` keys as of each
+entry's last refresh. Gains only shrink and rounded division is
+monotone, so a stale key is a lower bound on the current score. The top
+entry is re-scored and taken if its fresh key is still no larger than
+every other key: exactly the pick of a full rescan, tie-break included.
+Otherwise it goes back into the heap under its fresh key.
+
+``brute_force_cover`` is an exhaustive oracle for small instances, used
+by tests only.
 """
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import InfeasibleCover, TooLarge
+from .errors import InfeasibleCover, InvalidSpec, TooLarge
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId, poster_profile
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
@@ -26,6 +37,14 @@ class CoverSpec:
     coverage: float = 1.0
     alpha: float = 1.0
     beta: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.coverage <= 1.0:
+            raise InvalidSpec(f"coverage {self.coverage} is outside (0, 1]")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidSpec(f"{name} {value} is not a finite number >= 0")
 
 
 def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
@@ -42,70 +61,64 @@ def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
     return sorted(pool)
 
 
-def coverage_target(spec: CoverSpec) -> int:
-    if not 0.0 < spec.coverage <= 1.0:
-        raise InfeasibleCover(f"coverage fraction {spec.coverage} outside (0, 1]")
-    return math.ceil(spec.coverage * len(spec.universe))
+def _masks(corpus: Corpus, universe, pool: list[int]) -> tuple[list[MemeId], list[int]]:
+    """Universe memes in sorted order, and each pool candidate's memes as
+    a bitmask over them (bit i set when the candidate posts ``memes[i]``)."""
+    memes = sorted(universe)
+    by_user = dict.fromkeys(pool, 0)
+    for i, meme in enumerate(memes):
+        bit = 1 << i
+        for v in corpus.posters_by_meme.get(meme, ()):
+            if v in by_user:
+                by_user[v] |= bit
+    return memes, [by_user[v] for v in pool]
 
 
-def _greedy(corpus: Corpus, spec: CoverSpec, score) -> CoverResult:
-    universe = frozenset(spec.universe)
-    target = coverage_target(spec)
+def _greedy(corpus: Corpus, spec: CoverSpec, weight) -> CoverResult:
+    target = math.ceil(spec.coverage * len(spec.universe))
     pool = candidate_pool(corpus, spec)
-    sets = {v: corpus.memes_by_user[v] & universe for v in pool}
-    covered: set[MemeId] = set()
-    covered_ids: set[int] = set()
-    selected: list[int] = []
+    memes, masks = _masks(corpus, spec.universe, pool)
+    weights = [weight(v) for v in pool]
+    heap = [(w / m.bit_count(), v, m, w) for v, m, w in zip(pool, masks, weights)]
+    heapq.heapify(heap)
+    remaining = (1 << len(memes)) - 1
+    n_covered = 0
     per_step: list[tuple[int, int]] = []
-    remaining = set(universe)
-    while len(covered) < target:
-        best_v = None
-        best_score = None
-        for v in pool:
-            if v in covered_ids:
-                continue
-            gain = len(sets[v] & remaining)
-            if gain == 0:
-                continue
-            s = score(v, gain)
-            if best_score is None or s < best_score or (s == best_score and v < best_v):
-                best_v, best_score = v, s
-        if best_v is None:
-            raise InfeasibleCover(
-                f"covered {len(covered)} of required {target} memes"
-            )
-        newly = sets[best_v] & remaining
-        covered |= newly
-        remaining -= newly
-        selected.append(best_v)
-        covered_ids.add(best_v)
-        per_step.append((best_v, len(newly)))
+    while n_covered < target:
+        if not heap:
+            raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
+        _, v, mask, w = heap[0]
+        gain = (mask & remaining).bit_count()
+        if gain == 0:
+            heapq.heappop(heap)
+            continue
+        fresh = (w / gain, v, mask, w)
+        if len(heap) > 1 and fresh > min(heap[1:3]):
+            heapq.heapreplace(heap, fresh)
+            continue
+        heapq.heappop(heap)
+        remaining &= ~mask
+        n_covered += gain
+        per_step.append((v, gain))
+    bits = reversed(f"{remaining:0{len(memes)}b}")
     return CoverResult(
-        selected=tuple(selected),
-        covered=frozenset(covered),
-        objective=float(len(selected)),
+        selected=tuple(v for v, _ in per_step),
+        covered=frozenset(m for m, bit in zip(memes, bits) if bit == "0"),
+        objective=float(len(per_step)),
         per_step=tuple(per_step),
     )
 
 
 def greedy_min_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """Unweighted greedy set cover: maximize newly covered memes per pick."""
-    result = _greedy(corpus, spec, lambda v, gain: 1.0 / gain)
-    return result
+    return _greedy(corpus, spec, lambda v: 1.0)
 
 
 def greedy_weighted_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """In-flow-weighted greedy set cover: minimize posts per newly covered meme."""
-    result = _greedy(
-        corpus, spec, lambda v, gain: corpus.post_count[v] / gain
-    )
+    result = _greedy(corpus, spec, lambda v: corpus.post_count[v])
     inflow = sum(corpus.post_count[v] for v in result.selected)
-    return CoverResult(
-        selected=result.selected,
-        covered=result.covered,
-        objective=float(inflow),
-        per_step=result.per_step,
-    )
+    return replace(result, objective=float(inflow))
 
 
 def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -115,47 +128,45 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     candidate scores 0 under beta > 0 and so is always preferred while
     it still covers something.
     """
-    profiles = {}
+    def weight(v):
+        p = poster_profile(corpus, v)
+        return (float(p.inflow) ** spec.alpha) * (p.avg_delay_days ** spec.beta)
 
-    def score(v, gain):
-        if v not in profiles:
-            profiles[v] = poster_profile(corpus, v)
-        p = profiles[v]
-        return (float(p.inflow) ** spec.alpha) * (p.avg_delay_days ** spec.beta) / gain
-
-    result = _greedy(corpus, spec, score)
-    inflow = sum(corpus.post_count[v] for v in result.selected)
-    return CoverResult(
-        selected=result.selected,
-        covered=result.covered,
-        objective=float(inflow),
-        per_step=result.per_step,
+    result = _greedy(corpus, spec, weight)
+    return replace(
+        result,
+        objective=float(sum(corpus.post_count[v] for v in result.selected)),
         avg_delay_days=set_average_delay_days(corpus, result.selected, result.covered),
     )
 
 
 def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
-    """For each universe meme, pick its earliest poster in the whole corpus.
+    """For each universe meme, pick its earliest poster among the candidates.
 
-    Full coverage only; achieves per-meme delay 0 relative to the
-    window-wide first mention. Ties on time go to the smallest user id.
+    Full coverage only. Without a candidate restriction every meme
+    arrives at its window-wide first mention, so the mean delay is 0.
+    Ties on time go to the smallest user id.
     """
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
     chosen: dict[int, int] = {}
+    delays = []
     for meme in sorted(spec.universe):
-        posters = corpus.posters_by_meme.get(meme)
+        posters = corpus.posters_by_meme.get(meme, frozenset())
+        if spec.candidates is not None:
+            posters = posters & spec.candidates
         if not posters:
-            raise InfeasibleCover(f"meme {meme} has no poster in the corpus")
-        best = min(posters, key=lambda v: (corpus.first_post_by_user[v][meme], v))
+            raise InfeasibleCover(f"meme {meme} has no candidate poster")
+        t, best = min((corpus.first_post_by_user[v][meme], v) for v in posters)
         chosen[best] = chosen.get(best, 0) + 1
+        delays.append((t - corpus.first_mention[meme]) / SECONDS_PER_DAY)
     selected = tuple(sorted(chosen))
     return CoverResult(
         selected=selected,
         covered=frozenset(spec.universe),
         objective=float(len(selected)),
         per_step=tuple((v, chosen[v]) for v in selected),
-        avg_delay_days=0.0 if spec.universe else None,
+        avg_delay_days=math.fsum(delays) / len(delays) if delays else None,
     )
 
 
@@ -173,36 +184,24 @@ def brute_force_cover(corpus: Corpus, spec: CoverSpec, objective: str) -> CoverR
     n = len(pool)
     if n > BRUTE_FORCE_MAX_CANDIDATES:
         raise TooLarge(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
-    memes = sorted(spec.universe)
-    bit = {m: 1 << i for i, m in enumerate(memes)}
-    full = (1 << len(memes)) - 1
-    masks = [
-        sum(bit[m] for m in corpus.memes_by_user[v] & spec.universe) for v in pool
-    ]
-    if not spec.universe:
+    memes, masks = _masks(corpus, spec.universe, pool)
+    if not memes:
         return CoverResult((), frozenset(), 0.0, ())
-    weights = [corpus.post_count[v] for v in pool]
+    full = (1 << len(memes)) - 1
+    weights = [1 if objective == "cardinality" else corpus.post_count[v] for v in pool]
     cover_of = [0] * (1 << n)
-    best_cost = None
-    best_subset = None
+    best = None
     for s in range(1, 1 << n):
         low = (s & -s).bit_length() - 1
-        cov = cover_of[s & (s - 1)] | masks[low]
-        cover_of[s] = cov
-        if cov != full:
-            continue
-        if objective == "cardinality":
-            cost = s.bit_count()
-        else:
-            cost = sum(weights[i] for i in range(n) if s >> i & 1)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_subset = cost, s
-        elif cost == best_cost:
-            if _members(s, pool) < _members(best_subset, pool):
-                best_subset = s
-    if best_subset is None:
+        cover_of[s] = cover_of[s & (s - 1)] | masks[low]
+        if cover_of[s] == full:
+            members = [i for i in range(n) if s >> i & 1]
+            key = (sum(weights[i] for i in members), tuple(pool[i] for i in members))
+            if best is None or key < best:
+                best = key
+    if best is None:
         raise InfeasibleCover("candidates do not cover the universe")
-    selected = _members(best_subset, pool)
+    best_cost, selected = best
     remaining = set(spec.universe)
     per_step = []
     for v in selected:
@@ -221,16 +220,17 @@ def set_average_delay_days(corpus, selected, universe) -> float | None:
     """Mean delay (days) at which the selected set first posts each meme."""
     if not universe:
         return None
-    total = 0.0
-    for meme in universe:
-        t = min(
-            corpus.first_post_by_user[v][meme]
-            for v in selected
-            if meme in corpus.memes_by_user.get(v, frozenset())
+    reached: dict[MemeId, int] = {}
+    for v in selected:
+        first = corpus.first_post_by_user.get(v, {})
+        for meme in corpus.memes_by_user.get(v, frozenset()) & universe:
+            if meme not in reached or first[meme] < reached[meme]:
+                reached[meme] = first[meme]
+    if len(reached) < len(universe):
+        raise InfeasibleCover(
+            f"selected users post {len(reached)} of {len(universe)} memes"
         )
-        total += (t - corpus.first_mention[meme]) / SECONDS_PER_DAY
+    total = math.fsum(
+        (reached[m] - corpus.first_mention[m]) / SECONDS_PER_DAY for m in universe
+    )
     return total / len(universe)
-
-
-def _members(subset: int, pool: list[int]) -> tuple[int, ...]:
-    return tuple(pool[i] for i in range(len(pool)) if subset >> i & 1)

@@ -7,6 +7,7 @@ set, making a ratio exceed 1; such values are clamped to 1 and logged.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from . import cover as cover_mod
@@ -55,7 +56,7 @@ def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     """1 / (1 + mean days between global first mention and ego receipt)."""
     if not ctx.memes:
         raise NoMemes(f"ego {ctx.ego} received no memes")
-    mean_delay = sum(
+    mean_delay = math.fsum(
         (ctx.receipt_time[m] - corpus.first_mention[m]) / SECONDS_PER_DAY
         for m in ctx.memes
     ) / len(ctx.memes)
@@ -69,6 +70,14 @@ def _set_delay_efficiency(corpus: Corpus, selected, universe) -> float:
 
 def _inflow(corpus: Corpus, users) -> int:
     return sum(corpus.post_count.get(v, 0) for v in users)
+
+
+def _inflow_ratio(corpus: Corpus, users, baseline, ego: int) -> float:
+    """In-flow of ``users`` over the in-flow of ``baseline``."""
+    denominator = _inflow(corpus, baseline)
+    if denominator == 0:
+        raise ZeroInflow(f"a cover set of ego {ego} posted nothing in the window")
+    return _inflow(corpus, users) / denominator
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,12 @@ def cross_efficiencies(
     return CrossEfficiencies(
         link_of_inflow_set=len(link_cov.selected) / len(inflow_cov.selected),
         link_of_delay_set=len(link_cov.selected) / len(delay_cov.selected),
-        inflow_of_link_set=_inflow(corpus, inflow_cov.selected)
-        / _inflow(corpus, link_cov.selected),
-        inflow_of_delay_set=_inflow(corpus, inflow_cov.selected)
-        / _inflow(corpus, delay_cov.selected),
+        inflow_of_link_set=_inflow_ratio(
+            corpus, inflow_cov.selected, link_cov.selected, ctx.ego
+        ),
+        inflow_of_delay_set=_inflow_ratio(
+            corpus, inflow_cov.selected, delay_cov.selected, ctx.ego
+        ),
         delay_of_link_set=_set_delay_efficiency(corpus, link_cov.selected, ctx.memes),
         delay_of_inflow_set=_set_delay_efficiency(
             corpus, inflow_cov.selected, ctx.memes
@@ -123,7 +134,7 @@ def joint_efficiencies(
 ) -> JointEfficiencies:
     return JointEfficiencies(
         link=len(link_cov.selected) / len(joint_cov.selected),
-        inflow=_inflow(corpus, inflow_cov.selected) / _inflow(corpus, joint_cov.selected),
+        inflow=_inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected, ctx.ego),
         delay=_set_delay_efficiency(corpus, joint_cov.selected, ctx.memes),
     )
 

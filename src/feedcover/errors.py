@@ -13,6 +13,10 @@ class MalformedRecord(FeedcoverError):
         self.reason = reason
 
 
+class CacheError(FeedcoverError):
+    """A corpus cache that is missing, unreadable, foreign or stale."""
+
+
 class EmptyCorpus(FeedcoverError):
     pass
 

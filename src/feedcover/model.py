@@ -4,11 +4,15 @@ All types are immutable after construction and safe to share across
 workers. User ids are integer surrogates assigned at ingestion in
 first-seen order; every tie-break in the package uses this order.
 Timestamps are integer unix seconds; delays are converted to
-real-valued days where averaged.
+real-valued days where averaged. Delays are summed with ``math.fsum``,
+which rounds once, so a mean does not depend on the iteration order of
+a meme set (which changes with ``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EmptyCorpus, NoMemes
 
@@ -17,9 +21,12 @@ SECONDS_PER_DAY = 86400.0
 MEME_KINDS = ("hashtag", "url", "news_domain", "youtube_video")
 
 
-@dataclass(frozen=True, order=True)
-class MemeId:
-    """One unique piece of information: a kind plus a normalized key."""
+class MemeId(NamedTuple):
+    """One unique piece of information: a kind plus a normalized key.
+
+    A tuple, so equality, ordering and hashing run in C, and the hash
+    equals ``hash((kind, key))``.
+    """
 
     kind: str
     key: str
@@ -131,7 +138,7 @@ def poster_profile(corpus: Corpus, user: int) -> PosterProfile:
     if not memes:
         raise NoMemes(f"user {user} posted no memes")
     first = corpus.first_post_by_user[user]
-    delay = sum(
+    delay = math.fsum(
         (first[m] - corpus.first_mention[m]) / SECONDS_PER_DAY for m in memes
     ) / len(memes)
     return PosterProfile(

@@ -1,8 +1,10 @@
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+from feedcover import cli
 from feedcover.cli import main
 
 WINDOW = ["--window-start", "0", "--window-end", "604800"]
@@ -171,3 +173,59 @@ def test_console_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "ingest" in proc.stdout
+
+
+def _efficiency_on(corpus_path, tmp_path):
+    return run(["efficiency", "--corpus", corpus_path, "--egos", "0",
+                "--min-followees", "1", "--out", tmp_path / "rep"])
+
+
+class Payload:
+    def __reduce__(self):
+        return (print, ("unpickled code ran",))
+
+
+@pytest.mark.parametrize("content", [
+    None,                                        # missing file
+    b"\x00garbage, not a pickle",               # corrupt bytes
+    pickle.dumps({"just": "a dict"}),            # pickle, not an envelope
+    pickle.dumps(Payload()),                     # pickle naming a foreign global
+])
+def test_unusable_cache_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "corpus.pkl"
+    if content is not None:
+        path.write_bytes(content)
+    assert _efficiency_on(path, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "re-run `feedcover ingest`" in captured.err
+    assert "unpickled code ran" not in captured.out
+
+
+def test_stale_cache_exit_2(redundant_dir, tmp_path, capsys):
+    with open(redundant_dir, "rb") as fh:
+        envelope = pickle.load(fh)
+    envelope["format"] = cli.CACHE_FORMAT - 1
+    stale = tmp_path / "stale.pkl"
+    stale.write_bytes(pickle.dumps(envelope))
+    assert _efficiency_on(stale, tmp_path) == 2
+    assert "re-run `feedcover ingest`" in capsys.readouterr().err
+
+
+def test_bare_corpus_pickle_exit_2(redundant_dir, tmp_path, capsys):
+    bare = tmp_path / "bare.pkl"
+    bare.write_bytes(pickle.dumps(cli._load_cached(redundant_dir)))
+    assert _efficiency_on(bare, tmp_path) == 2
+    assert "not a feedcover corpus cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--beta", "-0.5"], ["--alpha", "nan"], ["--alpha", "inf"],
+    ["--coverage", "0"], ["--coverage", "1.5"], ["--coverage", "1.0", "--coverage", "-1"],
+])
+def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--corpus", redundant_dir, "--egos", "0",
+             "--min-followees", "1", "--out", tmp_path / "rep", *args])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rep").exists()
+    assert "error:" in capsys.readouterr().err

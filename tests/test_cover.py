@@ -11,7 +11,7 @@ from feedcover.cover import (
     greedy_weighted_cover,
     joint_cover,
 )
-from feedcover.errors import InfeasibleCover, TooLarge
+from feedcover.errors import InfeasibleCover, InvalidSpec, TooLarge
 
 from conftest import DAY, M, make_corpus, random_instance
 
@@ -143,6 +143,23 @@ class TestDelayOptimalCover:
         result = delay_optimal_cover(corpus, spec_for(corpus))
         assert result.selected == (2,)
 
+    def test_honours_candidates(self):
+        # User 2 posts both memes first, but only user 1 may be picked.
+        corpus = make_corpus(
+            {1: [0, 1], 2: [0, 1]},
+            times={(1, 0): DAY, (1, 1): 3 * DAY, (2, 0): 0, (2, 1): 0},
+        )
+        spec = spec_for(corpus, candidates=frozenset({1}))
+        result = delay_optimal_cover(corpus, spec)
+        assert result.selected == (1,)
+        assert result.avg_delay_days == 2.0
+        assert greedy_min_cover(corpus, spec).selected == (1,)
+
+    def test_candidates_missing_a_meme_infeasible(self):
+        corpus = make_corpus({1: [0], 2: [0, 1]})
+        with pytest.raises(InfeasibleCover):
+            delay_optimal_cover(corpus, spec_for(corpus, candidates=frozenset({1})))
+
 
 class TestJointCover:
     def test_beta_zero_reduces_to_weighted(self, rng):
@@ -240,6 +257,21 @@ class TestBruteForceCover:
             brute_force_cover(
                 corpus, CoverSpec(universe=frozenset({M(1), M(2)})), "cardinality"
             )
+
+
+class TestCoverSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("coverage", 0.0), ("coverage", -0.5), ("coverage", 1.5),
+        ("coverage", math.nan), ("alpha", -1.0), ("alpha", math.inf),
+        ("alpha", math.nan), ("beta", -0.5), ("beta", math.inf),
+    ])
+    def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(InvalidSpec):
+            CoverSpec(universe=frozenset(), **{field: value})
+
+    def test_boundary_values_accepted(self):
+        spec = CoverSpec(universe=frozenset(), coverage=1.0, alpha=0.0, beta=0.0)
+        assert spec.coverage == 1.0
 
 
 class TestSharedProperties:

@@ -1,0 +1,207 @@
+"""Property tests: the lazy greedy kernel against the eager reference loop.
+
+``eager_greedy`` is the plain greedy: on every pick it rescans the whole
+pool and takes the smallest ``(score, user id)``. The package's lazy
+kernel must return exactly the same covers, step by step.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feedcover.cover import (
+    CoverSpec,
+    candidate_pool,
+    greedy_min_cover,
+    greedy_weighted_cover,
+    joint_cover,
+    set_average_delay_days,
+)
+from feedcover.errors import InfeasibleCover
+from feedcover.model import SECONDS_PER_DAY, CoverResult, poster_profile
+
+from conftest import DAY, M, make_corpus, random_instance
+
+
+def eager_greedy(corpus, spec, score) -> CoverResult:
+    universe = frozenset(spec.universe)
+    target = math.ceil(spec.coverage * len(universe))
+    pool = candidate_pool(corpus, spec)
+    sets = {v: corpus.memes_by_user[v] & universe for v in pool}
+    covered, selected, per_step = set(), [], []
+    remaining = set(universe)
+    while len(covered) < target:
+        best_v = best_score = None
+        for v in pool:
+            if v in selected:
+                continue
+            gain = len(sets[v] & remaining)
+            if gain == 0:
+                continue
+            s = score(v, gain)
+            if best_score is None or s < best_score or (s == best_score and v < best_v):
+                best_v, best_score = v, s
+        if best_v is None:
+            raise InfeasibleCover(f"covered {len(covered)} of required {target} memes")
+        newly = sets[best_v] & remaining
+        covered |= newly
+        remaining -= newly
+        selected.append(best_v)
+        per_step.append((best_v, len(newly)))
+    return CoverResult(tuple(selected), frozenset(covered), float(len(selected)),
+                       tuple(per_step))
+
+
+def eager_min(corpus, spec):
+    return eager_greedy(corpus, spec, lambda v, gain: 1.0 / gain)
+
+
+def eager_weighted(corpus, spec):
+    result = eager_greedy(corpus, spec, lambda v, gain: corpus.post_count[v] / gain)
+    inflow = sum(corpus.post_count[v] for v in result.selected)
+    return CoverResult(result.selected, result.covered, float(inflow), result.per_step)
+
+
+def eager_joint(corpus, spec):
+    def score(v, gain):
+        p = poster_profile(corpus, v)
+        return (float(p.inflow) ** spec.alpha) * (p.avg_delay_days ** spec.beta) / gain
+
+    result = eager_greedy(corpus, spec, score)
+    inflow = sum(corpus.post_count[v] for v in result.selected)
+    return CoverResult(result.selected, result.covered, float(inflow), result.per_step,
+                       eager_set_delay(corpus, result.selected, result.covered))
+
+
+def eager_set_delay(corpus, selected, universe):
+    """Per meme, the earliest post by any selected user; mean delay in days."""
+    if not universe:
+        return None
+    return math.fsum(
+        (min(corpus.first_post_by_user[v][m] for v in selected
+             if m in corpus.memes_by_user.get(v, frozenset()))
+         - corpus.first_mention[m]) / SECONDS_PER_DAY
+        for m in universe
+    ) / len(universe)
+
+
+ENGINES = [
+    (greedy_min_cover, eager_min),
+    (greedy_weighted_cover, eager_weighted),
+    (joint_cover, eager_joint),
+]
+
+
+@st.composite
+def instances(draw, max_users=15, max_memes=12):
+    """A random corpus and cover spec with many score ties.
+
+    Post counts and posting days come from tiny ranges, so equal weights,
+    equal gains and zero-delay posters are common.
+    """
+    n_memes = draw(st.integers(1, max_memes))
+    n_users = draw(st.integers(1, max_users))
+    meme_ids = st.integers(0, n_memes - 1)
+    sets = {v: draw(st.lists(meme_ids, min_size=1, max_size=n_memes, unique=True))
+            for v in range(1, n_users + 1)}
+    times = {(v, i): draw(st.integers(0, 3)) * DAY for v, memes in sets.items()
+             for i in memes}
+    inflow = {v: draw(st.integers(0, 4)) for v in sets}
+    corpus = make_corpus(sets, inflow=inflow, times=times)
+    everything = sorted(corpus.first_mention)
+    universe = frozenset(draw(st.one_of(
+        st.just(everything), st.lists(st.sampled_from(everything), unique=True))))
+    candidates = draw(st.one_of(
+        st.none(), st.frozensets(st.integers(1, n_users + 2), max_size=n_users)))
+    spec = CoverSpec(
+        universe=universe,
+        candidates=candidates,
+        coverage=draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.5, 0.9, 1.0]),
+                                st.floats(0.01, 1.0))),
+        alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return corpus, spec
+
+
+def run(engine, corpus, spec):
+    try:
+        return engine(corpus, spec)
+    except InfeasibleCover:
+        return InfeasibleCover
+
+
+@settings(max_examples=250, deadline=None)
+@given(instances())
+def test_lazy_kernel_matches_eager_reference(instance):
+    corpus, spec = instance
+    for engine, reference in ENGINES:
+        got, want = run(engine, corpus, spec), run(reference, corpus, spec)
+        if want is InfeasibleCover:
+            assert got is InfeasibleCover
+            continue
+        assert got.selected == want.selected
+        assert got.per_step == want.per_step
+        assert got.covered == want.covered
+        assert got.objective == want.objective
+        assert got.avg_delay_days == want.avg_delay_days
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances(), st.floats(0.01, 1.0))
+def test_partial_cover_is_prefix_of_full_order(instance, coverage):
+    corpus, spec = instance
+    full = CoverSpec(spec.universe, spec.candidates, 1.0, spec.alpha, spec.beta)
+    partial = CoverSpec(spec.universe, spec.candidates, coverage, spec.alpha, spec.beta)
+    for engine, _ in ENGINES:
+        whole = run(engine, corpus, full)
+        part = run(engine, corpus, partial)
+        if whole is InfeasibleCover:
+            continue
+        assert part.selected == whole.selected[:len(part.selected)]
+        assert part.per_step == whole.per_step[:len(part.per_step)]
+        assert len(part.covered) >= math.ceil(coverage * len(spec.universe))
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances(), st.data())
+def test_set_average_delay_matches_per_meme_minimum(instance, data):
+    corpus, spec = instance
+    users = sorted(corpus.post_count)
+    selected = data.draw(st.lists(st.sampled_from(users), unique=True))
+    reachable = frozenset().union(*(corpus.memes_by_user[v] for v in selected))
+    if spec.universe <= reachable:
+        assert (set_average_delay_days(corpus, selected, spec.universe)
+                == eager_set_delay(corpus, selected, spec.universe))
+    else:
+        with pytest.raises(InfeasibleCover):
+            set_average_delay_days(corpus, selected, spec.universe)
+
+
+def test_refreshed_root_is_compared_with_both_children():
+    # User 5 is picked first; then the stale root (user 1, gain now 1) must
+    # lose to user 3 (gain 2), whichever child of the root holds user 3.
+    corpus = make_corpus({1: [2, 3], 2: [1], 3: [3, 4], 4: [5], 5: [5, 2, 1], 6: [2]})
+    spec = CoverSpec(universe=frozenset(corpus.first_mention))
+    assert greedy_min_cover(corpus, spec).selected == (5, 3)
+    assert greedy_min_cover(corpus, spec) == eager_min(corpus, spec)
+
+
+def test_random_full_covers_match_eager_reference(rng):
+    for _ in range(300):
+        corpus, universe = random_instance(rng)
+        spec = CoverSpec(universe=universe)
+        for engine, reference in ENGINES:
+            assert engine(corpus, spec) == reference(corpus, spec)
+
+
+def test_large_pool_matches_eager_reference():
+    # Pools of hundreds, so refreshed entries sink deep into the heap.
+    sets = {v: [(v * 7 + k * k) % 300 for k in range(1 + v % 13)] for v in range(1, 401)}
+    sets = {v: sorted(set(memes)) for v, memes in sets.items()}
+    times = {(v, i): (v * i) % 5 * DAY for v, memes in sets.items() for i in memes}
+    corpus = make_corpus(sets, inflow={v: 1 + v % 6 for v in sets}, times=times)
+    spec = CoverSpec(universe=frozenset(M(i) for i in range(0, 300, 2)))
+    for engine, reference in ENGINES:
+        assert engine(corpus, spec) == reference(corpus, spec)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
 
 from feedcover.cover import (
@@ -6,6 +9,7 @@ from feedcover.cover import (
     greedy_min_cover,
     greedy_weighted_cover,
     joint_cover,
+    set_average_delay_days,
 )
 from feedcover.efficiency import (
     cross_efficiencies,
@@ -16,7 +20,14 @@ from feedcover.efficiency import (
     joint_efficiencies,
     link_efficiency,
 )
-from feedcover.errors import EmptyFollowees, InvalidOriginal, NoMemes
+from feedcover.errors import (
+    EmptyFollowees,
+    InfeasibleCover,
+    InvalidOriginal,
+    NoMemes,
+    ZeroInflow,
+)
+from feedcover.model import EgoContext, poster_profile
 
 from conftest import DAY, M, make_corpus, make_ctx
 
@@ -121,6 +132,55 @@ def test_delay_efficiency_no_memes():
     ctx = make_ctx(corpus, EGO, [])
     with pytest.raises(NoMemes):
         delay_efficiency(ctx, corpus)
+
+
+class IterOrder(frozenset):
+    """A frozenset that iterates in the order it was built from."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.order = tuple(items)
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def test_delay_sums_independent_of_iteration_order():
+    # Delays of 0.1, 0.2 and 0.3 days: a plain left-to-right float sum
+    # gives 0.6000000000000001 in some orders and 0.6 in others.
+    times = {(9, i): 0 for i in range(3)}
+    times.update({(1, i): (i + 1) * DAY // 10 for i in range(3)})
+    corpus = make_corpus({9: [0, 1, 2], 1: [0, 1, 2]}, times=times)
+    receipt = {M(i): (i + 1) * DAY // 10 for i in range(3)}
+    results = set()
+    for order in permutations(M(i) for i in range(3)):
+        memes = IterOrder(order)
+        ctx = EgoContext(EGO, frozenset({1}), memes, receipt)
+        reordered = replace(corpus, memes_by_user={**corpus.memes_by_user, 1: memes})
+        results.add((
+            delay_efficiency(ctx, corpus),
+            set_average_delay_days(corpus, (1,), memes),
+            poster_profile(reordered, 1).avg_delay_days,
+        ))
+    assert len(results) == 1
+    assert results.pop() == pytest.approx((1 / 1.2, 0.2, 0.2), abs=1e-15)
+
+
+def test_set_delay_requires_covering_selection():
+    corpus = make_corpus({1: [0], 2: [1]})
+    with pytest.raises(InfeasibleCover):
+        set_average_delay_days(corpus, (1,), frozenset({M(0), M(1)}))
+
+
+def test_zero_inflow_cover_sets_raise_zero_inflow():
+    corpus = make_corpus({1: [0, 1]}, inflow={1: 0})
+    ctx = make_ctx(corpus, EGO, [1])
+    link, inflow, delay, joint = _all_covers(corpus, ctx)
+    with pytest.raises(ZeroInflow):
+        cross_efficiencies(ctx, link, inflow, delay, corpus)
+    with pytest.raises(ZeroInflow):
+        joint_efficiencies(ctx, joint, link, inflow, corpus)
 
 
 def test_link_efficiency_empty_followees():
