@@ -33,15 +33,7 @@ from .egonet import (
     overlap,
 )
 from .ingest import IngestConfig, ego_context, extract_memes, load_corpus
-from .model import (
-    Corpus,
-    CoverResult,
-    EgoContext,
-    MemeId,
-    PostEvent,
-    PosterProfile,
-    poster_profile,
-)
+from .model import Corpus, CoverResult, EgoContext, MemeId, PostEvent
 from .synth import SynthSpec, generate, generate_triadic_corpus, write_corpus_files
 
 __all__ = [
@@ -54,7 +46,6 @@ __all__ = [
     "IngestConfig",
     "MemeId",
     "PostEvent",
-    "PosterProfile",
     "SynthSpec",
     "brute_force_cover",
     "build_ego_network",
@@ -77,6 +68,5 @@ __all__ = [
     "load_corpus",
     "local_clustering_coefficient",
     "overlap",
-    "poster_profile",
     "write_corpus_files",
 ]

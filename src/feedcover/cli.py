@@ -1,11 +1,19 @@
 """Batch command-line interface.
 
-Subcommands: ingest, efficiency, cover, optimize, egonet, synth.
+Subcommands: ingest, efficiency, cover, optimize, egonet, synth. The
+four per-ego analyses run through one runner, ``cmd_analysis``, and the
+``_ANALYSES`` table gives each its row function, optional summary
+function and extra options. The runner loads the corpus cache, builds
+each selected ego's context and rows, skips and counts an ego that
+raises a FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes
+the main report (columns from its first row) and the summaries, and
+prints ``rows: N  egos skipped: K``.
+
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
-sorted by user id. Exit codes: 0 success, 2 bad input (a malformed
-input line, an invalid parameter, or a missing, corrupt or stale
-corpus cache), 3 empty or infeasible data, 4 internal error.
+sorted by user id. Exit codes: 0 success, 2 bad input (an unreadable
+or malformed input file, an invalid parameter, or a missing, corrupt
+or stale corpus cache), 3 empty or infeasible data, 4 internal error.
 """
 from __future__ import annotations
 
@@ -14,6 +22,7 @@ import json
 import pickle
 import random
 import sys
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +44,7 @@ from .model import MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
 # Bump when the pickled layout of Corpus or MemeId changes.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 _CACHE_HINT = "re-run `feedcover ingest`"
 # Decoding errors pickle raises on truncated, corrupt or incompatible data.
 _UNPICKLE_ERRORS = (
@@ -82,15 +91,6 @@ class ReportWriter:
             )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
-
-
-def histogram(values, width: float = HIST_BIN_WIDTH) -> list[tuple[float, int]]:
-    """Fixed-width bins over [0, 1]; the top edge folds into the last bin."""
-    n_bins = round(1.0 / width)
-    counts = [0] * n_bins
-    for v in values:
-        counts[min(int(v / width), n_bins - 1)] += 1
-    return [(i * width, c) for i, c in enumerate(counts)]
 
 
 class _CacheUnpickler(pickle.Unpickler):
@@ -140,14 +140,27 @@ def _load_cached(path) -> Corpus:
 
 
 def _iso_seconds(text: str) -> int:
+    """argparse type: unix seconds, or an ISO-8601 datetime (UTC if naive)."""
     try:
         return int(text)
     except ValueError:
         pass
-    dt = datetime.fromisoformat(text)
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither unix seconds nor an ISO-8601 datetime"
+        ) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
 
 
 def _select_egos(corpus: Corpus, args) -> list[int]:
@@ -171,8 +184,8 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
 
 def cmd_ingest(args) -> int:
     config = IngestConfig(
-        window_start=_iso_seconds(args.window_start),
-        window_end=_iso_seconds(args.window_end),
+        window_start=args.window_start,
+        window_end=args.window_end,
         min_followees=args.min_followees,
         require_pre_window_activity=not args.no_activity_filter,
         news_domain_list=args.news_domains,
@@ -184,114 +197,69 @@ def cmd_ingest(args) -> int:
     per_kind = {kind: 0 for kind in MEME_KINDS}
     for meme in corpus.first_mention:
         per_kind[meme.kind] += 1
-    n_events = sum(len(p) for p in corpus.posts_by_user.values())
     print(f"corpus: {path}")
     print(f"users: {len(corpus.post_count)}")
     print(f"posts: {sum(corpus.post_count.values())}")
-    print(f"meme events: {n_events}")
+    print(f"user-meme pairs: {sum(len(f) for f in corpus.first_post_by_user.values())}")
     for kind in MEME_KINDS:
         print(f"unique {kind}: {per_kind[kind]}")
     return 0
 
 
-def _per_ego_rows(corpus, args, compute_row):
-    """Shared skip-and-count loop over sampled egos."""
-    rows, skipped = [], 0
-    for ego in _select_egos(corpus, args):
-        try:
-            ctx = ego_context(corpus, ego, args.meme_kind, args.min_followees)
-            rows.extend(compute_row(ego, ctx))
-        except FeedcoverError as exc:
-            print(f"skip ego {corpus.label(ego)}: {exc}", file=sys.stderr)
-            skipped += 1
-    return rows, skipped
+def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
+    """A mean row, then one row per fixed-width bin over [0, 1] (the top
+    edge folds into the last bin); each row starts with ``keys``."""
+    n_bins = round(1.0 / HIST_BIN_WIDTH)
+    counts = [0] * n_bins
+    for v in values:
+        counts[min(int(v / HIST_BIN_WIDTH), n_bins - 1)] += 1
+    return [{**keys, "stat": mean_stat, "x": "", "value": sum(values) / len(values)}] + [
+        {**keys, "stat": "hist", "x": i * HIST_BIN_WIDTH, "value": c}
+        for i, c in enumerate(counts)
+    ]
 
 
-_CROSS_COLS = {
-    "el_uf": "link_of_inflow_set",
-    "el_ut": "link_of_delay_set",
-    "ef_ul": "inflow_of_link_set",
-    "ef_ut": "inflow_of_delay_set",
-    "et_ul": "delay_of_link_set",
-    "et_uf": "delay_of_inflow_set",
+# Paper notation for the cross- and joint-efficiency columns, in field
+# order: e<metric>_u<optimal set> with l link, f in-flow, t delay, a joint.
+_NESTED_COLUMNS = {
+    "cross": ("el_uf", "el_ut", "ef_ul", "ef_ut", "et_ul", "et_uf"),
+    "joint": ("el_ua", "ef_ua", "et_ua"),
 }
 
 
-def _report_row(corpus: Corpus, report: eff_mod.EfficiencyReport) -> dict:
-    row = {
-        "ego": report.ego,
-        "ego_label": corpus.label(report.ego),
-        "meme_kind": report.meme_kind,
-        "coverage": report.coverage,
-        "n_followees": report.n_followees,
-        "n_memes": report.n_memes,
-        "e_link": report.e_link,
-        "e_inflow": report.e_inflow,
-        "e_delay": report.e_delay,
-        "link_set_size": report.link_set_size,
-        "inflow_set_size": report.inflow_set_size,
-        "delay_set_size": report.delay_set_size,
-        "joint_set_size": report.joint_set_size,
-        "followee_inflow": report.followee_inflow,
-        "link_set_inflow": report.link_set_inflow,
-        "inflow_set_inflow": report.inflow_set_inflow,
-        "delay_set_inflow": report.delay_set_inflow,
-        "joint_set_inflow": report.joint_set_inflow,
-    }
-    for col, attr in _CROSS_COLS.items():
-        row[col] = getattr(report.cross, attr) if report.cross else None
-    for col, attr in (("el_ua", "link"), ("ef_ua", "inflow"), ("et_ua", "delay")):
-        row[col] = getattr(report.joint, attr) if report.joint else None
-    for key in (
-        "link_by_inflow_opt", "link_by_delay_opt",
-        "inflow_by_link_opt", "inflow_by_delay_opt",
-        "delay_by_link_opt", "delay_by_inflow_opt",
-        "link_by_joint_opt", "inflow_by_joint_opt", "delay_by_joint_opt",
-    ):
-        row[f"ratio_{key}"] = report.ratios.get(key)
+def _report_row(report: eff_mod.EfficiencyReport) -> dict:
+    """The efficiency row of a report: its fields in order, nested ones flattened."""
+    row = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name in _NESTED_COLUMNS:
+            columns = _NESTED_COLUMNS[f.name]
+            parts = astuple(value) if value is not None else [None] * len(columns)
+            row.update(zip(columns, parts))
+        elif f.name == "ratios":
+            row.update((f"ratio_{key}", value.get(key)) for key in eff_mod.RATIO_KEYS)
+        elif f.name != "joint_selected":
+            row[f.name] = value
     return row
 
 
-def cmd_efficiency(args) -> int:
-    corpus = _load_cached(args.corpus)
-    coverages = args.coverage or [1.0]
+def _efficiency_rows(corpus, ctx, args) -> list[dict]:
+    return [
+        _report_row(eff_mod.evaluate_ego(
+            corpus, ctx, args.meme_kind, coverage=p, alpha=args.alpha, beta=args.beta,
+        ))
+        for p in args.coverage or [1.0]
+    ]
 
-    def compute(ego, ctx):
-        return [
-            _report_row(
-                corpus,
-                eff_mod.evaluate_ego(
-                    corpus, ctx, args.meme_kind,
-                    coverage=p, alpha=args.alpha, beta=args.beta,
-                ),
-            )
-            for p in coverages
-        ]
 
-    rows, skipped = _per_ego_rows(corpus, args, compute)
-    if not rows:
-        raise EmptyCorpus("no ego produced an efficiency row")
-    writer = ReportWriter(
-        Path(args.out), args.format, not args.no_header_timestamp, args.seed
-    )
-    writer.write("efficiency", list(rows[0]), rows)
-    agg_rows = []
-    for p in coverages:
+def _efficiency_summaries(rows, args) -> dict[str, list[dict]]:
+    aggregate = []
+    for p in args.coverage or [1.0]:
         subset = [r for r in rows if r["coverage"] == p]
         for metric in ("e_link", "e_inflow", "e_delay"):
-            values = [r[metric] for r in subset]
-            agg_rows.append({
-                "coverage": p, "metric": metric, "stat": "mean",
-                "x": "", "value": sum(values) / len(values),
-            })
-            for lo, count in histogram(values):
-                agg_rows.append({
-                    "coverage": p, "metric": metric, "stat": "hist",
-                    "x": lo, "value": count,
-                })
-    writer.write("efficiency_aggregate", ["coverage", "metric", "stat", "x", "value"], agg_rows)
-    print(f"rows: {len(rows)}  egos skipped: {skipped}")
-    return 0
+            aggregate += _distribution({"coverage": p, "metric": metric}, "mean",
+                                       [r[metric] for r in subset])
+    return {"efficiency_aggregate": aggregate}
 
 
 _METHODS = {
@@ -302,174 +270,132 @@ _METHODS = {
 }
 
 
-def cmd_cover(args) -> int:
-    corpus = _load_cached(args.corpus)
-
-    def compute(ego, ctx):
-        spec = cover_mod.CoverSpec(
-            universe=ctx.memes, coverage=args.coverage[0] if args.coverage else 1.0,
-            alpha=args.alpha, beta=args.beta,
-        )
-        result = _METHODS[args.method](corpus, spec)
-        return [
-            {
-                "ego": ego,
-                "ego_label": corpus.label(ego),
-                "method": args.method,
-                "step": step,
-                "user": v,
-                "user_label": corpus.label(v),
-                "newly_covered": gain,
-                "followed": int(v in ctx.followees),
-            }
-            for step, (v, gain) in enumerate(result.per_step, start=1)
-        ]
-
-    rows, skipped = _per_ego_rows(corpus, args, compute)
-    if not rows:
-        raise EmptyCorpus("no cover rows produced")
-    writer = ReportWriter(
-        Path(args.out), args.format, not args.no_header_timestamp, args.seed
+def _cover_rows(corpus, ctx, args) -> list[dict]:
+    spec = cover_mod.CoverSpec(
+        universe=ctx.memes, coverage=args.coverage[0] if args.coverage else 1.0,
+        alpha=args.alpha, beta=args.beta,
     )
-    writer.write(
-        "cover",
-        ["ego", "ego_label", "method", "step", "user", "user_label",
-         "newly_covered", "followed"],
-        rows,
+    result = _METHODS[args.method](corpus, spec)
+    return [
+        {"method": args.method, "step": step, "user": v, "user_label": corpus.label(v),
+         "newly_covered": gain, "followed": int(v in ctx.followees)}
+        for step, (v, gain) in enumerate(result.per_step, start=1)
+    ]
+
+
+def _optimize_rows(corpus, ctx, args) -> list[dict]:
+    report = eff_mod.evaluate_ego(
+        corpus, ctx, args.meme_kind, alpha=args.alpha, beta=args.beta
     )
-    print(f"rows: {len(rows)}  egos skipped: {skipped}")
-    return 0
+    return [{
+        "meme_kind": report.meme_kind,
+        "n_followees": report.n_followees,
+        "selected": ",".join(corpus.label(v) for v in report.joint_selected),
+        "el_ua": report.joint.link,
+        "ef_ua": report.joint.inflow,
+        "et_ua": report.joint.delay,
+        **{f"ratio_{m}": report.ratios[f"{m}_by_joint_opt"]
+           for m in ("link", "inflow", "delay")},
+    }]
 
 
-def cmd_optimize(args) -> int:
-    corpus = _load_cached(args.corpus)
-
-    def compute(ego, ctx):
-        report = eff_mod.evaluate_ego(
-            corpus, ctx, args.meme_kind, alpha=args.alpha, beta=args.beta
-        )
-        return [{
-            "ego": ego,
-            "ego_label": corpus.label(ego),
-            "meme_kind": args.meme_kind,
-            "n_followees": report.n_followees,
-            "selected": ",".join(corpus.label(v) for v in report.joint_selected),
-            "el_ua": report.joint.link,
-            "ef_ua": report.joint.inflow,
-            "et_ua": report.joint.delay,
-            "ratio_link": report.ratios["link_by_joint_opt"],
-            "ratio_inflow": report.ratios["inflow_by_joint_opt"],
-            "ratio_delay": report.ratios["delay_by_joint_opt"],
-        }]
-
-    rows, skipped = _per_ego_rows(corpus, args, compute)
-    if not rows:
-        raise EmptyCorpus("no optimize rows produced")
-    writer = ReportWriter(
-        Path(args.out), args.format, not args.no_header_timestamp, args.seed
-    )
-    writer.write(
-        "optimize",
-        ["ego", "ego_label", "meme_kind", "n_followees", "selected",
-         "el_ua", "ef_ua", "et_ua", "ratio_link", "ratio_inflow", "ratio_delay"],
-        rows,
-    )
-    # Followee-count-binned ratio averages (powers-of-two bins).
+def _optimize_summaries(rows, args) -> dict[str, list[dict]]:
+    """Ratio means per followee-count bin (powers-of-two bins)."""
     bins: dict[int, list[dict]] = {}
     for row in rows:
         bins.setdefault(row["n_followees"].bit_length(), []).append(row)
-    bin_rows = []
-    for b in sorted(bins):
-        members = bins[b]
-        entry = {"followees_min": 2 ** (b - 1), "followees_max": 2 ** b - 1,
-                 "count": len(members)}
-        for key in ("ratio_link", "ratio_inflow", "ratio_delay"):
-            entry[key] = sum(r[key] for r in members) / len(members)
-        bin_rows.append(entry)
-    writer.write(
-        "optimize_bins",
-        ["followees_min", "followees_max", "count",
-         "ratio_link", "ratio_inflow", "ratio_delay"],
-        bin_rows,
-    )
-    print(f"rows: {len(rows)}  egos skipped: {skipped}")
-    return 0
+    return {"optimize_bins": [
+        {"followees_min": 2 ** (b - 1), "followees_max": 2 ** b - 1, "count": len(members),
+         **{key: sum(r[key] for r in members) / len(members)
+            for key in ("ratio_link", "ratio_inflow", "ratio_delay")}}
+        for b, members in sorted(bins.items())
+    ]}
 
 
-def cmd_egonet(args) -> int:
-    corpus = _load_cached(args.corpus)
+def _lcc(net) -> float | None:
+    try:
+        return egonet_mod.local_clustering_coefficient(net)
+    except FeedcoverError:
+        return None
 
-    def compute(ego, ctx):
-        spec = cover_mod.CoverSpec(
-            universe=ctx.memes, alpha=args.alpha, beta=args.beta
-        )
-        original = egonet_mod.build_ego_network(corpus, ego, ctx.followees)
-        try:
-            lcc_orig = egonet_mod.local_clustering_coefficient(original)
-        except FeedcoverError:
-            lcc_orig = None
-        out = []
-        for method, fn in _METHODS.items():
-            result = fn(corpus, spec)
-            net = egonet_mod.build_ego_network(corpus, ego, result.selected)
-            try:
-                lcc_opt = egonet_mod.local_clustering_coefficient(net)
-            except FeedcoverError:
-                lcc_opt = None
-            out.append({
-                "ego": ego,
-                "ego_label": corpus.label(ego),
-                "optimization": method,
-                "lcc_original": lcc_orig,
-                "lcc_optimized": lcc_opt,
-                "overlap": egonet_mod.overlap(result.selected, ctx.followees),
-            })
-        return out
 
-    rows, skipped = _per_ego_rows(corpus, args, compute)
-    if not rows:
-        raise EmptyCorpus("no egonet rows produced")
-    writer = ReportWriter(
-        Path(args.out), args.format, not args.no_header_timestamp, args.seed
-    )
-    writer.write(
-        "egonet",
-        ["ego", "ego_label", "optimization", "lcc_original", "lcc_optimized",
-         "overlap"],
-        rows,
-    )
+def _egonet_rows(corpus, ctx, args) -> list[dict]:
+    spec = cover_mod.CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
+    lcc_original = _lcc(egonet_mod.build_ego_network(corpus, ctx.ego, ctx.followees))
+    rows = []
+    for method, engine in _METHODS.items():
+        selected = engine(corpus, spec).selected
+        rows.append({
+            "optimization": method,
+            "lcc_original": lcc_original,
+            "lcc_optimized": _lcc(egonet_mod.build_ego_network(corpus, ctx.ego, selected)),
+            "overlap": egonet_mod.overlap(selected, ctx.followees),
+        })
+    return rows
+
+
+def _egonet_summaries(rows, args) -> dict[str, list[dict]]:
+    """LCC mean and histogram per optimization and for the original
+    networks, and each optimization's LCC/overlap correlation."""
     summary = []
-    for method in list(_METHODS) + ["original"]:
+    for method in [*_METHODS, "original"]:
         if method == "original":
-            values = sorted(
-                {r["ego"]: r["lcc_original"] for r in rows}.items()
-            )
-            values = [v for _, v in values if v is not None]
+            originals = sorted({r["ego"]: r["lcc_original"] for r in rows}.items())
+            points = [(lcc, None) for _, lcc in originals if lcc is not None]
         else:
-            values = [
-                r["lcc_optimized"] for r in rows
-                if r["optimization"] == method and r["lcc_optimized"] is not None
-            ]
-        if values:
-            summary.append({"optimization": method, "stat": "mean_lcc",
-                            "x": "", "value": sum(values) / len(values)})
-            for lo, count in histogram(values):
-                summary.append({"optimization": method, "stat": "hist",
-                                "x": lo, "value": count})
-        if method != "original":
             points = [
                 (r["lcc_optimized"], r["overlap"]) for r in rows
                 if r["optimization"] == method and r["lcc_optimized"] is not None
             ]
+        if points:
+            summary += _distribution({"optimization": method}, "mean_lcc",
+                                     [lcc for lcc, _ in points])
+        if method != "original":
             try:
                 r_value = egonet_mod.lcc_overlap_correlation(points)
             except FeedcoverError:
                 r_value = None
             summary.append({"optimization": method, "stat": "pearson_lcc_overlap",
                             "x": "", "value": r_value})
-    writer.write(
-        "egonet_summary", ["optimization", "stat", "x", "value"], summary
+    return {"egonet_summary": summary}
+
+
+# The per-ego analysis subcommands: help text, row function, summary
+# function (or None) and options beyond the common ones.
+_ANALYSES = {
+    "efficiency": ("per-ego efficiency report", _efficiency_rows,
+                   _efficiency_summaries, {}),
+    "cover": ("per-ego cover membership", _cover_rows, None,
+              {"--method": {"default": "link", "choices": sorted(_METHODS)}}),
+    "optimize": ("joint in-flow/delay rewiring report", _optimize_rows,
+                 _optimize_summaries, {}),
+    "egonet": ("LCC and overlap of original vs optimized", _egonet_rows,
+               _egonet_summaries, {}),
+}
+
+
+def cmd_analysis(args) -> int:
+    """Run one analysis subcommand over the selected egos; write its reports."""
+    _, row_fn, summarize, _ = _ANALYSES[args.command]
+    corpus = _load_cached(args.corpus)
+    rows, skipped = [], 0
+    for ego in _select_egos(corpus, args):
+        try:
+            ctx = ego_context(corpus, ego, args.meme_kind, args.min_followees)
+            ego_rows = row_fn(corpus, ctx, args)
+        except FeedcoverError as exc:
+            print(f"skip ego {corpus.label(ego)}: {exc}", file=sys.stderr)
+            skipped += 1
+            continue
+        rows += [{"ego": ego, "ego_label": corpus.label(ego), **r} for r in ego_rows]
+    if not rows:
+        raise EmptyCorpus(f"no {args.command} rows produced")
+    writer = ReportWriter(
+        Path(args.out), args.format, not args.no_header_timestamp, args.seed
     )
+    reports = {args.command: rows, **(summarize(rows, args) if summarize else {})}
+    for name, report in reports.items():
+        writer.write(name, list(report[0]), report)
     print(f"rows: {len(rows)}  egos skipped: {skipped}")
     return 0
 
@@ -478,7 +404,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.archetype == "triadic_communities":
-        corpus, egos = synth_mod.generate_triadic_corpus(seed=args.seed)
+        events, follows, egos = synth_mod.generate_triadic_events(seed=args.seed)
         ego_note = f"{len(egos)} egos"
     else:
         spec = synth_mod.SynthSpec(
@@ -490,11 +416,12 @@ def cmd_synth(args) -> int:
             pareto_exponent=args.pareto_exponent,
             ego_followee_count=args.ego_followees,
         )
-        corpus, ego = synth_mod.generate(spec)
+        events, follows, ego = synth_mod.generate_events(spec)
         ego_note = f"ego {ego}"
-    synth_mod.write_corpus_files(corpus, out / "posts.tsv", out / "follows.tsv")
+    synth_mod.write_corpus_files(events, follows, out / "posts.tsv", out / "follows.tsv")
     print(f"wrote {out / 'posts.tsv'} and {out / 'follows.tsv'} ({ego_note})")
-    print(f"users: {len(corpus.post_count)}  memes: {len(corpus.first_mention)}")
+    n_users, n_memes = len({ev.user for ev in events}), len({ev.meme for ev in events})
+    print(f"users: {n_users}  memes: {n_memes}")
     return 0
 
 
@@ -506,7 +433,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--min-followees", type=int, default=20)
-    p.add_argument("--sample-n", type=int, default=None)
+    p.add_argument("--sample-n", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--egos", default=None, help="explicit comma-separated egos")
     p.add_argument("--out", required=True)
@@ -521,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse input files into a cached corpus")
     p.add_argument("--posts", required=True)
     p.add_argument("--follows", required=True)
-    p.add_argument("--window-start", required=True,
+    p.add_argument("--window-start", required=True, type=_iso_seconds,
                    help="ISO-8601 datetime or unix seconds")
-    p.add_argument("--window-end", required=True)
+    p.add_argument("--window-end", required=True, type=_iso_seconds)
     p.add_argument("--min-followees", type=int, default=20)
     p.add_argument("--pre-extracted", action="store_true",
                    help="posts file already carries meme kind/key columns")
@@ -533,22 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("efficiency", help="per-ego efficiency report")
-    _add_common(p)
-    p.set_defaults(fn=cmd_efficiency)
-
-    p = sub.add_parser("cover", help="per-ego cover membership")
-    _add_common(p)
-    p.add_argument("--method", default="link", choices=sorted(_METHODS))
-    p.set_defaults(fn=cmd_cover)
-
-    p = sub.add_parser("optimize", help="joint in-flow/delay rewiring report")
-    _add_common(p)
-    p.set_defaults(fn=cmd_optimize)
-
-    p = sub.add_parser("egonet", help="LCC and overlap of original vs optimized")
-    _add_common(p)
-    p.set_defaults(fn=cmd_egonet)
+    for name, (help_text, _, _, options) in _ANALYSES.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=cmd_analysis)
 
     p = sub.add_parser("synth", help="generate synthetic corpus files")
     p.add_argument("--archetype", default="random_bipartite",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InfeasibleCover, InvalidSpec, TooLarge
-from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId, poster_profile
+from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
 
@@ -124,13 +124,17 @@ def greedy_weighted_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
 def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """Joint in-flow/delay greedy heuristic.
 
-    Score is inflow**alpha * avg_delay**beta / gain; a zero-delay
-    candidate scores 0 under beta > 0 and so is always preferred while
-    it still covers something.
+    Score is inflow**alpha * avg_delay**beta / gain, where avg_delay is
+    the mean delay in days over all memes the candidate posts; a
+    zero-delay candidate scores 0 under beta > 0 and so is always
+    preferred while it still covers something.
     """
     def weight(v):
-        p = poster_profile(corpus, v)
-        return (float(p.inflow) ** spec.alpha) * (p.avg_delay_days ** spec.beta)
+        first = corpus.first_post_by_user[v]
+        delay = math.fsum(
+            (t - corpus.first_mention[m]) / SECONDS_PER_DAY for m, t in first.items()
+        ) / len(first)
+        return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta)
 
     result = _greedy(corpus, spec, weight)
     return replace(

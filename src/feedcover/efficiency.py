@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from . import cover as cover_mod
 from .errors import EmptyFollowees, InvalidOriginal, NoMemes, ZeroInflow
@@ -146,9 +146,24 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
     return optimized_value / original_value
 
 
-@dataclass(frozen=True)
+# Optimized/original ratios, in CrossEfficiencies then JointEfficiencies
+# field order: "<metric>_by_<set>_opt" is <metric> of the <set>-optimal set
+# over the ego's own <metric> efficiency.
+RATIO_KEYS = (
+    "link_by_inflow_opt", "link_by_delay_opt",
+    "inflow_by_link_opt", "inflow_by_delay_opt",
+    "delay_by_link_opt", "delay_by_inflow_opt",
+    "link_by_joint_opt", "inflow_by_joint_opt", "delay_by_joint_opt",
+)
+
+
+@dataclass(frozen=True, kw_only=True)
 class EfficiencyReport:
-    """Everything measured for one ego at one meme kind and coverage level."""
+    """Everything measured for one ego at one meme kind and coverage level.
+
+    Fields are in report column order; the full-coverage extras are None
+    at partial coverage.
+    """
 
     ego: int
     meme_kind: str
@@ -160,16 +175,15 @@ class EfficiencyReport:
     e_delay: float
     link_set_size: int
     inflow_set_size: int
+    delay_set_size: int | None = None
+    joint_set_size: int | None = None
     followee_inflow: int
     link_set_inflow: int
     inflow_set_inflow: int
-    # full-coverage extras; None at partial coverage
-    delay_set_size: int | None = None
     delay_set_inflow: int | None = None
+    joint_set_inflow: int | None = None
     cross: CrossEfficiencies | None = None
     joint: JointEfficiencies | None = None
-    joint_set_size: int | None = None
-    joint_set_inflow: int | None = None
     joint_selected: tuple[int, ...] = ()
     ratios: dict[str, float] = field(default_factory=dict)
 
@@ -221,16 +235,11 @@ def evaluate_ego(
     joint_cov = cover_mod.joint_cover(corpus, spec)
     cross = cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus)
     joint = joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus)
+    originals = {"link": e_link, "inflow": e_inflow, "delay": e_delay}
+    optimized = (*astuple(cross), *astuple(joint))
     ratios = {
-        "link_by_inflow_opt": efficiency_ratio(cross.link_of_inflow_set, e_link),
-        "link_by_delay_opt": efficiency_ratio(cross.link_of_delay_set, e_link),
-        "inflow_by_link_opt": efficiency_ratio(cross.inflow_of_link_set, e_inflow),
-        "inflow_by_delay_opt": efficiency_ratio(cross.inflow_of_delay_set, e_inflow),
-        "delay_by_link_opt": efficiency_ratio(cross.delay_of_link_set, e_delay),
-        "delay_by_inflow_opt": efficiency_ratio(cross.delay_of_inflow_set, e_delay),
-        "link_by_joint_opt": efficiency_ratio(joint.link, e_link),
-        "inflow_by_joint_opt": efficiency_ratio(joint.inflow, e_inflow),
-        "delay_by_joint_opt": efficiency_ratio(joint.delay, e_delay),
+        key: efficiency_ratio(value, originals[key.split("_", 1)[0]])
+        for key, value in zip(RATIO_KEYS, optimized)
     }
     return EfficiencyReport(
         delay_set_size=len(delay_cov.selected),

@@ -7,7 +7,8 @@ class FeedcoverError(Exception):
 
 class MalformedRecord(FeedcoverError):
     def __init__(self, path, line_no, reason):
-        super().__init__(f"{path}:{line_no}: {reason}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {reason}")
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason

@@ -108,7 +108,14 @@ def extract_memes(
 
 
 def load_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """The lines of a UTF-8 text file; an unreadable one is a MalformedRecord."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise MalformedRecord(path, None, f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(path, line_no, f"not UTF-8 ({exc.reason})") from None
 
 
 def load_news_domains(path) -> frozenset[str]:

@@ -10,11 +10,10 @@ a meme set (which changes with ``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import EmptyCorpus, NoMemes
+from .errors import EmptyCorpus
 
 SECONDS_PER_DAY = 86400.0
 
@@ -46,12 +45,11 @@ class Corpus:
     """Immutable indexed view over a window of post events and a follow graph.
 
     post_count counts ALL posts inside the window (meme-bearing or not);
-    posts_by_user holds only the meme-bearing ones.
+    the meme indices cover only the meme-bearing ones.
     """
 
     window_start: int
     window_end: int
-    posts_by_user: dict[int, tuple[tuple[MemeId, int], ...]]
     memes_by_user: dict[int, frozenset[MemeId]]
     posters_by_meme: dict[MemeId, frozenset[int]]
     post_count: dict[int, int]
@@ -63,10 +61,6 @@ class Corpus:
     @property
     def window_days(self) -> float:
         return (self.window_end - self.window_start) / SECONDS_PER_DAY
-
-    @property
-    def users(self) -> frozenset[int]:
-        return frozenset(self.post_count)
 
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))
@@ -89,14 +83,12 @@ class Corpus:
         start, end = window
         if not events and not allow_empty:
             raise EmptyCorpus("no post events in window")
-        posts: dict[int, list[tuple[MemeId, int]]] = {}
         memes: dict[int, set[MemeId]] = {}
         posters: dict[MemeId, set[int]] = {}
         first: dict[MemeId, int] = {}
         first_by_user: dict[int, dict[MemeId, int]] = {}
         counts: dict[int, int] = {}
         for ev in events:
-            posts.setdefault(ev.user, []).append((ev.meme, ev.time))
             memes.setdefault(ev.user, set()).add(ev.meme)
             posters.setdefault(ev.meme, set()).add(ev.user)
             if ev.meme not in first or ev.time < first[ev.meme]:
@@ -110,7 +102,6 @@ class Corpus:
         return cls(
             window_start=start,
             window_end=end,
-            posts_by_user={u: tuple(sorted(v)) for u, v in sorted(posts.items())},
             memes_by_user={u: frozenset(v) for u, v in sorted(memes.items())},
             posters_by_meme={m: frozenset(v) for m, v in sorted(posters.items())},
             post_count=dict(sorted(counts.items())),
@@ -121,32 +112,6 @@ class Corpus:
             follows={u: frozenset(v) for u, v in sorted(follows.items())},
             user_labels=dict(user_labels or {}),
         )
-
-
-@dataclass(frozen=True)
-class PosterProfile:
-    """Per-candidate stats used by the joint in-flow/delay heuristic."""
-
-    user: int
-    meme_set: frozenset[MemeId]
-    inflow: int
-    avg_delay_days: float
-
-
-def poster_profile(corpus: Corpus, user: int) -> PosterProfile:
-    memes = corpus.memes_by_user.get(user, frozenset())
-    if not memes:
-        raise NoMemes(f"user {user} posted no memes")
-    first = corpus.first_post_by_user[user]
-    delay = math.fsum(
-        (first[m] - corpus.first_mention[m]) / SECONDS_PER_DAY for m in memes
-    ) / len(memes)
-    return PosterProfile(
-        user=user,
-        meme_set=memes,
-        inflow=corpus.post_count.get(user, 0),
-        avg_delay_days=delay,
-    )
 
 
 @dataclass(frozen=True)
@@ -168,7 +133,3 @@ class CoverResult:
     objective: float
     per_step: tuple[tuple[int, int], ...]
     avg_delay_days: float | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.selected)

@@ -52,6 +52,12 @@ def _validate(spec: SynthSpec) -> None:
 
 def generate(spec: SynthSpec) -> tuple[Corpus, int]:
     """Generate a corpus plus its ego user; same seed, same corpus."""
+    events, follows, ego = generate_events(spec)
+    return Corpus.from_events(events, follows, window=(0, spec.window_days * _DAY)), ego
+
+
+def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int]], int]:
+    """The post events, follow graph and ego user behind ``generate``."""
     _validate(spec)
     rng = random.Random(spec.seed)
     start, end = 0, spec.window_days * _DAY
@@ -93,10 +99,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, int]:
             n_posts = max(n_posts, 1)
             for _ in range(n_posts):
                 events.append(PostEvent(v, _meme(rng.randrange(spec.n_memes)), t()))
-    return (
-        Corpus.from_events(events, follows, window=(start, end)),
-        ego,
-    )
+    return events, follows, ego
 
 
 def generate_triadic_corpus(
@@ -106,6 +109,20 @@ def generate_triadic_corpus(
     memes_per_community: int = 30,
     window_days: int = 7,
 ) -> tuple[Corpus, list[int]]:
+    """The corpus of ``generate_triadic_events`` and one ego per member."""
+    events, follows, egos = generate_triadic_events(
+        seed, n_communities, community_size, memes_per_community, window_days
+    )
+    return Corpus.from_events(events, follows, window=(0, window_days * _DAY)), egos
+
+
+def generate_triadic_events(
+    seed: int = 0,
+    n_communities: int = 20,
+    community_size: int = 12,
+    memes_per_community: int = 30,
+    window_days: int = 7,
+) -> tuple[list[PostEvent], dict[int, set[int]], list[int]]:
     """Communities of mutually following, redundant posters.
 
     Every community member follows every other member (maximal triadic
@@ -113,7 +130,8 @@ def generate_triadic_corpus(
     many times, and two unconnected outsiders split the pool between
     them, posting each meme once, early. Optimizing any efficiency
     therefore pulls the ego away from the dense community and into the
-    sparse outsiders. Returns the corpus and one ego per member.
+    sparse outsiders. Returns the post events, the follow graph and one
+    ego per member.
     """
     rng = random.Random(seed)
     start, end = 0, window_days * _DAY
@@ -144,34 +162,28 @@ def generate_triadic_corpus(
                         PostEvent(m, meme, rng.randrange(start + _DAY, end))
                     )
         egos.extend(members)
-    return Corpus.from_events(events, follows, window=(start, end)), egos
+    return events, follows, egos
 
 
 def write_corpus_files(
-    corpus: Corpus, posts_path, follows_path, warmup: bool = True
+    events, follows, posts_path, follows_path, warmup: bool = True
 ) -> None:
-    """Emit a corpus in the ingestion file formats (pre-extracted posts).
+    """Emit generated events and follow graph in the ingestion file formats.
 
-    With ``warmup`` a pre-window marker post per user is included so
-    the activity filter retains everyone on reload.
+    Posts are pre-extracted, per user in time order. With ``warmup`` a
+    marker post per user a day before the window, which starts at 0 for
+    every generator, is included so the activity filter retains everyone
+    on reload.
     """
-    all_users = set(corpus.posts_by_user) | set(corpus.follows)
-    for vs in corpus.follows.values():
-        all_users |= vs
+    posts: dict[int, list[tuple[int, MemeId]]] = {}
+    for ev in events:
+        posts.setdefault(ev.user, []).append((ev.time, ev.meme))
     lines = []
-    for user in sorted(all_users):
+    for user in sorted(set(posts).union(follows, *follows.values())):
         if warmup:
-            lines.append(
-                f"{user}\t{corpus.window_start - _DAY}\thashtag\twarmup"
-            )
-        for meme, time in sorted(
-            corpus.posts_by_user.get(user, ()), key=lambda p: (p[1], p[0])
-        ):
+            lines.append(f"{user}\t{-_DAY}\thashtag\twarmup")
+        for time, meme in sorted(posts.get(user, ())):
             lines.append(f"{user}\t{time}\t{meme.kind}\t{meme.key}")
     Path(posts_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    edge_lines = [
-        f"{u}\t{v}"
-        for u in sorted(corpus.follows)
-        for v in sorted(corpus.follows[u])
-    ]
+    edge_lines = [f"{u}\t{v}" for u in sorted(follows) for v in sorted(follows[u])]
     Path(follows_path).write_text("\n".join(edge_lines) + "\n", encoding="utf-8")

@@ -229,3 +229,35 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     assert exc.value.code == 2
     assert not (tmp_path / "rep").exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, expect", [
+    ("missing_posts", "missing.tsv"),
+    ("missing_news_domains", "missing.txt"),
+    ("non_utf8_posts", "posts.tsv:2"),
+    ("bad_window_start", "--window-start"),
+    ("negative_sample_n", "--sample-n"),
+])
+def test_bad_input_exit_2_without_traceback(tmp_path, case, expect):
+    posts = tmp_path / "posts.tsv"
+    posts.write_bytes(b"a\t-5\twarm up\na\t10\t#one \xff\n")
+    follows = tmp_path / "follows.tsv"
+    follows.write_text("a\tb\n")
+    argv = ["ingest", "--posts", posts, "--follows", follows, *WINDOW,
+            "--out", tmp_path / "cache"]
+    if case == "missing_posts":
+        argv[2] = tmp_path / "missing.tsv"
+    elif case == "missing_news_domains":
+        argv += ["--news-domains", tmp_path / "missing.txt"]
+    elif case == "bad_window_start":
+        argv[6] = "garbage"
+    elif case == "negative_sample_n":
+        argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", "-1",
+                "--out", tmp_path / "rep"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedcover.cli", *map(str, argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert expect in proc.stderr

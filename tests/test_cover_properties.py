@@ -19,7 +19,7 @@ from feedcover.cover import (
     set_average_delay_days,
 )
 from feedcover.errors import InfeasibleCover
-from feedcover.model import SECONDS_PER_DAY, CoverResult, poster_profile
+from feedcover.model import SECONDS_PER_DAY, CoverResult
 
 from conftest import DAY, M, make_corpus, random_instance
 
@@ -65,8 +65,12 @@ def eager_weighted(corpus, spec):
 
 def eager_joint(corpus, spec):
     def score(v, gain):
-        p = poster_profile(corpus, v)
-        return (float(p.inflow) ** spec.alpha) * (p.avg_delay_days ** spec.beta) / gain
+        memes = corpus.memes_by_user[v]
+        delay = math.fsum(
+            (corpus.first_post_by_user[v][m] - corpus.first_mention[m]) / SECONDS_PER_DAY
+            for m in memes
+        ) / len(memes)
+        return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta) / gain
 
     result = eager_greedy(corpus, spec, score)
     inflow = sum(corpus.post_count[v] for v in result.selected)

@@ -27,7 +27,7 @@ from feedcover.errors import (
     NoMemes,
     ZeroInflow,
 )
-from feedcover.model import EgoContext, poster_profile
+from feedcover.model import EgoContext
 
 from conftest import DAY, M, make_corpus, make_ctx
 
@@ -148,23 +148,33 @@ class IterOrder(frozenset):
 
 def test_delay_sums_independent_of_iteration_order():
     # Delays of 0.1, 0.2 and 0.3 days: a plain left-to-right float sum
-    # gives 0.6000000000000001 in some orders and 0.6 in others.
+    # gives 0.6000000000000001 in some orders and 0.6 in others. Rival
+    # user 2 posts the same memes 0.3, 0.2 and 0.1 days late, so under
+    # alpha=0, beta=1 the joint cover ties them and picks user 1 in every
+    # order of user 1's first posts.
     times = {(9, i): 0 for i in range(3)}
     times.update({(1, i): (i + 1) * DAY // 10 for i in range(3)})
-    corpus = make_corpus({9: [0, 1, 2], 1: [0, 1, 2]}, times=times)
+    times.update({(2, i): (3 - i) * DAY // 10 for i in range(3)})
+    corpus = make_corpus({9: [0, 1, 2], 1: [0, 1, 2], 2: [0, 1, 2]}, times=times)
     receipt = {M(i): (i + 1) * DAY // 10 for i in range(3)}
+    first = corpus.first_post_by_user[1]
     results = set()
     for order in permutations(M(i) for i in range(3)):
         memes = IterOrder(order)
         ctx = EgoContext(EGO, frozenset({1}), memes, receipt)
-        reordered = replace(corpus, memes_by_user={**corpus.memes_by_user, 1: memes})
+        reordered = replace(corpus, first_post_by_user={
+            **corpus.first_post_by_user, 1: {m: first[m] for m in order},
+        })
+        spec = CoverSpec(universe=memes, candidates=frozenset({1, 2}), alpha=0.0, beta=1.0)
         results.add((
             delay_efficiency(ctx, corpus),
             set_average_delay_days(corpus, (1,), memes),
-            poster_profile(reordered, 1).avg_delay_days,
+            joint_cover(reordered, spec).selected,
         ))
     assert len(results) == 1
-    assert results.pop() == pytest.approx((1 / 1.2, 0.2, 0.2), abs=1e-15)
+    e_delay, set_delay, selected = results.pop()
+    assert (e_delay, set_delay) == pytest.approx((1 / 1.2, 0.2), abs=1e-15)
+    assert selected == (1,)
 
 
 def test_set_delay_requires_covering_selection():

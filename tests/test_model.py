@@ -3,7 +3,8 @@ import random
 import pytest
 
 from feedcover.errors import EmptyCorpus
-from feedcover.model import Corpus, MemeId, PostEvent, poster_profile
+from feedcover.cover import CoverSpec, joint_cover
+from feedcover.model import Corpus, MemeId, PostEvent
 
 from conftest import DAY, M, make_corpus
 
@@ -64,17 +65,23 @@ def test_window_days():
     assert corpus.window_days == 7.0
 
 
-def test_poster_profile_average_delay():
-    # meme 0 born at t=0 (user 9); user 1 first posts it a day later,
-    # and first-posts meme 1 (delay 0).
+@pytest.mark.parametrize("rival_delay_days, picked", [(1.0, 1), (0.99, 2)])
+def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
+    # Memes 0 and 2 are born at t=0 (user 9). User 1 first posts meme 0
+    # a day later, meme 1 first (delay 0) and meme 2 two days later: a
+    # mean delay of 1 day over all its memes, though meme 2 is outside
+    # the universe. Rival user 2 posts memes 0 and 1 rival_delay_days
+    # late. With alpha=0 and beta=1 the joint weight is the mean delay,
+    # and a tie goes to the smaller id.
+    rival = round(rival_delay_days * DAY)
     corpus = make_corpus(
-        {9: [0], 1: [0, 1]},
-        times={(9, 0): 0, (1, 0): DAY, (1, 1): 5},
+        {9: [0, 2], 1: [0, 1, 2], 2: [0, 1]},
+        times={(9, 0): 0, (9, 2): 0, (1, 0): DAY, (1, 1): 5, (1, 2): 2 * DAY,
+               (2, 0): rival, (2, 1): 5 + rival},
     )
-    profile = poster_profile(corpus, 1)
-    assert profile.inflow == 2
-    assert profile.meme_set == frozenset({M(0), M(1)})
-    assert profile.avg_delay_days == pytest.approx(0.5)
+    spec = CoverSpec(universe=frozenset({M(0), M(1)}), candidates=frozenset({1, 2}),
+                     alpha=0.0, beta=1.0)
+    assert joint_cover(corpus, spec).selected == (picked,)
 
 
 def test_meme_id_ordering_and_identity():

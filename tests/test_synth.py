@@ -7,6 +7,7 @@ from feedcover.ingest import IngestConfig, load_corpus
 from feedcover.synth import (
     SynthSpec,
     generate,
+    generate_events,
     generate_triadic_corpus,
     write_corpus_files,
 )
@@ -53,15 +54,14 @@ def test_same_seed_identical_corpus():
     "random_bipartite", "redundant_followees", "superuser_shadow", "pareto_inflow",
 ])
 def test_generated_corpora_satisfy_model_invariants(archetype):
-    corpus, _ = generate(SynthSpec(seed=7, archetype=archetype, n_memes=10))
+    spec = SynthSpec(seed=7, archetype=archetype, n_memes=10)
+    corpus, _ = generate(spec)
+    events, _, _ = generate_events(spec)
     for v, memes in corpus.memes_by_user.items():
         for meme in memes:
             assert v in corpus.posters_by_meme[meme]
     for meme, t0 in corpus.first_mention.items():
-        rescan = min(
-            t for posts in corpus.posts_by_user.values()
-            for m, t in posts if m == meme
-        )
+        rescan = min(ev.time for ev in events if ev.meme == meme)
         assert t0 == rescan
         assert corpus.window_start <= t0 < corpus.window_end
 
@@ -94,12 +94,16 @@ def test_triadic_corpus_shape():
         assert len(corpus.follows[ego]) == 5
 
 
-def test_write_then_reload_roundtrip(tmp_path):
-    corpus, ego = generate(SynthSpec(seed=11, archetype="random_bipartite",
-                                     n_users=15, n_memes=12))
+@pytest.mark.parametrize("archetype", [
+    "random_bipartite", "redundant_followees", "superuser_shadow", "pareto_inflow",
+])
+def test_write_then_reload_roundtrip(tmp_path, archetype):
+    spec = SynthSpec(seed=11, archetype=archetype, n_users=15, n_memes=12)
+    corpus, _ = generate(spec)
+    events, follow_graph, _ = generate_events(spec)
     posts = tmp_path / "posts.tsv"
     follows = tmp_path / "follows.tsv"
-    write_corpus_files(corpus, posts, follows)
+    write_corpus_files(events, follow_graph, posts, follows)
     config = IngestConfig(
         window_start=corpus.window_start,
         window_end=corpus.window_end,
@@ -109,4 +113,6 @@ def test_write_then_reload_roundtrip(tmp_path):
     assert reloaded.memes_by_user == corpus.memes_by_user
     assert reloaded.post_count == corpus.post_count
     assert reloaded.first_mention == corpus.first_mention
+    assert reloaded.first_post_by_user == corpus.first_post_by_user
+    assert reloaded.posters_by_meme == corpus.posters_by_meme
     assert reloaded.follows == corpus.follows
