@@ -248,13 +248,13 @@ def _efficiency_rows(corpus, ctx, args) -> list[dict]:
         _report_row(eff_mod.evaluate_ego(
             corpus, ctx, args.meme_kind, coverage=p, alpha=args.alpha, beta=args.beta,
         ))
-        for p in args.coverage or [1.0]
+        for p in args.coverage
     ]
 
 
 def _efficiency_summaries(rows, args) -> dict[str, list[dict]]:
     aggregate = []
-    for p in args.coverage or [1.0]:
+    for p in args.coverage:
         subset = [r for r in rows if r["coverage"] == p]
         for metric in ("e_link", "e_inflow", "e_delay"):
             aggregate += _distribution({"coverage": p, "metric": metric}, "mean",
@@ -272,7 +272,7 @@ _METHODS = {
 
 def _cover_rows(corpus, ctx, args) -> list[dict]:
     spec = cover_mod.CoverSpec(
-        universe=ctx.memes, coverage=args.coverage[0] if args.coverage else 1.0,
+        universe=ctx.memes, coverage=args.coverage[0],
         alpha=args.alpha, beta=args.beta,
     )
     result = _METHODS[args.method](corpus, spec)
@@ -335,28 +335,27 @@ def _egonet_rows(corpus, ctx, args) -> list[dict]:
 
 
 def _egonet_summaries(rows, args) -> dict[str, list[dict]]:
-    """LCC mean and histogram per optimization and for the original
-    networks, and each optimization's LCC/overlap correlation."""
+    """LCC mean and histogram per optimization, with its LCC/overlap
+    correlation, then LCC mean and histogram of the original networks."""
     summary = []
-    for method in [*_METHODS, "original"]:
-        if method == "original":
-            originals = sorted({r["ego"]: r["lcc_original"] for r in rows}.items())
-            points = [(lcc, None) for _, lcc in originals if lcc is not None]
-        else:
-            points = [
-                (r["lcc_optimized"], r["overlap"]) for r in rows
-                if r["optimization"] == method and r["lcc_optimized"] is not None
-            ]
+    for method in _METHODS:
+        points = [
+            (r["lcc_optimized"], r["overlap"]) for r in rows
+            if r["optimization"] == method and r["lcc_optimized"] is not None
+        ]
         if points:
             summary += _distribution({"optimization": method}, "mean_lcc",
                                      [lcc for lcc, _ in points])
-        if method != "original":
-            try:
-                r_value = egonet_mod.lcc_overlap_correlation(points)
-            except FeedcoverError:
-                r_value = None
-            summary.append({"optimization": method, "stat": "pearson_lcc_overlap",
-                            "x": "", "value": r_value})
+        try:
+            r_value = egonet_mod.lcc_overlap_correlation(points)
+        except FeedcoverError:
+            r_value = None
+        summary.append({"optimization": method, "stat": "pearson_lcc_overlap",
+                        "x": "", "value": r_value})
+    originals = sorted({r["ego"]: r["lcc_original"] for r in rows}.items())
+    values = [lcc for _, lcc in originals if lcc is not None]
+    if values:
+        summary += _distribution({"optimization": "original"}, "mean_lcc", values)
     return {"egonet_summary": summary}
 
 
@@ -485,8 +484,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "alpha" in vars(args):
+        args.coverage = args.coverage or [1.0]
         try:
-            for p in args.coverage or [1.0]:
+            for p in args.coverage:
                 cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
         except InvalidSpec as exc:
             parser.error(str(exc))
