@@ -12,8 +12,9 @@ prints ``rows: N  egos skipped: K``.
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
 sorted by user id. Exit codes: 0 success, 2 bad input (an unreadable
-or malformed input file, an invalid parameter, or a missing, corrupt
-or stale corpus cache), 3 empty or infeasible data, 4 internal error.
+or malformed input file, an invalid parameter, an unwritable ``--out``,
+or a missing, corrupt or stale corpus cache), 3 empty or infeasible
+data, 4 internal error.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .errors import (
     InfeasibleCover,
     InvalidSpec,
     MalformedRecord,
+    UndefinedMeasure,
 )
 from .ingest import IngestConfig, ego_context, load_corpus
 from .model import MEME_KINDS, Corpus, MemeId
@@ -186,7 +188,6 @@ def cmd_ingest(args) -> int:
     config = IngestConfig(
         window_start=args.window_start,
         window_end=args.window_end,
-        min_followees=args.min_followees,
         require_pre_window_activity=not args.no_activity_filter,
         news_domain_list=args.news_domains,
         url_alias_map=args.url_aliases,
@@ -315,7 +316,7 @@ def _optimize_summaries(rows, args) -> dict[str, list[dict]]:
 def _lcc(net) -> float | None:
     try:
         return egonet_mod.local_clustering_coefficient(net)
-    except FeedcoverError:
+    except UndefinedMeasure:
         return None
 
 
@@ -348,7 +349,7 @@ def _egonet_summaries(rows, args) -> dict[str, list[dict]]:
                                      [lcc for lcc, _ in points])
         try:
             r_value = egonet_mod.lcc_overlap_correlation(points)
-        except FeedcoverError:
+        except UndefinedMeasure:
             r_value = None
         summary.append({"optimization": method, "stat": "pearson_lcc_overlap",
                         "x": "", "value": r_value})
@@ -450,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-start", required=True, type=_iso_seconds,
                    help="ISO-8601 datetime or unix seconds")
     p.add_argument("--window-end", required=True, type=_iso_seconds)
-    p.add_argument("--min-followees", type=int, default=20)
     p.add_argument("--pre-extracted", action="store_true",
                    help="posts file already carries meme kind/key columns")
     p.add_argument("--no-activity-filter", action="store_true")
@@ -490,10 +490,15 @@ def main(argv=None) -> int:
                 cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
         except InvalidSpec as exc:
             parser.error(str(exc))
+        if getattr(args, "method", None) == "delay" and args.coverage[0] < 1.0:
+            parser.error("--method delay needs a first --coverage of 1")
     try:
         return args.fn(args)
-    except (MalformedRecord, CacheError) as exc:
+    except (MalformedRecord, CacheError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     except (EmptyCorpus, InfeasibleCover) as exc:
         print(f"error: {exc}", file=sys.stderr)

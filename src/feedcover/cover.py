@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InfeasibleCover, InvalidSpec, TooLarge
+from .errors import InfeasibleCover, InvalidSpec
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
@@ -187,7 +187,7 @@ def brute_force_cover(corpus: Corpus, spec: CoverSpec, objective: str) -> CoverR
     pool = candidate_pool(corpus, spec)
     n = len(pool)
     if n > BRUTE_FORCE_MAX_CANDIDATES:
-        raise TooLarge(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
+        raise InvalidSpec(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
     memes, masks = _masks(corpus, spec.universe, pool)
     if not memes:
         return CoverResult((), frozenset(), 0.0, ())

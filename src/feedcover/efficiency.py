@@ -11,7 +11,7 @@ import math
 from dataclasses import astuple, dataclass, field
 
 from . import cover as cover_mod
-from .errors import EmptyFollowees, InvalidOriginal, NoMemes, ZeroInflow
+from .errors import UndefinedMeasure
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, EgoContext
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ def link_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """Size of the covering set over the (effective) followee count."""
     effective = _effective_followees(ctx, cov.covered, corpus)
     if not effective:
-        raise EmptyFollowees(f"ego {ctx.ego} has no followees posting covered memes")
+        raise UndefinedMeasure(f"ego {ctx.ego} has no followees posting covered memes")
     return _clamp(len(cov.selected) / len(effective), "link efficiency", ctx.ego)
 
 
@@ -44,10 +44,10 @@ def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> floa
     """In-flow of the covering set over the (effective) followees' in-flow."""
     effective = _effective_followees(ctx, cov.covered, corpus)
     if not effective:
-        raise EmptyFollowees(f"ego {ctx.ego} has no followees posting covered memes")
+        raise UndefinedMeasure(f"ego {ctx.ego} has no followees posting covered memes")
     original = sum(corpus.post_count.get(v, 0) for v in effective)
     if original == 0:
-        raise ZeroInflow(f"followees of ego {ctx.ego} posted nothing in the window")
+        raise UndefinedMeasure(f"followees of ego {ctx.ego} posted nothing in the window")
     optimized = sum(corpus.post_count.get(v, 0) for v in cov.selected)
     return _clamp(optimized / original, "in-flow efficiency", ctx.ego)
 
@@ -55,7 +55,7 @@ def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> floa
 def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     """1 / (1 + mean days between global first mention and ego receipt)."""
     if not ctx.memes:
-        raise NoMemes(f"ego {ctx.ego} received no memes")
+        raise UndefinedMeasure(f"ego {ctx.ego} received no memes")
     mean_delay = math.fsum(
         (ctx.receipt_time[m] - corpus.first_mention[m]) / SECONDS_PER_DAY
         for m in ctx.memes
@@ -76,7 +76,7 @@ def _inflow_ratio(corpus: Corpus, users, baseline, ego: int) -> float:
     """In-flow of ``users`` over the in-flow of ``baseline``."""
     denominator = _inflow(corpus, baseline)
     if denominator == 0:
-        raise ZeroInflow(f"a cover set of ego {ego} posted nothing in the window")
+        raise UndefinedMeasure(f"a cover set of ego {ego} posted nothing in the window")
     return _inflow(corpus, users) / denominator
 
 
@@ -142,7 +142,7 @@ def joint_efficiencies(
 def efficiency_ratio(optimized_value: float, original_value: float) -> float:
     """Optimized/original efficiency; > 1 means the rewiring improved it."""
     if original_value <= 0:
-        raise InvalidOriginal(f"original efficiency {original_value} is not positive")
+        raise UndefinedMeasure(f"original efficiency {original_value} is not positive")
     return optimized_value / original_value
 
 

@@ -10,7 +10,7 @@ import statistics
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DegenerateVariance, EmptyMembers, EmptyOptimal, TooFewMembers
+from .errors import UndefinedMeasure
 from .model import Corpus
 
 
@@ -25,7 +25,7 @@ def build_ego_network(corpus: Corpus, ego: int, members) -> EgoNetwork:
     """Induced subgraph of the follow graph on {ego} | members."""
     members = frozenset(members) - {ego}
     if not members:
-        raise EmptyMembers(f"ego {ego}: empty member set")
+        raise UndefinedMeasure(f"ego {ego}: empty member set")
     nodes = members | {ego}
     edges = frozenset(
         (a, b)
@@ -40,7 +40,7 @@ def local_clustering_coefficient(net: EgoNetwork) -> float:
     """Fraction of member pairs connected by a (symmetrized) follow edge."""
     n = len(net.members)
     if n < 2:
-        raise TooFewMembers(f"LCC undefined for {n} members")
+        raise UndefinedMeasure(f"LCC undefined for {n} members")
     undirected = {frozenset(e) for e in net.edges if net.ego not in e}
     connected = sum(
         1 for a, b in combinations(sorted(net.members), 2)
@@ -53,7 +53,7 @@ def overlap(optimal, followees) -> float:
     """Fraction of the optimal set's users the ego already follows."""
     optimal = frozenset(optimal)
     if not optimal:
-        raise EmptyOptimal("optimal set is empty")
+        raise UndefinedMeasure("optimal set is empty")
     return len(optimal & frozenset(followees)) / len(optimal)
 
 
@@ -61,10 +61,10 @@ def lcc_overlap_correlation(points) -> float:
     """Pearson correlation of (lcc, overlap) pairs; no p-value reported."""
     points = list(points)
     if len(points) < 2:
-        raise DegenerateVariance("need at least two points")
+        raise UndefinedMeasure("need at least two points")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     try:
         return statistics.correlation(xs, ys)
     except statistics.StatisticsError as exc:
-        raise DegenerateVariance(str(exc)) from exc
+        raise UndefinedMeasure(str(exc)) from exc

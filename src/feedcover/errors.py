@@ -22,49 +22,14 @@ class EmptyCorpus(FeedcoverError):
     pass
 
 
-class TooFewFollowees(FeedcoverError):
-    pass
-
-
 class InfeasibleCover(FeedcoverError):
-    pass
-
-
-class TooLarge(FeedcoverError):
-    pass
-
-
-class EmptyFollowees(FeedcoverError):
-    pass
-
-
-class ZeroInflow(FeedcoverError):
-    pass
-
-
-class NoMemes(FeedcoverError):
-    pass
-
-
-class InvalidOriginal(FeedcoverError):
-    pass
-
-
-class EmptyMembers(FeedcoverError):
-    pass
-
-
-class TooFewMembers(FeedcoverError):
-    pass
-
-
-class EmptyOptimal(FeedcoverError):
-    pass
-
-
-class DegenerateVariance(FeedcoverError):
     pass
 
 
 class InvalidSpec(FeedcoverError):
     pass
+
+
+class UndefinedMeasure(FeedcoverError):
+    """A measure that is undefined for this ego or set: too few followees
+    posting the meme kind, zero in-flow, no memes, or too few members."""

@@ -13,11 +13,11 @@ data loss would corrupt the efficiency denominators downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from .errors import EmptyCorpus, MalformedRecord, TooFewFollowees
+from .errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
 from .model import MEME_KINDS, Corpus, EgoContext, MemeId, PostEvent
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
@@ -31,7 +31,6 @@ _YOUTUBE_PREFIX = "www.youtube.com/watch"
 class IngestConfig:
     window_start: int = 0
     window_end: int = 0
-    min_followees: int = 20
     require_pre_window_activity: bool = True
     meme_kinds: tuple[str, ...] = MEME_KINDS
     news_domain_list: str | None = None
@@ -136,21 +135,6 @@ def load_url_aliases(path) -> dict[str, str]:
     return aliases
 
 
-class _UserIds:
-    """Stable integer surrogates in first-seen order."""
-
-    def __init__(self):
-        self.by_label: dict[str, int] = {}
-
-    def get(self, label: str) -> int:
-        if label not in self.by_label:
-            self.by_label[label] = len(self.by_label)
-        return self.by_label[label]
-
-    def labels(self) -> dict[int, str]:
-        return {uid: label for label, uid in self.by_label.items()}
-
-
 def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
     """Build a windowed Corpus with the activity filter applied.
 
@@ -166,7 +150,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
     url_aliases = (
         load_url_aliases(config.url_alias_map) if config.url_alias_map else {}
     )
-    ids = _UserIds()
+    ids: dict[str, int] = {}  # label -> integer id, in first-seen order
     events: list[PostEvent] = []
     post_counts: dict[int, int] = {}
     active: set[int] = set()
@@ -195,7 +179,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             time = int(time_s)
         except ValueError:
             raise MalformedRecord(posts_path, no, f"bad timestamp {time_s!r}")
-        user = ids.get(label)
+        user = ids.setdefault(label, len(ids))
         if time < start:
             active.add(user)
             continue
@@ -214,8 +198,8 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedRecord(follows_path, no, "expected follower<TAB>followee")
-        follower = ids.get(parts[0])
-        followee = ids.get(parts[1])
+        follower = ids.setdefault(parts[0], len(ids))
+        followee = ids.setdefault(parts[1], len(ids))
         follows.setdefault(follower, set()).add(followee)
 
     if config.require_pre_window_activity:
@@ -233,7 +217,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         follows,
         window=(start, end),
         post_counts=post_counts,
-        user_labels=ids.labels(),
+        user_labels={uid: label for label, uid in ids.items()},
     )
 
 
@@ -246,7 +230,7 @@ def ego_context(
         if any(m.kind == meme_kind for m in corpus.memes_by_user.get(v, frozenset()))
     )
     if len(followees) < max(min_followees, 1):
-        raise TooFewFollowees(
+        raise UndefinedMeasure(
             f"ego {ego}: {len(followees)} followees posting {meme_kind} "
             f"(need {max(min_followees, 1)})"
         )

@@ -73,7 +73,6 @@ class Corpus:
         window: tuple[int, int],
         post_counts: dict[int, int] | None = None,
         user_labels: dict[int, str] | None = None,
-        allow_empty: bool = False,
     ) -> "Corpus":
         """Build every index from a stream of PostEvents.
 
@@ -81,7 +80,7 @@ class Corpus:
         ``post_counts`` is omitted, each event counts as one post.
         """
         start, end = window
-        if not events and not allow_empty:
+        if not events:
             raise EmptyCorpus("no post events in window")
         memes: dict[int, set[MemeId]] = {}
         posters: dict[MemeId, set[int]] = {}

@@ -165,23 +165,19 @@ def generate_triadic_events(
     return events, follows, egos
 
 
-def write_corpus_files(
-    events, follows, posts_path, follows_path, warmup: bool = True
-) -> None:
+def write_corpus_files(events, follows, posts_path, follows_path) -> None:
     """Emit generated events and follow graph in the ingestion file formats.
 
-    Posts are pre-extracted, per user in time order. With ``warmup`` a
-    marker post per user a day before the window, which starts at 0 for
-    every generator, is included so the activity filter retains everyone
-    on reload.
+    Posts are pre-extracted, per user in time order. Each user gets a
+    marker post a day before the window, which starts at 0 for every
+    generator, so the activity filter retains everyone on reload.
     """
     posts: dict[int, list[tuple[int, MemeId]]] = {}
     for ev in events:
         posts.setdefault(ev.user, []).append((ev.time, ev.meme))
     lines = []
     for user in sorted(set(posts).union(follows, *follows.values())):
-        if warmup:
-            lines.append(f"{user}\t{-_DAY}\thashtag\twarmup")
+        lines.append(f"{user}\t{-_DAY}\thashtag\twarmup")
         for time, meme in sorted(posts.get(user, ())):
             lines.append(f"{user}\t{time}\t{meme.kind}\t{meme.key}")
     Path(posts_path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from feedcover import cli
+from feedcover import cli, errors
 from feedcover.cli import main
 
 WINDOW = ["--window-start", "0", "--window-end", "604800"]
@@ -237,8 +237,14 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("non_utf8_posts", "posts.tsv:2"),
     ("bad_window_start", "--window-start"),
     ("negative_sample_n", "--sample-n"),
+    ("synth_zero_users", "all counts must be >= 1"),
+    ("synth_shadow_few_memes", "superuser_shadow needs n_memes"),
+    ("ingest_out_is_file", "follows.tsv: File exists"),
+    ("efficiency_out_is_file", "posts.tsv: File exists"),
+    ("synth_out_is_file", "posts.tsv: File exists"),
+    ("delay_partial_coverage", "--method delay"),
 ])
-def test_bad_input_exit_2_without_traceback(tmp_path, case, expect):
+def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     posts = tmp_path / "posts.tsv"
     posts.write_bytes(b"a\t-5\twarm up\na\t10\t#one \xff\n")
     follows = tmp_path / "follows.tsv"
@@ -254,6 +260,22 @@ def test_bad_input_exit_2_without_traceback(tmp_path, case, expect):
     elif case == "negative_sample_n":
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", "-1",
                 "--out", tmp_path / "rep"]
+    elif case == "synth_zero_users":
+        argv = ["synth", "--n-users", "0", "--out", tmp_path / "data"]
+    elif case == "synth_shadow_few_memes":
+        argv = ["synth", "--archetype", "superuser_shadow", "--n-memes", "2",
+                "--out", tmp_path / "data"]
+    elif case == "ingest_out_is_file":
+        posts.write_text("a\t-5\twarm up\na\t10\t#one\n")
+        argv[-1] = follows
+    elif case == "efficiency_out_is_file":
+        argv = ["efficiency", "--corpus", request.getfixturevalue("redundant_dir"),
+                "--min-followees", "1", "--out", posts]
+    elif case == "synth_out_is_file":
+        argv = ["synth", "--out", posts]
+    elif case == "delay_partial_coverage":
+        argv = ["cover", "--corpus", tmp_path / "corpus.pkl", "--method", "delay",
+                "--coverage", "0.5", "--coverage", "1.0", "--out", tmp_path / "rep"]
     proc = subprocess.run(
         [sys.executable, "-m", "feedcover.cli", *map(str, argv)],
         capture_output=True, text=True,
@@ -261,3 +283,27 @@ def test_bad_input_exit_2_without_traceback(tmp_path, case, expect):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert expect in proc.stderr
+
+
+# The exit code of each class in feedcover.errors that reaches cli.main.
+EXIT_CODES = {
+    "MalformedRecord": 2, "CacheError": 2, "InvalidSpec": 2,
+    "EmptyCorpus": 3, "InfeasibleCover": 3,
+    "FeedcoverError": 4, "UndefinedMeasure": 4,
+}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+], ids=lambda c: c.__name__)
+def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, cls):
+    exc = cls("posts.tsv", 1, "bad") if cls is errors.MalformedRecord else cls("bad")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_corpus", fail)
+    code = run(["ingest", "--posts", tmp_path / "posts.tsv", "--follows",
+                tmp_path / "follows.tsv", *WINDOW, "--out", tmp_path / "cache"])
+    assert code == EXIT_CODES[cls.__name__]
+    assert "error:" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from feedcover.cover import (
     greedy_weighted_cover,
     joint_cover,
 )
-from feedcover.errors import InfeasibleCover, InvalidSpec, TooLarge
+from feedcover.errors import InfeasibleCover, InvalidSpec
 
 from conftest import DAY, M, make_corpus, random_instance
 
@@ -248,7 +248,7 @@ class TestBruteForceCover:
 
     def test_too_large(self):
         corpus = make_corpus({v: [0] for v in range(25)})
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidSpec, match="25 candidates exceed bound 20"):
             brute_force_cover(corpus, spec_for(corpus), "cardinality")
 
     def test_infeasible(self):

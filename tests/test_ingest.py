@@ -1,6 +1,6 @@
 import pytest
 
-from feedcover.errors import EmptyCorpus, MalformedRecord, TooFewFollowees
+from feedcover.errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
     IngestConfig,
     ego_context,
@@ -170,8 +170,8 @@ def test_ego_context_restricts_to_kind_posters(kind_corpus):
     ego = _uid(kind_corpus, "ego")
     ctx = ego_context(kind_corpus, ego, "hashtag")
     assert ctx.followees == {_uid(kind_corpus, "A"), _uid(kind_corpus, "B")}
-    ctx_url = pytest.raises(TooFewFollowees, ego_context, kind_corpus, ego, "url")
-    assert ctx_url
+    with pytest.raises(UndefinedMeasure, match="0 followees posting url"):
+        ego_context(kind_corpus, ego, "url")
 
 
 def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
@@ -183,12 +183,12 @@ def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
 
 def test_ego_context_min_followees(kind_corpus):
     ego = _uid(kind_corpus, "ego")
-    with pytest.raises(TooFewFollowees):
+    with pytest.raises(UndefinedMeasure, match=r"posting hashtag \(need 3\)"):
         ego_context(kind_corpus, ego, "hashtag", min_followees=3)
 
 
 def test_ego_context_nobody_followed(kind_corpus):
-    with pytest.raises(TooFewFollowees):
+    with pytest.raises(UndefinedMeasure, match="0 followees posting hashtag"):
         ego_context(kind_corpus, _uid(kind_corpus, "A"), "hashtag")
 
 
