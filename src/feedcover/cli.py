@@ -402,7 +402,6 @@ def cmd_analysis(args) -> int:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.archetype == "triadic_communities":
         events, follows, egos = synth_mod.generate_triadic_events(seed=args.seed)
         ego_note = f"{len(egos)} egos"
@@ -418,6 +417,7 @@ def cmd_synth(args) -> int:
         )
         events, follows, ego = synth_mod.generate_events(spec)
         ego_note = f"ego {ego}"
+    out.mkdir(parents=True, exist_ok=True)
     synth_mod.write_corpus_files(events, follows, out / "posts.tsv", out / "follows.tsv")
     print(f"wrote {out / 'posts.tsv'} and {out / 'follows.tsv'} ({ego_note})")
     n_users, n_memes = len({ev.user for ev in events}), len({ev.meme for ev in events})

@@ -261,10 +261,10 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", "-1",
                 "--out", tmp_path / "rep"]
     elif case == "synth_zero_users":
-        argv = ["synth", "--n-users", "0", "--out", tmp_path / "data"]
+        argv = ["synth", "--n-users", "0", "--out", tmp_path / "synth"]
     elif case == "synth_shadow_few_memes":
         argv = ["synth", "--archetype", "superuser_shadow", "--n-memes", "2",
-                "--out", tmp_path / "data"]
+                "--out", tmp_path / "synth"]
     elif case == "ingest_out_is_file":
         posts.write_text("a\t-5\twarm up\na\t10\t#one\n")
         argv[-1] = follows
@@ -283,6 +283,7 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert expect in proc.stderr
+    assert not (tmp_path / "synth").exists()
 
 
 # The exit code of each class in feedcover.errors that reaches cli.main.
