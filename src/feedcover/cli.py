@@ -23,7 +23,7 @@ import json
 import pickle
 import random
 import sys
-from dataclasses import astuple, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -200,7 +200,7 @@ def cmd_ingest(args) -> int:
         per_kind[meme.kind] += 1
     print(f"corpus: {path}")
     print(f"users: {len(corpus.post_count)}")
-    print(f"posts: {sum(corpus.post_count.values())}")
+    print(f"posts: {corpus.inflow(corpus.post_count)}")
     print(f"user-meme pairs: {sum(len(f) for f in corpus.first_post_by_user.values())}")
     for kind in MEME_KINDS:
         print(f"unique {kind}: {per_kind[kind]}")
@@ -220,28 +220,11 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
     ]
 
 
-# Paper notation for the cross- and joint-efficiency columns, in field
-# order: e<metric>_u<optimal set> with l link, f in-flow, t delay, a joint.
-_NESTED_COLUMNS = {
-    "cross": ("el_uf", "el_ut", "ef_ul", "ef_ut", "et_ul", "et_uf"),
-    "joint": ("el_ua", "ef_ua", "et_ua"),
-}
-
-
 def _report_row(report: eff_mod.EfficiencyReport) -> dict:
-    """The efficiency row of a report: its fields in order, nested ones flattened."""
-    row = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name in _NESTED_COLUMNS:
-            columns = _NESTED_COLUMNS[f.name]
-            parts = astuple(value) if value is not None else [None] * len(columns)
-            row.update(zip(columns, parts))
-        elif f.name == "ratios":
-            row.update((f"ratio_{key}", value.get(key)) for key in eff_mod.RATIO_KEYS)
-        elif f.name != "joint_selected":
-            row[f.name] = value
-    return row
+    """The efficiency row of a report: its fields in order but ``joint_selected``."""
+    return {
+        f.name: getattr(report, f.name) for f in fields(report) if f.name != "joint_selected"
+    }
 
 
 def _efficiency_rows(corpus, ctx, args) -> list[dict]:
@@ -292,11 +275,12 @@ def _optimize_rows(corpus, ctx, args) -> list[dict]:
         "meme_kind": report.meme_kind,
         "n_followees": report.n_followees,
         "selected": ",".join(corpus.label(v) for v in report.joint_selected),
-        "el_ua": report.joint.link,
-        "ef_ua": report.joint.inflow,
-        "et_ua": report.joint.delay,
-        **{f"ratio_{m}": report.ratios[f"{m}_by_joint_opt"]
-           for m in ("link", "inflow", "delay")},
+        "el_ua": report.el_ua,
+        "ef_ua": report.ef_ua,
+        "et_ua": report.et_ua,
+        "ratio_link": report.ratio_link_by_joint_opt,
+        "ratio_inflow": report.ratio_inflow_by_joint_opt,
+        "ratio_delay": report.ratio_delay_by_joint_opt,
     }]
 
 
@@ -361,12 +345,18 @@ def _egonet_summaries(rows, args) -> dict[str, list[dict]]:
 
 
 # The per-ego analysis subcommands: help text, row function, summary
-# function (or None) and options beyond the common ones.
+# function (or None) and options beyond the common ones. Only efficiency
+# and cover take --coverage (cover one value, checked in main); optimize
+# and egonet work at full coverage.
 _ANALYSES = {
     "efficiency": ("per-ego efficiency report", _efficiency_rows,
-                   _efficiency_summaries, {}),
+                   _efficiency_summaries,
+                   {"--coverage": {"type": float, "action": "append",
+                                   "help": "coverage fraction in (0,1]; repeatable"}}),
     "cover": ("per-ego cover membership", _cover_rows, None,
-              {"--method": {"default": "link", "choices": sorted(_METHODS)}}),
+              {"--method": {"default": "link", "choices": sorted(_METHODS)},
+               "--coverage": {"type": float, "action": "append",
+                              "help": "coverage fraction in (0,1]"}}),
     "optimize": ("joint in-flow/delay rewiring report", _optimize_rows,
                  _optimize_summaries, {}),
     "egonet": ("LCC and overlap of original vs optimized", _egonet_rows,
@@ -428,8 +418,6 @@ def cmd_synth(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="corpus.pkl from `ingest`")
     p.add_argument("--meme-kind", default="hashtag", choices=MEME_KINDS)
-    p.add_argument("--coverage", type=float, action="append",
-                   help="coverage fraction in (0,1]; repeatable")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--min-followees", type=int, default=20)
@@ -484,14 +472,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "alpha" in vars(args):
-        args.coverage = args.coverage or [1.0]
+        args.coverage = getattr(args, "coverage", None) or [1.0]
         try:
             for p in args.coverage:
                 cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
         except InvalidSpec as exc:
             parser.error(str(exc))
         if getattr(args, "method", None) == "delay" and args.coverage[0] < 1.0:
-            parser.error("--method delay needs a first --coverage of 1")
+            parser.error("--method delay needs --coverage 1")
+        if args.command == "cover" and len(args.coverage) > 1:
+            parser.error("cover takes one --coverage")
     try:
         return args.fn(args)
     except (MalformedRecord, CacheError, InvalidSpec) as exc:

@@ -74,6 +74,13 @@ def _masks(corpus: Corpus, universe, pool: list[int]) -> tuple[list[MemeId], lis
     return memes, [by_user[v] for v in pool]
 
 
+def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
+    """Mean days from each meme's first mention to its time in ``first``."""
+    return math.fsum(
+        (t - corpus.first_mention[m]) / SECONDS_PER_DAY for m, t in first.items()
+    ) / len(first)
+
+
 def _greedy(corpus: Corpus, spec: CoverSpec, weight) -> CoverResult:
     target = math.ceil(spec.coverage * len(spec.universe))
     pool = candidate_pool(corpus, spec)
@@ -117,8 +124,7 @@ def greedy_min_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
 def greedy_weighted_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """In-flow-weighted greedy set cover: minimize posts per newly covered meme."""
     result = _greedy(corpus, spec, lambda v: corpus.post_count[v])
-    inflow = sum(corpus.post_count[v] for v in result.selected)
-    return replace(result, objective=float(inflow))
+    return replace(result, objective=float(corpus.inflow(result.selected)))
 
 
 def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -130,16 +136,13 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     preferred while it still covers something.
     """
     def weight(v):
-        first = corpus.first_post_by_user[v]
-        delay = math.fsum(
-            (t - corpus.first_mention[m]) / SECONDS_PER_DAY for m, t in first.items()
-        ) / len(first)
+        delay = _mean_delay_days(corpus, corpus.first_post_by_user[v])
         return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta)
 
     result = _greedy(corpus, spec, weight)
     return replace(
         result,
-        objective=float(sum(corpus.post_count[v] for v in result.selected)),
+        objective=float(corpus.inflow(result.selected)),
         avg_delay_days=set_average_delay_days(corpus, result.selected, result.covered),
     )
 
@@ -154,7 +157,7 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
     chosen: dict[int, int] = {}
-    delays = []
+    reached: dict[MemeId, int] = {}
     for meme in sorted(spec.universe):
         posters = corpus.posters_by_meme.get(meme, frozenset())
         if spec.candidates is not None:
@@ -163,14 +166,14 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
             raise InfeasibleCover(f"meme {meme} has no candidate poster")
         t, best = min((corpus.first_post_by_user[v][meme], v) for v in posters)
         chosen[best] = chosen.get(best, 0) + 1
-        delays.append((t - corpus.first_mention[meme]) / SECONDS_PER_DAY)
+        reached[meme] = t
     selected = tuple(sorted(chosen))
     return CoverResult(
         selected=selected,
         covered=frozenset(spec.universe),
         objective=float(len(selected)),
         per_step=tuple((v, chosen[v]) for v in selected),
-        avg_delay_days=math.fsum(delays) / len(delays) if delays else None,
+        avg_delay_days=_mean_delay_days(corpus, reached) if reached else None,
     )
 
 
@@ -234,7 +237,4 @@ def set_average_delay_days(corpus, selected, universe) -> float | None:
         raise InfeasibleCover(
             f"selected users post {len(reached)} of {len(universe)} memes"
         )
-    total = math.fsum(
-        (reached[m] - corpus.first_mention[m]) / SECONDS_PER_DAY for m in universe
-    )
-    return total / len(universe)
+    return _mean_delay_days(corpus, reached)

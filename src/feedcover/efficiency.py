@@ -7,12 +7,11 @@ set, making a ratio exceed 1; such values are clamped to 1 and logged.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 
 from . import cover as cover_mod
 from .errors import UndefinedMeasure
-from .model import SECONDS_PER_DAY, Corpus, CoverResult, EgoContext
+from .model import Corpus, CoverResult, EgoContext
 
 log = logging.getLogger(__name__)
 
@@ -45,51 +44,32 @@ def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> floa
     effective = _effective_followees(ctx, cov.covered, corpus)
     if not effective:
         raise UndefinedMeasure(f"ego {ctx.ego} has no followees posting covered memes")
-    original = sum(corpus.post_count.get(v, 0) for v in effective)
+    original = corpus.inflow(effective)
     if original == 0:
         raise UndefinedMeasure(f"followees of ego {ctx.ego} posted nothing in the window")
-    optimized = sum(corpus.post_count.get(v, 0) for v in cov.selected)
-    return _clamp(optimized / original, "in-flow efficiency", ctx.ego)
-
-
-def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
-    """1 / (1 + mean days between global first mention and ego receipt)."""
-    if not ctx.memes:
-        raise UndefinedMeasure(f"ego {ctx.ego} received no memes")
-    mean_delay = math.fsum(
-        (ctx.receipt_time[m] - corpus.first_mention[m]) / SECONDS_PER_DAY
-        for m in ctx.memes
-    ) / len(ctx.memes)
-    return 1.0 / (1.0 + mean_delay)
+    return _clamp(corpus.inflow(cov.selected) / original, "in-flow efficiency", ctx.ego)
 
 
 def _set_delay_efficiency(corpus: Corpus, selected, universe) -> float:
-    mean_delay = cover_mod.set_average_delay_days(corpus, selected, universe)
-    return 1.0 / (1.0 + mean_delay)
+    return 1.0 / (1.0 + cover_mod.set_average_delay_days(corpus, selected, universe))
 
 
-def _inflow(corpus: Corpus, users) -> int:
-    return sum(corpus.post_count.get(v, 0) for v in users)
+def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
+    """1 / (1 + mean days between global first mention and ego receipt).
+
+    The ego receives each meme when its first followee posts it.
+    """
+    if not ctx.memes:
+        raise UndefinedMeasure(f"ego {ctx.ego} received no memes")
+    return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
 
 
 def _inflow_ratio(corpus: Corpus, users, baseline, ego: int) -> float:
     """In-flow of ``users`` over the in-flow of ``baseline``."""
-    denominator = _inflow(corpus, baseline)
+    denominator = corpus.inflow(baseline)
     if denominator == 0:
         raise UndefinedMeasure(f"a cover set of ego {ego} posted nothing in the window")
-    return _inflow(corpus, users) / denominator
-
-
-@dataclass(frozen=True)
-class CrossEfficiencies:
-    """The six ratios relating the three single-metric optimal sets."""
-
-    link_of_inflow_set: float
-    link_of_delay_set: float
-    inflow_of_link_set: float
-    inflow_of_delay_set: float
-    delay_of_link_set: float
-    delay_of_inflow_set: float
+    return corpus.inflow(users) / denominator
 
 
 def cross_efficiencies(
@@ -98,31 +78,21 @@ def cross_efficiencies(
     inflow_cov: CoverResult,
     delay_cov: CoverResult,
     corpus: Corpus,
-) -> CrossEfficiencies:
-    """Evaluate each optimal set under the other two metrics (full coverage)."""
-    return CrossEfficiencies(
-        link_of_inflow_set=len(link_cov.selected) / len(inflow_cov.selected),
-        link_of_delay_set=len(link_cov.selected) / len(delay_cov.selected),
-        inflow_of_link_set=_inflow_ratio(
-            corpus, inflow_cov.selected, link_cov.selected, ctx.ego
-        ),
-        inflow_of_delay_set=_inflow_ratio(
-            corpus, inflow_cov.selected, delay_cov.selected, ctx.ego
-        ),
-        delay_of_link_set=_set_delay_efficiency(corpus, link_cov.selected, ctx.memes),
-        delay_of_inflow_set=_set_delay_efficiency(
-            corpus, inflow_cov.selected, ctx.memes
-        ),
-    )
+) -> dict[str, float]:
+    """Each optimal set under the other two metrics (full coverage).
 
-
-@dataclass(frozen=True)
-class JointEfficiencies:
-    """The joint-heuristic set evaluated under each single metric."""
-
-    link: float
-    inflow: float
-    delay: float
+    Keys are the paper's names (see ``_LEGEND``): ``el_uf`` is the link
+    efficiency of the in-flow-optimal set, measured against the
+    link-optimal set.
+    """
+    return {
+        "el_uf": len(link_cov.selected) / len(inflow_cov.selected),
+        "el_ut": len(link_cov.selected) / len(delay_cov.selected),
+        "ef_ul": _inflow_ratio(corpus, inflow_cov.selected, link_cov.selected, ctx.ego),
+        "ef_ut": _inflow_ratio(corpus, inflow_cov.selected, delay_cov.selected, ctx.ego),
+        "et_ul": _set_delay_efficiency(corpus, link_cov.selected, ctx.memes),
+        "et_uf": _set_delay_efficiency(corpus, inflow_cov.selected, ctx.memes),
+    }
 
 
 def joint_efficiencies(
@@ -131,12 +101,13 @@ def joint_efficiencies(
     link_cov: CoverResult,
     inflow_cov: CoverResult,
     corpus: Corpus,
-) -> JointEfficiencies:
-    return JointEfficiencies(
-        link=len(link_cov.selected) / len(joint_cov.selected),
-        inflow=_inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected, ctx.ego),
-        delay=_set_delay_efficiency(corpus, joint_cov.selected, ctx.memes),
-    )
+) -> dict[str, float]:
+    """The joint-heuristic set under each single metric, keyed ``e<metric>_ua``."""
+    return {
+        "el_ua": len(link_cov.selected) / len(joint_cov.selected),
+        "ef_ua": _inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected, ctx.ego),
+        "et_ua": _set_delay_efficiency(corpus, joint_cov.selected, ctx.memes),
+    }
 
 
 def efficiency_ratio(optimized_value: float, original_value: float) -> float:
@@ -146,23 +117,18 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
     return optimized_value / original_value
 
 
-# Optimized/original ratios, in CrossEfficiencies then JointEfficiencies
-# field order: "<metric>_by_<set>_opt" is <metric> of the <set>-optimal set
-# over the ego's own <metric> efficiency.
-RATIO_KEYS = (
-    "link_by_inflow_opt", "link_by_delay_opt",
-    "inflow_by_link_opt", "inflow_by_delay_opt",
-    "delay_by_link_opt", "delay_by_inflow_opt",
-    "link_by_joint_opt", "inflow_by_joint_opt", "delay_by_joint_opt",
-)
+# The paper's letters for metrics and optimal sets: e<metric>_u<set> is
+# the <metric> efficiency of the <set>-optimal set U_<set>, and its ratio
+# to the ego's own <metric> efficiency is ratio_<metric>_by_<set>_opt.
+_LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
 
 
 @dataclass(frozen=True, kw_only=True)
 class EfficiencyReport:
     """Everything measured for one ego at one meme kind and coverage level.
 
-    Fields are in report column order; the full-coverage extras are None
-    at partial coverage.
+    Fields are the report columns, in order (``joint_selected``, last,
+    is not a column); the full-coverage ones are None at partial coverage.
     """
 
     ego: int
@@ -182,10 +148,25 @@ class EfficiencyReport:
     inflow_set_inflow: int
     delay_set_inflow: int | None = None
     joint_set_inflow: int | None = None
-    cross: CrossEfficiencies | None = None
-    joint: JointEfficiencies | None = None
+    el_uf: float | None = None
+    el_ut: float | None = None
+    ef_ul: float | None = None
+    ef_ut: float | None = None
+    et_ul: float | None = None
+    et_uf: float | None = None
+    el_ua: float | None = None
+    ef_ua: float | None = None
+    et_ua: float | None = None
+    ratio_link_by_inflow_opt: float | None = None
+    ratio_link_by_delay_opt: float | None = None
+    ratio_inflow_by_link_opt: float | None = None
+    ratio_inflow_by_delay_opt: float | None = None
+    ratio_delay_by_link_opt: float | None = None
+    ratio_delay_by_inflow_opt: float | None = None
+    ratio_link_by_joint_opt: float | None = None
+    ratio_inflow_by_joint_opt: float | None = None
+    ratio_delay_by_joint_opt: float | None = None
     joint_selected: tuple[int, ...] = ()
-    ratios: dict[str, float] = field(default_factory=dict)
 
 
 def evaluate_ego(
@@ -211,44 +192,46 @@ def evaluate_ego(
     )
     link_cov = cover_mod.greedy_min_cover(corpus, spec)
     inflow_cov = cover_mod.greedy_weighted_cover(corpus, spec)
-    e_link = link_efficiency(ctx, link_cov, corpus)
-    e_inflow = inflow_efficiency(ctx, inflow_cov, corpus)
-    e_delay = delay_efficiency(ctx, corpus)
+    originals = {
+        "l": link_efficiency(ctx, link_cov, corpus),
+        "f": inflow_efficiency(ctx, inflow_cov, corpus),
+        "t": delay_efficiency(ctx, corpus),
+    }
     base = dict(
         ego=ctx.ego,
         meme_kind=meme_kind,
         coverage=coverage,
         n_followees=len(ctx.followees),
         n_memes=len(ctx.memes),
-        e_link=e_link,
-        e_inflow=e_inflow,
-        e_delay=e_delay,
+        e_link=originals["l"],
+        e_inflow=originals["f"],
+        e_delay=originals["t"],
         link_set_size=len(link_cov.selected),
         inflow_set_size=len(inflow_cov.selected),
-        followee_inflow=_inflow(corpus, ctx.followees),
-        link_set_inflow=_inflow(corpus, link_cov.selected),
-        inflow_set_inflow=_inflow(corpus, inflow_cov.selected),
+        followee_inflow=corpus.inflow(ctx.followees),
+        link_set_inflow=corpus.inflow(link_cov.selected),
+        inflow_set_inflow=corpus.inflow(inflow_cov.selected),
     )
     if coverage != 1.0:
         return EfficiencyReport(**base)
     delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
     joint_cov = cover_mod.joint_cover(corpus, spec)
-    cross = cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus)
-    joint = joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus)
-    originals = {"link": e_link, "inflow": e_inflow, "delay": e_delay}
-    optimized = (*astuple(cross), *astuple(joint))
+    optimized = {
+        **cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus),
+        **joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus),
+    }
     ratios = {
-        key: efficiency_ratio(value, originals[key.split("_", 1)[0]])
-        for key, value in zip(RATIO_KEYS, optimized)
+        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
+            efficiency_ratio(value, originals[name[1]])
+        for name, value in optimized.items()
     }
     return EfficiencyReport(
         delay_set_size=len(delay_cov.selected),
-        delay_set_inflow=_inflow(corpus, delay_cov.selected),
-        cross=cross,
-        joint=joint,
         joint_set_size=len(joint_cov.selected),
-        joint_set_inflow=_inflow(corpus, joint_cov.selected),
+        delay_set_inflow=corpus.inflow(delay_cov.selected),
+        joint_set_inflow=corpus.inflow(joint_cov.selected),
         joint_selected=joint_cov.selected,
-        ratios=ratios,
         **base,
+        **optimized,
+        **ratios,
     )

@@ -32,7 +32,6 @@ class IngestConfig:
     window_start: int = 0
     window_end: int = 0
     require_pre_window_activity: bool = True
-    meme_kinds: tuple[str, ...] = MEME_KINDS
     news_domain_list: str | None = None
     url_alias_map: str | None = None
     pre_extracted: bool = False
@@ -68,22 +67,20 @@ def _youtube_video_id(url: str) -> str | None:
 
 def extract_memes(
     raw_text: str,
-    config: IngestConfig,
     news_domains: frozenset[str] = frozenset(),
     url_aliases: dict[str, str] | None = None,
 ) -> list[MemeId]:
-    """Extract every enabled meme kind from one post's text.
+    """Extract the memes of every kind from one post's text.
 
     URLs are first rewritten through the alias map (offline stand-in
     for unshortening), then classified. A single URL can yield up to
     three memes: url, plus youtube_video or news_domain.
     """
     url_aliases = url_aliases or {}
-    kinds = set(config.meme_kinds)
     seen: list[MemeId] = []
 
     def emit(kind: str, key: str) -> None:
-        if kind not in kinds or not key:
+        if not key:
             return
         meme = MemeId(kind, key)
         if meme not in seen:
@@ -169,7 +166,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
                 raise MalformedRecord(posts_path, no, f"unknown meme kind {kind!r}")
             if not key:
                 raise MalformedRecord(posts_path, no, "empty meme key")
-            memes = [MemeId(kind, key)] if kind in config.meme_kinds else []
+            memes = [MemeId(kind, key)]
         else:
             if len(parts) != 3:
                 raise MalformedRecord(posts_path, no, "expected user<TAB>time<TAB>text")
@@ -187,7 +184,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             continue
         post_counts[user] = post_counts.get(user, 0) + 1
         if memes is None:
-            memes = extract_memes(text, config, news_domains, url_aliases)
+            memes = extract_memes(text, news_domains, url_aliases)
         for meme in memes:
             events.append(PostEvent(user, meme, time))
 
@@ -234,18 +231,7 @@ def ego_context(
             f"ego {ego}: {len(followees)} followees posting {meme_kind} "
             f"(need {max(min_followees, 1)})"
         )
-    memes: set[MemeId] = set()
-    receipt: dict[MemeId, int] = {}
-    for v in sorted(followees):
-        for meme, time in corpus.first_post_by_user[v].items():
-            if meme.kind != meme_kind:
-                continue
-            memes.add(meme)
-            if meme not in receipt or time < receipt[meme]:
-                receipt[meme] = time
-    return EgoContext(
-        ego=ego,
-        followees=followees,
-        memes=frozenset(memes),
-        receipt_time=receipt,
+    memes = frozenset(
+        m for v in followees for m in corpus.memes_by_user[v] if m.kind == meme_kind
     )
+    return EgoContext(ego=ego, followees=followees, memes=memes)

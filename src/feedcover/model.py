@@ -1,7 +1,7 @@
 """Core domain types: posts, corpora, ego contexts, cover results.
 
-All types are immutable after construction and safe to share across
-workers. User ids are integer surrogates assigned at ingestion in
+All types are frozen dataclasses or tuples, and nothing in the package
+mutates their dict or set fields after construction. User ids are integer surrogates assigned at ingestion in
 first-seen order; every tie-break in the package uses this order.
 Timestamps are integer unix seconds; delays are converted to
 real-valued days where averaged. Delays are summed with ``math.fsum``,
@@ -65,6 +65,10 @@ class Corpus:
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))
 
+    def inflow(self, users) -> int:
+        """Posts in the window by ``users``: the in-flow they send a follower."""
+        return sum(self.post_count.get(v, 0) for v in users)
+
     @classmethod
     def from_events(
         cls,
@@ -77,7 +81,9 @@ class Corpus:
         """Build every index from a stream of PostEvents.
 
         The result is independent of the order of ``events``. When
-        ``post_counts`` is omitted, each event counts as one post.
+        ``post_counts`` is omitted, each event counts as one post. All
+        indices share one ``MemeId`` object per meme, so a pickled corpus
+        stores each meme once.
         """
         start, end = window
         if not events:
@@ -87,14 +93,16 @@ class Corpus:
         first: dict[MemeId, int] = {}
         first_by_user: dict[int, dict[MemeId, int]] = {}
         counts: dict[int, int] = {}
+        canon: dict[MemeId, MemeId] = {}  # one MemeId object per meme
         for ev in events:
-            memes.setdefault(ev.user, set()).add(ev.meme)
-            posters.setdefault(ev.meme, set()).add(ev.user)
-            if ev.meme not in first or ev.time < first[ev.meme]:
-                first[ev.meme] = ev.time
+            meme = canon.setdefault(ev.meme, ev.meme)
+            memes.setdefault(ev.user, set()).add(meme)
+            posters.setdefault(meme, set()).add(ev.user)
+            if meme not in first or ev.time < first[meme]:
+                first[meme] = ev.time
             per_user = first_by_user.setdefault(ev.user, {})
-            if ev.meme not in per_user or ev.time < per_user[ev.meme]:
-                per_user[ev.meme] = ev.time
+            if meme not in per_user or ev.time < per_user[meme]:
+                per_user[meme] = ev.time
             counts[ev.user] = counts.get(ev.user, 0) + 1
         if post_counts is not None:
             counts = dict(post_counts)
@@ -115,12 +123,13 @@ class Corpus:
 
 @dataclass(frozen=True)
 class EgoContext:
-    """An ego user's timeline view: followees, received memes, receipt times."""
+    """An ego user's timeline for one meme kind: the followees posting
+    that kind, and the memes of that kind they post (the universe every
+    cover of this ego must cover)."""
 
     ego: int
     followees: frozenset[int]
     memes: frozenset[MemeId]
-    receipt_time: dict[MemeId, int]
 
 
 @dataclass(frozen=True)

@@ -42,19 +42,10 @@ def make_corpus(
 
 def make_ctx(corpus, ego, followees) -> EgoContext:
     """Ego context over an explicit followee set (no kind restriction)."""
-    memes = set()
-    receipt = {}
-    for v in sorted(followees):
-        for meme, t in corpus.first_post_by_user.get(v, {}).items():
-            memes.add(meme)
-            if meme not in receipt or t < receipt[meme]:
-                receipt[meme] = t
-    return EgoContext(
-        ego=ego,
-        followees=frozenset(followees),
-        memes=frozenset(memes),
-        receipt_time=receipt,
+    memes = frozenset(
+        m for v in followees for m in corpus.memes_by_user.get(v, frozenset())
     )
+    return EgoContext(ego=ego, followees=frozenset(followees), memes=memes)
 
 
 def random_instance(rng: random.Random, max_candidates=12, max_memes=15):

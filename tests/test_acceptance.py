@@ -263,14 +263,16 @@ def test_10_cli_determinism(tmp_path):
         "--window-start", "0", "--window-end", "604800",
         "--pre-extracted", "--out", str(cache),
     ]) == 0
+    # optimize and egonet take no --coverage, and cover takes one.
+    coverages = {"efficiency": ["--coverage", "0.5", "--coverage", "1.0"],
+                 "cover": ["--coverage", "0.5"], "optimize": [], "egonet": []}
     outputs = {}
     for tag in ("first", "second"):
         out = tmp_path / tag
-        for cmd in ("efficiency", "cover", "optimize", "egonet"):
+        for cmd, coverage in coverages.items():
             assert cli_main([
                 cmd, "--corpus", str(cache / "corpus.pkl"), "--egos", "0",
-                "--min-followees", "1", "--coverage", "0.5",
-                "--coverage", "1.0", "--out", str(out),
+                "--min-followees", "1", *coverage, "--out", str(out),
                 "--no-header-timestamp",
             ]) == 0
         outputs[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -223,8 +223,10 @@ def test_bare_corpus_pickle_exit_2(redundant_dir, tmp_path, capsys):
     ["--coverage", "0"], ["--coverage", "1.5"], ["--coverage", "1.0", "--coverage", "-1"],
 ])
 def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, capsys, args):
+    # --coverage goes to efficiency: optimize does not take it at all.
+    command = "efficiency" if "--coverage" in args else "optimize"
     with pytest.raises(SystemExit) as exc:
-        run(["optimize", "--corpus", redundant_dir, "--egos", "0",
+        run([command, "--corpus", redundant_dir, "--egos", "0",
              "--min-followees", "1", "--out", tmp_path / "rep", *args])
     assert exc.value.code == 2
     assert not (tmp_path / "rep").exists()
@@ -243,6 +245,9 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("efficiency_out_is_file", "posts.tsv: File exists"),
     ("synth_out_is_file", "posts.tsv: File exists"),
     ("delay_partial_coverage", "--method delay"),
+    ("optimize_coverage", "unrecognized arguments: --coverage"),
+    ("egonet_coverage", "unrecognized arguments: --coverage"),
+    ("cover_repeated_coverage", "cover takes one --coverage"),
 ])
 def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     posts = tmp_path / "posts.tsv"
@@ -275,6 +280,12 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
         argv = ["synth", "--out", posts]
     elif case == "delay_partial_coverage":
         argv = ["cover", "--corpus", tmp_path / "corpus.pkl", "--method", "delay",
+                "--coverage", "0.5", "--coverage", "1.0", "--out", tmp_path / "rep"]
+    elif case in ("optimize_coverage", "egonet_coverage"):
+        argv = [case.split("_")[0], "--corpus", tmp_path / "corpus.pkl",
+                "--coverage", "0.5", "--out", tmp_path / "rep"]
+    elif case == "cover_repeated_coverage":
+        argv = ["cover", "--corpus", tmp_path / "corpus.pkl",
                 "--coverage", "0.5", "--coverage", "1.0", "--out", tmp_path / "rep"]
     proc = subprocess.run(
         [sys.executable, "-m", "feedcover.cli", *map(str, argv)],

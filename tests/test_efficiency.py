@@ -150,12 +150,11 @@ def test_delay_sums_independent_of_iteration_order():
     times.update({(1, i): (i + 1) * DAY // 10 for i in range(3)})
     times.update({(2, i): (3 - i) * DAY // 10 for i in range(3)})
     corpus = make_corpus({9: [0, 1, 2], 1: [0, 1, 2], 2: [0, 1, 2]}, times=times)
-    receipt = {M(i): (i + 1) * DAY // 10 for i in range(3)}
     first = corpus.first_post_by_user[1]
     results = set()
     for order in permutations(M(i) for i in range(3)):
         memes = IterOrder(order)
-        ctx = EgoContext(EGO, frozenset({1}), memes, receipt)
+        ctx = EgoContext(EGO, frozenset({1}), memes)
         reordered = replace(corpus, first_post_by_user={
             **corpus.first_post_by_user, 1: {m: first[m] for m in order},
         })
@@ -229,12 +228,7 @@ def test_cross_efficiencies_identical_sets():
     ctx = make_ctx(corpus, EGO, [1])
     link, inflow, delay, _ = _all_covers(corpus, ctx)
     cross = cross_efficiencies(ctx, link, inflow, delay, corpus)
-    assert cross.link_of_inflow_set == 1.0
-    assert cross.link_of_delay_set == 1.0
-    assert cross.inflow_of_link_set == 1.0
-    assert cross.inflow_of_delay_set == 1.0
-    assert cross.delay_of_link_set == 1.0
-    assert cross.delay_of_inflow_set == 1.0
+    assert cross == dict.fromkeys(("el_uf", "el_ut", "ef_ul", "ef_ut", "et_ul", "et_uf"), 1.0)
 
 
 def test_cross_efficiency_inflow_of_delay_set():
@@ -250,7 +244,7 @@ def test_cross_efficiency_inflow_of_delay_set():
     assert inflow.selected == (1,)
     assert delay.selected == (2, 3)
     cross = cross_efficiencies(ctx, link, inflow, delay, corpus)
-    assert cross.inflow_of_delay_set == 0.25
+    assert cross["ef_ut"] == 0.25
 
 
 def test_joint_efficiencies_identities():
@@ -258,9 +252,7 @@ def test_joint_efficiencies_identities():
     ctx = make_ctx(corpus, EGO, [1])
     link, inflow, _, joint = _all_covers(corpus, ctx)
     je = joint_efficiencies(ctx, joint, link, inflow, corpus)
-    assert je.link == 1.0
-    assert je.inflow == 1.0
-    assert je.delay == 1.0
+    assert je == {"el_ua": 1.0, "ef_ua": 1.0, "et_ua": 1.0}
 
 
 def test_joint_delay_efficiency_one_day():
@@ -272,7 +264,7 @@ def test_joint_delay_efficiency_one_day():
     link = greedy_min_cover(corpus, spec)
     inflow = greedy_weighted_cover(corpus, spec)
     je = joint_efficiencies(ctx, joint, link, inflow, corpus)
-    assert je.delay == 0.5
+    assert je["et_ua"] == 0.5
 
 
 def test_efficiency_ratio():
@@ -290,10 +282,13 @@ def test_evaluate_ego_consistent_with_components():
     assert report.e_link == link_efficiency(ctx, link, corpus)
     assert report.e_inflow == 0.5
     assert report.e_delay == delay_efficiency(ctx, corpus)
-    assert report.cross == cross_efficiencies(ctx, link, inflow, delay, corpus)
-    assert report.joint == joint_efficiencies(ctx, joint, link, inflow, corpus)
-    assert report.ratios["inflow_by_joint_opt"] == pytest.approx(
-        report.joint.inflow / report.e_inflow
+    optimized = {
+        **cross_efficiencies(ctx, link, inflow, delay, corpus),
+        **joint_efficiencies(ctx, joint, link, inflow, corpus),
+    }
+    assert {name: getattr(report, name) for name in optimized} == optimized
+    assert report.ratio_inflow_by_joint_opt == pytest.approx(
+        report.ef_ua / report.e_inflow
     )
 
 
@@ -301,8 +296,8 @@ def test_evaluate_ego_partial_then_full_consistency():
     corpus, ctx = fig3_fixture()
     full = evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)
     partial = evaluate_ego(corpus, ctx, "hashtag", coverage=0.5)
-    assert full.cross is not None
-    assert partial.cross is None
+    assert full.el_uf is not None
+    assert partial.el_uf is None
     # p = 1.0 through the partial-coverage path is bit-identical to full
     assert full.e_link == evaluate_ego(corpus, ctx, "hashtag", coverage=1.0).e_link
 

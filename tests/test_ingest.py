@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from feedcover.efficiency import delay_efficiency
 from feedcover.errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
     IngestConfig,
@@ -14,11 +17,11 @@ CFG = IngestConfig(window_start=1000, window_end=2000)
 
 
 def test_single_hashtag():
-    assert extract_memes("check #OpenData now", CFG) == [MemeId("hashtag", "opendata")]
+    assert extract_memes("check #OpenData now") == [MemeId("hashtag", "opendata")]
 
 
 def test_youtube_url_emits_both_kinds():
-    memes = extract_memes("watch https://www.youtube.com/watch?v=abc123", CFG)
+    memes = extract_memes("watch https://www.youtube.com/watch?v=abc123")
     assert memes == [
         MemeId("url", "www.youtube.com/watch?v=abc123"),
         MemeId("youtube_video", "abc123"),
@@ -28,7 +31,6 @@ def test_youtube_url_emits_both_kinds():
 def test_alias_rewrite_then_news_domain():
     memes = extract_memes(
         "http://bit.ly/x1",
-        CFG,
         news_domains=frozenset({"cnn.com"}),
         url_aliases={"bit.ly/x1": "cnn.com/story"},
     )
@@ -41,7 +43,6 @@ def test_alias_rewrite_then_news_domain():
 def test_news_domain_matches_registered_suffix():
     memes = extract_memes(
         "see http://edition.cnn.com/world/x",
-        CFG,
         news_domains=frozenset({"cnn.com"}),
     )
     assert MemeId("news_domain", "cnn.com") in memes
@@ -54,19 +55,13 @@ def test_news_domain_never_outside_supplied_list():
         "http://cnn.com.evil.org/a",
         "www.bbc.co.uk",
     ):
-        for meme in extract_memes(text, CFG, news_domains=domains):
+        for meme in extract_memes(text, news_domains=domains):
             assert meme.kind != "news_domain"
 
 
 def test_duplicates_within_post_deduplicated():
-    memes = extract_memes("#x and #X and #x again", CFG)
+    memes = extract_memes("#x and #X and #x again")
     assert memes == [MemeId("hashtag", "x")]
-
-
-def test_meme_kind_filter():
-    cfg = IngestConfig(window_start=0, window_end=1, meme_kinds=("url",))
-    memes = extract_memes("#tag http://a.com/b", cfg)
-    assert memes == [MemeId("url", "a.com/b")]
 
 
 def test_url_normalization_idempotent_and_keeps_www():
@@ -175,10 +170,15 @@ def test_ego_context_restricts_to_kind_posters(kind_corpus):
 
 
 def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
+    # A posts m1 at 1100 and m2 at 1300, B posts m1 at 1150. With both
+    # memes born at 1000, receipts at 1100 and 1300 give a mean delay of
+    # 200 s; a receipt of m1 at B's 1150 would give 225 s.
     ego = _uid(kind_corpus, "ego")
     ctx = ego_context(kind_corpus, ego, "hashtag")
-    assert ctx.receipt_time[MemeId("hashtag", "m1")] == 1100
-    assert ctx.receipt_time[MemeId("hashtag", "m2")] == 1300
+    m1, m2 = MemeId("hashtag", "m1"), MemeId("hashtag", "m2")
+    assert ctx.memes == {m1, m2}
+    born = replace(kind_corpus, first_mention={m1: 1000, m2: 1000})
+    assert delay_efficiency(ctx, born) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)
 
 
 def test_ego_context_min_followees(kind_corpus):

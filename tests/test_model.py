@@ -1,7 +1,12 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from feedcover.cli import _load_cached, _save_corpus
 from feedcover.errors import EmptyCorpus
 from feedcover.cover import CoverSpec, joint_cover
 from feedcover.model import Corpus, MemeId, PostEvent
@@ -87,3 +92,44 @@ def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
 def test_meme_id_ordering_and_identity():
     assert MemeId("hashtag", "a") < MemeId("hashtag", "b")
     assert MemeId("url", "x") != MemeId("hashtag", "x")
+
+
+def _index_orders(corpus):
+    """Key order of every index, which dict equality does not compare."""
+    return [list(d) for d in (corpus.memes_by_user, corpus.posters_by_meme,
+                              corpus.post_count, corpus.first_mention,
+                              corpus.first_post_by_user)] + [
+        list(first) for first in corpus.first_post_by_user.values()
+    ]
+
+
+def _assert_one_meme_id_per_meme(corpus):
+    canon = {m: m for m in corpus.first_mention}
+    for meme in corpus.posters_by_meme:
+        assert meme is canon[meme]
+    for memes in corpus.memes_by_user.values():
+        assert all(meme is canon[meme] for meme in memes)
+    for first in corpus.first_post_by_user.values():
+        assert all(meme is canon[meme] for meme in first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 99)),
+             min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
+    # Every event gets its own (equal) MemeId object, as ingest makes them.
+    events = [PostEvent(u, MemeId("hashtag", f"m{i}"), t) for u, i, t in triples]
+    shuffled = events[:]
+    rnd.shuffle(shuffled)
+    a = Corpus.from_events(events, {}, window=(0, 100))
+    b = Corpus.from_events(shuffled, {}, window=(0, 100))
+    assert a == b
+    assert _index_orders(a) == _index_orders(b)
+    with tempfile.TemporaryDirectory() as tmp:
+        reloaded = _load_cached(_save_corpus(a, Path(tmp)))
+    assert reloaded == a
+    for corpus in (a, b, reloaded):
+        _assert_one_meme_id_per_meme(corpus)
