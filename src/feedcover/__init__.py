@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .cover import (
     CoverSpec,
-    brute_force_cover,
     delay_optimal_cover,
     greedy_min_cover,
     greedy_weighted_cover,
@@ -47,7 +46,6 @@ __all__ = [
     "MemeId",
     "PostEvent",
     "SynthSpec",
-    "brute_force_cover",
     "build_ego_network",
     "cross_efficiencies",
     "delay_efficiency",

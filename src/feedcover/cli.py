@@ -66,7 +66,7 @@ def _fmt(value) -> str:
 class ReportWriter:
     """Writes one report file with a deterministic comment header."""
 
-    def __init__(self, out_dir: Path, fmt: str, timestamp: bool, seed=None):
+    def __init__(self, out_dir: Path, fmt: str, timestamp: bool, seed: int):
         self.out_dir = out_dir
         self.fmt = fmt
         self.timestamp = timestamp
@@ -76,9 +76,7 @@ class ReportWriter:
     def write(self, name: str, columns: list[str], rows: list[dict]) -> Path:
         ext = "jsonl" if self.fmt == "jsonl" else "tsv"
         path = self.out_dir / f"{name}.{ext}"
-        lines = [f"# feedcover {name}"]
-        if self.seed is not None:
-            lines.append(f"# seed {self.seed}")
+        lines = [f"# feedcover {name}", f"# seed {self.seed}"]
         if self.timestamp:
             lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
         if self.fmt == "jsonl":

@@ -12,20 +12,15 @@ monotone, so a stale key is a lower bound on the current score. The top
 entry is re-scored and taken if its fresh key is still no larger than
 every other key: exactly the pick of a full rescan, tie-break included.
 Otherwise it goes back into the heap under its fresh key.
-
-``brute_force_cover`` is an exhaustive oracle for small instances, used
-by tests only.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InfeasibleCover, InvalidSpec
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
-
-BRUTE_FORCE_MAX_CANDIDATES = 20
 
 
 @dataclass(frozen=True)
@@ -49,15 +44,11 @@ class CoverSpec:
 
 def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
     """Candidates posting at least one universe meme, sorted by id."""
+    pool = set()
+    for meme in spec.universe:
+        pool.update(corpus.posters_by_meme.get(meme, frozenset()))
     if spec.candidates is not None:
-        pool = {
-            v for v in spec.candidates
-            if corpus.memes_by_user.get(v, frozenset()) & spec.universe
-        }
-    else:
-        pool = set()
-        for meme in spec.universe:
-            pool.update(corpus.posters_by_meme.get(meme, frozenset()))
+        pool &= spec.candidates
     return sorted(pool)
 
 
@@ -111,7 +102,6 @@ def _greedy(corpus: Corpus, spec: CoverSpec, weight) -> CoverResult:
     return CoverResult(
         selected=tuple(v for v, _ in per_step),
         covered=frozenset(m for m, bit in zip(memes, bits) if bit == "0"),
-        objective=float(len(per_step)),
         per_step=tuple(per_step),
     )
 
@@ -123,8 +113,7 @@ def greedy_min_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
 
 def greedy_weighted_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """In-flow-weighted greedy set cover: minimize posts per newly covered meme."""
-    result = _greedy(corpus, spec, lambda v: corpus.post_count[v])
-    return replace(result, objective=float(corpus.inflow(result.selected)))
+    return _greedy(corpus, spec, lambda v: corpus.post_count[v])
 
 
 def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -139,12 +128,7 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
         delay = _mean_delay_days(corpus, corpus.first_post_by_user[v])
         return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta)
 
-    result = _greedy(corpus, spec, weight)
-    return replace(
-        result,
-        objective=float(corpus.inflow(result.selected)),
-        avg_delay_days=set_average_delay_days(corpus, result.selected, result.covered),
-    )
+    return _greedy(corpus, spec, weight)
 
 
 def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -157,69 +141,19 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
     chosen: dict[int, int] = {}
-    reached: dict[MemeId, int] = {}
     for meme in sorted(spec.universe):
         posters = corpus.posters_by_meme.get(meme, frozenset())
         if spec.candidates is not None:
             posters = posters & spec.candidates
         if not posters:
             raise InfeasibleCover(f"meme {meme} has no candidate poster")
-        t, best = min((corpus.first_post_by_user[v][meme], v) for v in posters)
+        _, best = min((corpus.first_post_by_user[v][meme], v) for v in posters)
         chosen[best] = chosen.get(best, 0) + 1
-        reached[meme] = t
     selected = tuple(sorted(chosen))
     return CoverResult(
         selected=selected,
         covered=frozenset(spec.universe),
-        objective=float(len(selected)),
         per_step=tuple((v, chosen[v]) for v in selected),
-        avg_delay_days=_mean_delay_days(corpus, reached) if reached else None,
-    )
-
-
-def brute_force_cover(corpus: Corpus, spec: CoverSpec, objective: str) -> CoverResult:
-    """Exact optimum by subset enumeration; test oracle for small instances.
-
-    objective is "cardinality" or "inflow". Among optima, returns the
-    lexicographically smallest selected set. Full coverage only.
-    """
-    if objective not in ("cardinality", "inflow"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if spec.coverage != 1.0:
-        raise InfeasibleCover("brute force handles full coverage only")
-    pool = candidate_pool(corpus, spec)
-    n = len(pool)
-    if n > BRUTE_FORCE_MAX_CANDIDATES:
-        raise InvalidSpec(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
-    memes, masks = _masks(corpus, spec.universe, pool)
-    if not memes:
-        return CoverResult((), frozenset(), 0.0, ())
-    full = (1 << len(memes)) - 1
-    weights = [1 if objective == "cardinality" else corpus.post_count[v] for v in pool]
-    cover_of = [0] * (1 << n)
-    best = None
-    for s in range(1, 1 << n):
-        low = (s & -s).bit_length() - 1
-        cover_of[s] = cover_of[s & (s - 1)] | masks[low]
-        if cover_of[s] == full:
-            members = [i for i in range(n) if s >> i & 1]
-            key = (sum(weights[i] for i in members), tuple(pool[i] for i in members))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise InfeasibleCover("candidates do not cover the universe")
-    best_cost, selected = best
-    remaining = set(spec.universe)
-    per_step = []
-    for v in selected:
-        newly = corpus.memes_by_user[v] & remaining
-        remaining -= newly
-        per_step.append((v, len(newly)))
-    return CoverResult(
-        selected=selected,
-        covered=frozenset(spec.universe),
-        objective=float(best_cost),
-        per_step=tuple(per_step),
     )
 
 

@@ -176,16 +176,16 @@ def evaluate_ego(
     coverage: float = 1.0,
     alpha: float = 1.0,
     beta: float = 0.5,
-    candidates: frozenset[int] | None = None,
 ) -> EfficiencyReport:
     """Run the covers for one ego and assemble the full report row.
 
-    At coverage < 1 only link and in-flow efficiencies apply; the
-    cross-, delay- and joint-metrics need full coverage.
+    At coverage < 1 the delay and joint covers and the cross- and
+    joint-metrics are left empty; they need full coverage. ``e_delay``
+    measures the ego's own timeline, not a cover, so it is the same at
+    every coverage level.
     """
     spec = cover_mod.CoverSpec(
         universe=ctx.memes,
-        candidates=candidates,
         coverage=coverage,
         alpha=alpha,
         beta=beta,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import UndefinedMeasure
 from .model import Corpus
@@ -42,11 +41,7 @@ def local_clustering_coefficient(net: EgoNetwork) -> float:
     if n < 2:
         raise UndefinedMeasure(f"LCC undefined for {n} members")
     undirected = {frozenset(e) for e in net.edges if net.ego not in e}
-    connected = sum(
-        1 for a, b in combinations(sorted(net.members), 2)
-        if frozenset((a, b)) in undirected
-    )
-    return connected / (n * (n - 1) / 2)
+    return len(undirected) / (n * (n - 1) / 2)
 
 
 def overlap(optimal, followees) -> float:

@@ -58,10 +58,6 @@ class Corpus:
     follows: dict[int, frozenset[int]]
     user_labels: dict[int, str] = field(default_factory=dict)
 
-    @property
-    def window_days(self) -> float:
-        return (self.window_end - self.window_start) / SECONDS_PER_DAY
-
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))
 
@@ -138,6 +134,4 @@ class CoverResult:
 
     selected: tuple[int, ...]
     covered: frozenset[MemeId]
-    objective: float
     per_step: tuple[tuple[int, int], ...]
-    avg_delay_days: float | None = None

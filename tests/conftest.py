@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from feedcover.model import Corpus, EgoContext, MemeId, PostEvent
+from feedcover.cover import CoverSpec, _masks, candidate_pool
+from feedcover.errors import InfeasibleCover, InvalidSpec
+from feedcover.model import Corpus, CoverResult, EgoContext, MemeId, PostEvent
 
 DAY = 86400
+BRUTE_FORCE_MAX_CANDIDATES = 20
 
 
 def M(i) -> MemeId:
@@ -60,6 +63,51 @@ def random_instance(rng: random.Random, max_candidates=12, max_memes=15):
     corpus = make_corpus(sets, inflow=inflow)
     universe = frozenset(corpus.first_mention)
     return corpus, universe
+
+
+def brute_force_cover(corpus: Corpus, spec: CoverSpec, objective: str) -> CoverResult:
+    """Exact optimum by subset enumeration; test oracle for small instances.
+
+    objective is "cardinality" or "inflow". Among optima, returns the
+    lexicographically smallest selected set. Full coverage only.
+    """
+    if objective not in ("cardinality", "inflow"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if spec.coverage != 1.0:
+        raise InfeasibleCover("brute force handles full coverage only")
+    pool = candidate_pool(corpus, spec)
+    n = len(pool)
+    if n > BRUTE_FORCE_MAX_CANDIDATES:
+        raise InvalidSpec(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
+    memes, masks = _masks(corpus, spec.universe, pool)
+    if not memes:
+        return CoverResult((), frozenset(), ())
+    full = (1 << len(memes)) - 1
+    weights = [1 if objective == "cardinality" else corpus.post_count[v] for v in pool]
+    cover_of = [0] * (1 << n)
+    best = None
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        cover_of[s] = cover_of[s & (s - 1)] | masks[low]
+        if cover_of[s] == full:
+            members = [i for i in range(n) if s >> i & 1]
+            key = (sum(weights[i] for i in members), tuple(pool[i] for i in members))
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise InfeasibleCover("candidates do not cover the universe")
+    _, selected = best
+    remaining = set(spec.universe)
+    per_step = []
+    for v in selected:
+        newly = corpus.memes_by_user[v] & remaining
+        remaining -= newly
+        per_step.append((v, len(newly)))
+    return CoverResult(
+        selected=selected,
+        covered=frozenset(spec.universe),
+        per_step=tuple(per_step),
+    )
 
 
 @pytest.fixture

@@ -8,11 +8,11 @@ import pytest
 from feedcover.cli import main as cli_main
 from feedcover.cover import (
     CoverSpec,
-    brute_force_cover,
     delay_optimal_cover,
     greedy_min_cover,
     greedy_weighted_cover,
     joint_cover,
+    set_average_delay_days,
 )
 from feedcover.efficiency import (
     delay_efficiency,
@@ -28,7 +28,7 @@ from feedcover.egonet import (
 from feedcover.errors import UndefinedMeasure
 from feedcover.synth import SynthSpec, generate, generate_triadic_corpus
 
-from conftest import make_corpus, make_ctx, random_instance
+from conftest import brute_force_cover, make_corpus, make_ctx, random_instance
 from test_efficiency import fig2_fixture, fig3_fixture, fig4_fixture
 
 EXACT = 1e-9
@@ -88,14 +88,13 @@ def test_03_oracle_equivalence():
         spec = CoverSpec(universe=universe)
         d = max(len(s) for s in corpus.memes_by_user.values())
         bound = harmonic(d)
-        greedy_card = greedy_min_cover(corpus, spec)
-        exact_card = brute_force_cover(corpus, spec, "cardinality")
-        assert len(greedy_card.selected) <= bound * exact_card.objective
-        greedy_flow = greedy_weighted_cover(corpus, spec)
-        exact_flow = brute_force_cover(corpus, spec, "inflow")
-        assert greedy_flow.objective <= bound * exact_flow.objective
-        if (len(greedy_card.selected) == exact_card.objective
-                and greedy_flow.objective == exact_flow.objective):
+        greedy_card = len(greedy_min_cover(corpus, spec).selected)
+        exact_card = len(brute_force_cover(corpus, spec, "cardinality").selected)
+        assert greedy_card <= bound * exact_card
+        greedy_flow = corpus.inflow(greedy_weighted_cover(corpus, spec).selected)
+        exact_flow = corpus.inflow(brute_force_cover(corpus, spec, "inflow").selected)
+        assert greedy_flow <= bound * exact_flow
+        if greedy_card == exact_card and greedy_flow == exact_flow:
             exact_hits += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -150,7 +149,7 @@ def test_06_delay_optimal_property():
                 if meme in corpus.memes_by_user[v]
             )
             assert earliest == corpus.first_mention[meme]
-        assert result.avg_delay_days == 0.0
+        assert set_average_delay_days(corpus, result.selected, universe) == 0.0
         # an ego following every first-mentioner has delay efficiency exactly 1
         ctx = make_ctx(corpus, 10 ** 6, result.selected)
         assert ctx.memes >= universe

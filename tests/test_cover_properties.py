@@ -2,9 +2,11 @@
 
 ``eager_greedy`` is the plain greedy: on every pick it rescans the whole
 pool and takes the smallest ``(score, user id)``. The package's lazy
-kernel must return exactly the same covers, step by step.
+kernel must return exactly the same covers, step by step. The delay
+cover is checked against each meme's earliest candidate poster.
 """
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from feedcover.cover import (
     CoverSpec,
     candidate_pool,
+    delay_optimal_cover,
     greedy_min_cover,
     greedy_weighted_cover,
     joint_cover,
@@ -49,8 +52,7 @@ def eager_greedy(corpus, spec, score) -> CoverResult:
         remaining -= newly
         selected.append(best_v)
         per_step.append((best_v, len(newly)))
-    return CoverResult(tuple(selected), frozenset(covered), float(len(selected)),
-                       tuple(per_step))
+    return CoverResult(tuple(selected), frozenset(covered), tuple(per_step))
 
 
 def eager_min(corpus, spec):
@@ -58,9 +60,7 @@ def eager_min(corpus, spec):
 
 
 def eager_weighted(corpus, spec):
-    result = eager_greedy(corpus, spec, lambda v, gain: corpus.post_count[v] / gain)
-    inflow = sum(corpus.post_count[v] for v in result.selected)
-    return CoverResult(result.selected, result.covered, float(inflow), result.per_step)
+    return eager_greedy(corpus, spec, lambda v, gain: corpus.post_count[v] / gain)
 
 
 def eager_joint(corpus, spec):
@@ -72,10 +72,7 @@ def eager_joint(corpus, spec):
         ) / len(memes)
         return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta) / gain
 
-    result = eager_greedy(corpus, spec, score)
-    inflow = sum(corpus.post_count[v] for v in result.selected)
-    return CoverResult(result.selected, result.covered, float(inflow), result.per_step,
-                       eager_set_delay(corpus, result.selected, result.covered))
+    return eager_greedy(corpus, spec, score)
 
 
 def eager_set_delay(corpus, selected, universe):
@@ -148,8 +145,6 @@ def test_lazy_kernel_matches_eager_reference(instance):
         assert got.selected == want.selected
         assert got.per_step == want.per_step
         assert got.covered == want.covered
-        assert got.objective == want.objective
-        assert got.avg_delay_days == want.avg_delay_days
 
 
 @settings(max_examples=120, deadline=None)
@@ -181,6 +176,32 @@ def test_set_average_delay_matches_per_meme_minimum(instance, data):
     else:
         with pytest.raises(InfeasibleCover):
             set_average_delay_days(corpus, selected, spec.universe)
+
+
+@settings(max_examples=250, deadline=None)
+@given(instances())
+def test_delay_cover_picks_each_memes_earliest_candidate(instance):
+    corpus, spec = instance
+    spec = CoverSpec(spec.universe, spec.candidates)
+    earliest = {}
+    for m in spec.universe:
+        posters = [v for v in corpus.posters_by_meme[m]
+                   if spec.candidates is None or v in spec.candidates]
+        if posters:
+            earliest[m] = min((corpus.first_post_by_user[v][m], v) for v in posters)
+    if len(earliest) < len(spec.universe):
+        with pytest.raises(InfeasibleCover):
+            delay_optimal_cover(corpus, spec)
+        return
+    result = delay_optimal_cover(corpus, spec)
+    picks = Counter(v for _, v in earliest.values())
+    assert result.per_step == tuple(sorted(picks.items()))
+    assert result.selected == tuple(sorted(picks))
+    assert result.covered == spec.universe
+    delays = [(t - corpus.first_mention[m]) / SECONDS_PER_DAY
+              for m, (t, _) in earliest.items()]
+    mean = math.fsum(delays) / len(delays) if delays else None
+    assert set_average_delay_days(corpus, result.selected, spec.universe) == mean
 
 
 def test_refreshed_root_is_compared_with_both_children():

@@ -80,7 +80,7 @@ def test_link_efficiency_redundant_archetype():
 def test_fig3_inflow_efficiency():
     corpus, ctx = fig3_fixture()
     cov = greedy_weighted_cover(corpus, CoverSpec(universe=ctx.memes))
-    assert cov.objective == 30
+    assert corpus.inflow(cov.selected) == 30
     assert inflow_efficiency(ctx, cov, corpus) == 0.5
 
 

@@ -65,11 +65,6 @@ def test_empty_event_stream_rejected():
         Corpus.from_events([], {}, window=(0, 1000))
 
 
-def test_window_days():
-    corpus = make_corpus({1: [0]}, window_days=7)
-    assert corpus.window_days == 7.0
-
-
 @pytest.mark.parametrize("rival_delay_days, picked", [(1.0, 1), (0.99, 2)])
 def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
     # Memes 0 and 2 are born at t=0 (user 9). User 1 first posts meme 0
