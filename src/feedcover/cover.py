@@ -12,6 +12,16 @@ monotone, so a stale key is a lower bound on the current score. The top
 entry is re-scored and taken if its fresh key is still no larger than
 every other key: exactly the pick of a full rescan, tie-break included.
 Otherwise it goes back into the heap under its fresh key.
+
+The kernel runs each order to exhaustion, until no candidate adds a
+meme. A cover at coverage ``p`` is the shortest prefix of that order
+covering ``ceil(p * |universe|)`` memes; a prefix that falls short
+raises InfeasibleCover. The corpus's private ``_memo``, filled on first
+use, keeps each user's mean delay (the joint weight) and each meme's
+earliest ``(time, user id)`` poster for the corpus's lifetime, and the
+pool, its bitmasks and each engine's full order (keyed by engine, plus
+``alpha``/``beta`` for the joint one) only for the latest universe and
+candidate set, so memory does not grow with the number of egos.
 """
 from __future__ import annotations
 
@@ -72,19 +82,14 @@ def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
     ) / len(first)
 
 
-def _greedy(corpus: Corpus, spec: CoverSpec, weight) -> CoverResult:
-    target = math.ceil(spec.coverage * len(spec.universe))
-    pool = candidate_pool(corpus, spec)
-    memes, masks = _masks(corpus, spec.universe, pool)
-    weights = [weight(v) for v in pool]
+def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> list:
+    """The lazy greedy's picks as ``(user, gain, mask)``, run until no
+    candidate adds a meme."""
     heap = [(w / m.bit_count(), v, m, w) for v, m, w in zip(pool, masks, weights)]
     heapq.heapify(heap)
-    remaining = (1 << len(memes)) - 1
-    n_covered = 0
-    per_step: list[tuple[int, int]] = []
-    while n_covered < target:
-        if not heap:
-            raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
+    remaining = (1 << n_memes) - 1
+    order = []
+    while heap and remaining:
         _, v, mask, w = heap[0]
         gain = (mask & remaining).bit_count()
         if gain == 0:
@@ -96,24 +101,48 @@ def _greedy(corpus: Corpus, spec: CoverSpec, weight) -> CoverResult:
             continue
         heapq.heappop(heap)
         remaining &= ~mask
-        n_covered += gain
+        order.append((v, gain, mask))
+    return order
+
+
+def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
+    """The shortest prefix of ``engine``'s memoised full order that covers
+    ``ceil(coverage * |universe|)`` memes."""
+    key = (spec.universe, spec.candidates)
+    slot = corpus._memo.get("universe")
+    if slot is None or slot[0] != key:
+        pool = candidate_pool(corpus, spec)
+        slot = corpus._memo["universe"] = (key, pool, *_masks(corpus, spec.universe, pool), {})
+    _, pool, memes, masks, orders = slot
+    if engine not in orders:
+        orders[engine] = _greedy_order(pool, masks, map(weight, pool), len(memes))
+    target = math.ceil(spec.coverage * len(memes))
+    per_step: list[tuple[int, int]] = []
+    covered = n_covered = 0
+    for v, gain, mask in orders[engine]:
+        if n_covered >= target:
+            break
         per_step.append((v, gain))
-    bits = reversed(f"{remaining:0{len(memes)}b}")
+        covered |= mask
+        n_covered += gain
+    if n_covered < target:
+        raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
+    bits = reversed(f"{covered:0{len(memes)}b}")
     return CoverResult(
         selected=tuple(v for v, _ in per_step),
-        covered=frozenset(m for m, bit in zip(memes, bits) if bit == "0"),
+        covered=frozenset(m for m, bit in zip(memes, bits) if bit == "1"),
         per_step=tuple(per_step),
     )
 
 
 def greedy_min_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """Unweighted greedy set cover: maximize newly covered memes per pick."""
-    return _greedy(corpus, spec, lambda v: 1.0)
+    return _greedy(corpus, spec, "link", lambda v: 1.0)
 
 
 def greedy_weighted_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """In-flow-weighted greedy set cover: minimize posts per newly covered meme."""
-    return _greedy(corpus, spec, lambda v: corpus.post_count[v])
+    return _greedy(corpus, spec, "inflow", lambda v: corpus.post_count[v])
 
 
 def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -124,11 +153,14 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     zero-delay candidate scores 0 under beta > 0 and so is always
     preferred while it still covers something.
     """
-    def weight(v):
-        delay = _mean_delay_days(corpus, corpus.first_post_by_user[v])
-        return (float(corpus.post_count[v]) ** spec.alpha) * (delay ** spec.beta)
+    delays = corpus._memo.setdefault("mean_delay_days", {})
 
-    return _greedy(corpus, spec, weight)
+    def weight(v):
+        if v not in delays:
+            delays[v] = _mean_delay_days(corpus, corpus.first_post_by_user[v])
+        return (float(corpus.post_count[v]) ** spec.alpha) * (delays[v] ** spec.beta)
+
+    return _greedy(corpus, spec, ("joint", spec.alpha, spec.beta), weight)
 
 
 def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
@@ -140,14 +172,18 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
+    earliest = (corpus._memo.setdefault("earliest_poster", {})
+                if spec.candidates is None else {})
     chosen: dict[int, int] = {}
     for meme in sorted(spec.universe):
-        posters = corpus.posters_by_meme.get(meme, frozenset())
-        if spec.candidates is not None:
-            posters = posters & spec.candidates
-        if not posters:
-            raise InfeasibleCover(f"meme {meme} has no candidate poster")
-        _, best = min((corpus.first_post_by_user[v][meme], v) for v in posters)
+        if meme not in earliest:
+            posters = corpus.posters_by_meme.get(meme, frozenset())
+            if spec.candidates is not None:
+                posters = posters & spec.candidates
+            if not posters:
+                raise InfeasibleCover(f"meme {meme} has no candidate poster")
+            earliest[meme] = min((corpus.first_post_by_user[v][meme], v) for v in posters)
+        best = earliest[meme][1]
         chosen[best] = chosen.get(best, 0) + 1
     selected = tuple(sorted(chosen))
     return CoverResult(

@@ -137,7 +137,8 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
 
     Users with no post strictly before the window start fail the
     activity filter (when enabled) and are removed from the poster
-    universe; follow edges touching removed users are dropped.
+    universe; follow edges touching removed users are dropped, as are
+    self-follow edges (``u<TAB>u``).
     """
     news_domains = (
         load_news_domains(config.news_domain_list)
@@ -197,7 +198,8 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             raise MalformedRecord(follows_path, no, "expected follower<TAB>followee")
         follower = ids.setdefault(parts[0], len(ids))
         followee = ids.setdefault(parts[1], len(ids))
-        follows.setdefault(follower, set()).add(followee)
+        if follower != followee:  # a user is not its own source
+            follows.setdefault(follower, set()).add(followee)
 
     if config.require_pre_window_activity:
         events = [ev for ev in events if ev.user in active]

@@ -46,6 +46,13 @@ class Corpus:
 
     post_count counts ALL posts inside the window (meme-bearing or not);
     the meme indices cover only the meme-bearing ones.
+
+    ``_memo`` is a private cache of facts derived from the fields, which
+    the cover engines fill lazily (see ``feedcover.cover``). It is not
+    pickled (a loaded corpus starts with an empty memo), not compared by
+    ``==`` and not shown by ``repr``; a ``dataclasses.replace`` copy
+    starts with an empty one, so replacing a field never serves facts
+    derived from the old value.
     """
 
     window_start: int
@@ -57,6 +64,13 @@ class Corpus:
     first_post_by_user: dict[int, dict[MemeId, int]]
     follows: dict[int, frozenset[int]]
     user_labels: dict[int, str] = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo={})
 
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))

@@ -7,6 +7,7 @@ cover is checked against each meme's earliest candidate poster.
 """
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,14 @@ def run(engine, corpus, spec):
         return InfeasibleCover
 
 
+def outcome(engine, corpus, spec):
+    """The engine's result, or the message of the InfeasibleCover it raises."""
+    try:
+        return engine(corpus, spec)
+    except InfeasibleCover as exc:
+        return f"InfeasibleCover: {exc}"
+
+
 @settings(max_examples=250, deadline=None)
 @given(instances())
 def test_lazy_kernel_matches_eager_reference(instance):
@@ -202,6 +211,51 @@ def test_delay_cover_picks_each_memes_earliest_candidate(instance):
               for m, (t, _) in earliest.items()]
     mean = math.fsum(delays) / len(delays) if delays else None
     assert set_average_delay_days(corpus, result.selected, spec.universe) == mean
+
+
+ALL_ENGINES = (greedy_min_cover, greedy_weighted_cover, joint_cover, delay_optimal_cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.data())
+def test_memoised_calls_match_a_fresh_corpus(instance, data):
+    # One corpus serves a drawn sequence of calls, so later calls hit the
+    # memo that earlier ones filled (or replaced). Each call runs at a
+    # drawn coverage and at full coverage, in a drawn order; every result
+    # must equal the same call on a fresh copy of the corpus.
+    corpus, spec = instance
+    universes = st.sampled_from([spec.universe, frozenset(corpus.first_mention)])
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(ALL_ENGINES),
+        universes,
+        st.sampled_from([None, spec.candidates]),
+        st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0)),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.booleans(),
+    ), min_size=1, max_size=8))
+    for engine, universe, candidates, coverage, alpha, beta, full_first in calls:
+        levels = (1.0, coverage) if full_first else (coverage, 1.0)
+        for level in levels:
+            if engine is delay_optimal_cover and level < 1.0:
+                continue
+            call = CoverSpec(universe, candidates, level, alpha, beta)
+            assert outcome(engine, corpus, call) == outcome(engine, replace(corpus), call)
+
+
+def test_memoised_partial_cover_whose_full_cover_is_infeasible():
+    # Candidates {1, 2} reach memes 0-2 of 0-3: the full cover is
+    # infeasible, a half cover is the first pick of the full order.
+    corpus = make_corpus({1: [0, 1], 2: [2], 3: [3]}, inflow={1: 3, 2: 1, 3: 1})
+    universe = frozenset(corpus.first_mention)
+    half = CoverSpec(universe, frozenset({1, 2}), coverage=0.5)
+    full = CoverSpec(universe, frozenset({1, 2}))
+    for engine in (greedy_min_cover, greedy_weighted_cover, joint_cover):
+        for first, then in ((full, half), (half, full)):
+            fresh = [outcome(engine, replace(corpus), s) for s in (first, then)]
+            assert [outcome(engine, corpus, s) for s in (first, then)] == fresh
+        assert outcome(engine, corpus, full) == "InfeasibleCover: covered 3 of required 4 memes"
+        assert len(outcome(engine, corpus, half).covered) >= 2
 
 
 def test_refreshed_root_is_compared_with_both_children():

@@ -197,3 +197,16 @@ def test_ego_context_deterministic(kind_corpus):
     a = ego_context(kind_corpus, ego, "hashtag")
     b = ego_context(kind_corpus, ego, "hashtag")
     assert a == b
+
+
+def test_load_corpus_drops_self_follow(tmp_path):
+    cfg = IngestConfig(window_start=1000, window_end=2000,
+                       require_pre_window_activity=False)
+    posts = "a\t1100\t#x\nb\t1200\t#y\n"
+    p, f = _write(tmp_path, posts, "a\ta\na\tb\n")
+    corpus = load_corpus(p, f, cfg)
+    a, b = _uid(corpus, "a"), _uid(corpus, "b")
+    assert corpus.follows == {a: frozenset({b})}
+    ctx = ego_context(corpus, a, "hashtag")
+    assert ctx.followees == {b}
+    assert ctx.memes == {MemeId("hashtag", "y")}

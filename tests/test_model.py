@@ -1,5 +1,6 @@
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,16 @@ from hypothesis import strategies as st
 
 from feedcover.cli import _load_cached, _save_corpus
 from feedcover.errors import EmptyCorpus
-from feedcover.cover import CoverSpec, joint_cover
+from feedcover.cover import (
+    CoverSpec,
+    delay_optimal_cover,
+    greedy_min_cover,
+    greedy_weighted_cover,
+    joint_cover,
+)
+from feedcover.ingest import ego_context
 from feedcover.model import Corpus, MemeId, PostEvent
+from feedcover.synth import generate_triadic_corpus
 
 from conftest import DAY, M, make_corpus
 
@@ -128,3 +137,25 @@ def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
     assert reloaded == a
     for corpus in (a, b, reloaded):
         _assert_one_meme_id_per_meme(corpus)
+
+
+def test_cover_memo_never_leaks(tmp_path):
+    corpus, egos = generate_triadic_corpus(seed=4, n_communities=3, community_size=5)
+    fresh = replace(corpus)
+    fresh_bytes = _save_corpus(fresh, tmp_path / "fresh").read_bytes()
+    for ego in egos[::4]:  # egos from every community
+        ctx = ego_context(corpus, ego, "hashtag")
+        for coverage in (0.5, 1.0):
+            spec = CoverSpec(universe=ctx.memes, coverage=coverage)
+            greedy_min_cover(corpus, spec)
+            greedy_weighted_cover(corpus, spec)
+            joint_cover(corpus, spec)
+        delay_optimal_cover(corpus, spec)
+    assert corpus._memo and not fresh._memo
+    assert corpus == fresh
+    assert repr(corpus) == repr(fresh)
+    used_bytes = _save_corpus(corpus, tmp_path / "used").read_bytes()
+    assert used_bytes == fresh_bytes
+    assert _load_cached(tmp_path / "used" / "corpus.pkl")._memo == {}
+    assert replace(corpus)._memo == {}
+    assert corpus._memo  # saving and copying leave the original's memo alone
