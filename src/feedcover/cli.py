@@ -46,7 +46,7 @@ from .model import MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
 # Bump when the pickled layout of Corpus or MemeId changes.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 _CACHE_HINT = "re-run `feedcover ingest`"
 # Decoding errors pickle raises on truncated, corrupt or incompatible data.
 _UNPICKLE_ERRORS = (
@@ -171,7 +171,7 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
             token = token.strip()
             if token in by_label:
                 egos.append(by_label[token])
-            elif token.isdigit() and int(token) in corpus.follows:
+            elif token.isdigit() and int(token) in corpus.user_labels:
                 egos.append(int(token))
             else:
                 raise EmptyCorpus(f"unknown ego {token!r}")

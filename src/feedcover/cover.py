@@ -200,7 +200,7 @@ def set_average_delay_days(corpus, selected, universe) -> float | None:
     reached: dict[MemeId, int] = {}
     for v in selected:
         first = corpus.first_post_by_user.get(v, {})
-        for meme in corpus.memes_by_user.get(v, frozenset()) & universe:
+        for meme in universe.intersection(first):
             if meme not in reached or first[meme] < reached[meme]:
                 reached[meme] = first[meme]
     if len(reached) < len(universe):

@@ -20,7 +20,7 @@ def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[
     """Followees posting at least one covered meme (partial-coverage rule)."""
     return frozenset(
         v for v in ctx.followees
-        if corpus.memes_by_user.get(v, frozenset()) & covered
+        if not covered.isdisjoint(corpus.first_post_by_user.get(v, ()))
     )
 
 

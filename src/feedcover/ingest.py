@@ -226,7 +226,7 @@ def ego_context(
     """Timeline view for one ego, restricted to followees posting the kind."""
     followees = frozenset(
         v for v in corpus.follows.get(ego, frozenset())
-        if any(m.kind == meme_kind for m in corpus.memes_by_user.get(v, frozenset()))
+        if any(m.kind == meme_kind for m in corpus.first_post_by_user.get(v, ()))
     )
     if len(followees) < max(min_followees, 1):
         raise UndefinedMeasure(
@@ -234,6 +234,6 @@ def ego_context(
             f"(need {max(min_followees, 1)})"
         )
     memes = frozenset(
-        m for v in followees for m in corpus.memes_by_user[v] if m.kind == meme_kind
+        m for v in followees for m in corpus.first_post_by_user[v] if m.kind == meme_kind
     )
     return EgoContext(ego=ego, followees=followees, memes=memes)

@@ -10,6 +10,7 @@ a meme set (which changes with ``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,19 +46,20 @@ class Corpus:
     """Immutable indexed view over a window of post events and a follow graph.
 
     post_count counts ALL posts inside the window (meme-bearing or not);
-    the meme indices cover only the meme-bearing ones.
+    the meme indices cover only the meme-bearing ones. ``memes_by_user``
+    is not a field but a derived, read-only view of ``first_post_by_user``,
+    so each user's memes are stored once.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    the cover engines fill lazily (see ``feedcover.cover``). It is not
-    pickled (a loaded corpus starts with an empty memo), not compared by
-    ``==`` and not shown by ``repr``; a ``dataclasses.replace`` copy
-    starts with an empty one, so replacing a field never serves facts
-    derived from the old value.
+    ``memes_by_user`` and the cover engines fill lazily (see
+    ``feedcover.cover``). It is not pickled (a loaded corpus starts with
+    an empty memo), not compared by ``==`` and not shown by ``repr``; a
+    ``dataclasses.replace`` copy starts with an empty one, so replacing a
+    field never serves facts derived from the old value.
     """
 
     window_start: int
     window_end: int
-    memes_by_user: dict[int, frozenset[MemeId]]
     posters_by_meme: dict[MemeId, frozenset[int]]
     post_count: dict[int, int]
     first_mention: dict[MemeId, int]
@@ -71,6 +73,16 @@ class Corpus:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _memo={})
+
+    @property
+    def memes_by_user(self) -> dict[int, KeysView[MemeId]]:
+        """Each posting user's memes: the keys of ``first_post_by_user``.
+        Built once, on first access, and kept in ``_memo``; do not mutate it."""
+        if "memes_by_user" not in self._memo:
+            self._memo["memes_by_user"] = {
+                u: first.keys() for u, first in self.first_post_by_user.items()
+            }
+        return self._memo["memes_by_user"]
 
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))
@@ -98,7 +110,6 @@ class Corpus:
         start, end = window
         if not events:
             raise EmptyCorpus("no post events in window")
-        memes: dict[int, set[MemeId]] = {}
         posters: dict[MemeId, set[int]] = {}
         first: dict[MemeId, int] = {}
         first_by_user: dict[int, dict[MemeId, int]] = {}
@@ -106,7 +117,6 @@ class Corpus:
         canon: dict[MemeId, MemeId] = {}  # one MemeId object per meme
         for ev in events:
             meme = canon.setdefault(ev.meme, ev.meme)
-            memes.setdefault(ev.user, set()).add(meme)
             posters.setdefault(meme, set()).add(ev.user)
             if meme not in first or ev.time < first[meme]:
                 first[meme] = ev.time
@@ -119,7 +129,6 @@ class Corpus:
         return cls(
             window_start=start,
             window_end=end,
-            memes_by_user={u: frozenset(v) for u, v in sorted(memes.items())},
             posters_by_meme={m: frozenset(v) for m, v in sorted(posters.items())},
             post_count=dict(sorted(counts.items())),
             first_mention=dict(sorted(first.items())),

@@ -175,6 +175,27 @@ def test_console_entrypoint_smoke():
     assert "ingest" in proc.stdout
 
 
+@pytest.mark.parametrize("egos, code", [("a,b", 0), ("0,1", 0), ("0,7", 3)])
+def test_ego_without_followees_is_skipped_by_label_or_id(tmp_path, capsys, egos, code):
+    # b (id 1) follows only itself, and self-follow edges are dropped at
+    # ingest, so b is a user of the corpus but not a key of its follows.
+    posts = tmp_path / "posts.tsv"
+    posts.write_text("a\t-5\twarm up\nb\t-5\twarm up\nc\t-5\twarm up\n"
+                     "a\t10\t#x\nb\t20\t#y\nc\t30\t#x\n")
+    follows = tmp_path / "follows.tsv"
+    follows.write_text("a\tc\nb\tb\n")
+    assert run(["ingest", "--posts", posts, "--follows", follows, *WINDOW,
+                "--out", tmp_path / "cache"]) == 0
+    assert run(["efficiency", "--corpus", tmp_path / "cache" / "corpus.pkl",
+                "--egos", egos, "--min-followees", "1", "--out", tmp_path / "rep"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "skip ego b: ego 1: 0 followees posting hashtag" in err
+        assert [r["ego_label"] for r in read_tsv(tmp_path / "rep" / "efficiency.tsv")] == ["a"]
+    else:
+        assert "unknown ego '7'" in err
+
+
 def _efficiency_on(corpus_path, tmp_path):
     return run(["efficiency", "--corpus", corpus_path, "--egos", "0",
                 "--min-followees", "1", "--out", tmp_path / "rep"])

@@ -135,8 +135,13 @@ def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
     with tempfile.TemporaryDirectory() as tmp:
         reloaded = _load_cached(_save_corpus(a, Path(tmp)))
     assert reloaded == a
+    assert "memes_by_user" not in vars(reloaded)  # a view, not a stored index
+    memes: dict[int, set] = {}
+    for ev in events:
+        memes.setdefault(ev.user, set()).add(ev.meme)
     for corpus in (a, b, reloaded):
         _assert_one_meme_id_per_meme(corpus)
+        assert corpus.memes_by_user == {u: frozenset(s) for u, s in memes.items()}
 
 
 def test_cover_memo_never_leaks(tmp_path):
@@ -151,6 +156,7 @@ def test_cover_memo_never_leaks(tmp_path):
             greedy_weighted_cover(corpus, spec)
             joint_cover(corpus, spec)
         delay_optimal_cover(corpus, spec)
+    assert corpus.memes_by_user is corpus.memes_by_user  # built once, then memoised
     assert corpus._memo and not fresh._memo
     assert corpus == fresh
     assert repr(corpus) == repr(fresh)
