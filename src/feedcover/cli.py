@@ -46,7 +46,7 @@ from .model import MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
 # Bump when the pickled layout of Corpus or MemeId changes.
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 _CACHE_HINT = "re-run `feedcover ingest`"
 # Decoding errors pickle raises on truncated, corrupt or incompatible data.
 _UNPICKLE_ERRORS = (
@@ -391,7 +391,9 @@ def cmd_analysis(args) -> int:
 def cmd_synth(args) -> int:
     out = Path(args.out)
     if args.archetype == "triadic_communities":
-        events, follows, egos = synth_mod.generate_triadic_events(seed=args.seed)
+        events, follows, egos = synth_mod.generate_triadic_events(
+            seed=args.seed, window_days=args.window_days
+        )
         ego_note = f"{len(egos)} egos"
     else:
         spec = synth_mod.SynthSpec(
@@ -454,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic corpus files")
     p.add_argument("--archetype", default="random_bipartite",
-                   choices=synth_mod.ARCHETYPES + ("triadic_communities",))
+                   choices=synth_mod.ARCHETYPES + ("triadic_communities",),
+                   help="triadic_communities reads only --seed and --window-days")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-users", type=int, default=20)
     p.add_argument("--n-memes", type=int, default=30)

@@ -35,7 +35,7 @@ def link_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """Size of the covering set over the (effective) followee count."""
     effective = _effective_followees(ctx, cov.covered, corpus)
     if not effective:
-        raise UndefinedMeasure(f"ego {ctx.ego} has no followees posting covered memes")
+        raise UndefinedMeasure("no followees posting covered memes")
     return _clamp(len(cov.selected) / len(effective), "link efficiency", ctx.ego)
 
 
@@ -43,10 +43,10 @@ def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> floa
     """In-flow of the covering set over the (effective) followees' in-flow."""
     effective = _effective_followees(ctx, cov.covered, corpus)
     if not effective:
-        raise UndefinedMeasure(f"ego {ctx.ego} has no followees posting covered memes")
+        raise UndefinedMeasure("no followees posting covered memes")
     original = corpus.inflow(effective)
     if original == 0:
-        raise UndefinedMeasure(f"followees of ego {ctx.ego} posted nothing in the window")
+        raise UndefinedMeasure("followees posted nothing in the window")
     return _clamp(corpus.inflow(cov.selected) / original, "in-flow efficiency", ctx.ego)
 
 
@@ -60,15 +60,15 @@ def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     The ego receives each meme when its first followee posts it.
     """
     if not ctx.memes:
-        raise UndefinedMeasure(f"ego {ctx.ego} received no memes")
+        raise UndefinedMeasure("received no memes")
     return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
 
 
-def _inflow_ratio(corpus: Corpus, users, baseline, ego: int) -> float:
+def _inflow_ratio(corpus: Corpus, users, baseline) -> float:
     """In-flow of ``users`` over the in-flow of ``baseline``."""
     denominator = corpus.inflow(baseline)
     if denominator == 0:
-        raise UndefinedMeasure(f"a cover set of ego {ego} posted nothing in the window")
+        raise UndefinedMeasure("a cover set posted nothing in the window")
     return corpus.inflow(users) / denominator
 
 
@@ -88,8 +88,8 @@ def cross_efficiencies(
     return {
         "el_uf": len(link_cov.selected) / len(inflow_cov.selected),
         "el_ut": len(link_cov.selected) / len(delay_cov.selected),
-        "ef_ul": _inflow_ratio(corpus, inflow_cov.selected, link_cov.selected, ctx.ego),
-        "ef_ut": _inflow_ratio(corpus, inflow_cov.selected, delay_cov.selected, ctx.ego),
+        "ef_ul": _inflow_ratio(corpus, inflow_cov.selected, link_cov.selected),
+        "ef_ut": _inflow_ratio(corpus, inflow_cov.selected, delay_cov.selected),
         "et_ul": _set_delay_efficiency(corpus, link_cov.selected, ctx.memes),
         "et_uf": _set_delay_efficiency(corpus, inflow_cov.selected, ctx.memes),
     }
@@ -105,7 +105,7 @@ def joint_efficiencies(
     """The joint-heuristic set under each single metric, keyed ``e<metric>_ua``."""
     return {
         "el_ua": len(link_cov.selected) / len(joint_cov.selected),
-        "ef_ua": _inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected, ctx.ego),
+        "ef_ua": _inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected),
         "et_ua": _set_delay_efficiency(corpus, joint_cov.selected, ctx.memes),
     }
 

@@ -24,7 +24,7 @@ def build_ego_network(corpus: Corpus, ego: int, members) -> EgoNetwork:
     """Induced subgraph of the follow graph on {ego} | members."""
     members = frozenset(members) - {ego}
     if not members:
-        raise UndefinedMeasure(f"ego {ego}: empty member set")
+        raise UndefinedMeasure("empty member set")
     nodes = members | {ego}
     edges = frozenset(
         (a, b)

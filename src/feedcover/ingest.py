@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from .errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
+from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
 from .model import MEME_KINDS, Corpus, EgoContext, MemeId, PostEvent
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
@@ -29,12 +29,18 @@ _YOUTUBE_PREFIX = "www.youtube.com/watch"
 
 @dataclass(frozen=True)
 class IngestConfig:
-    window_start: int = 0
-    window_end: int = 0
+    """What ``load_corpus`` keeps: posts at ``window_start <= t < window_end``."""
+
+    window_start: int
+    window_end: int
     require_pre_window_activity: bool = True
     news_domain_list: str | None = None
     url_alias_map: str | None = None
     pre_extracted: bool = False
+
+    def __post_init__(self) -> None:
+        if self.window_end <= self.window_start:
+            raise InvalidSpec(f"window [{self.window_start}, {self.window_end}) is empty")
 
 
 def normalize_url(token: str) -> str:
@@ -214,7 +220,6 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
     return Corpus.from_events(
         events,
         follows,
-        window=(start, end),
         post_counts=post_counts,
         user_labels={uid: label for label, uid in ids.items()},
     )
@@ -230,8 +235,7 @@ def ego_context(
     )
     if len(followees) < max(min_followees, 1):
         raise UndefinedMeasure(
-            f"ego {ego}: {len(followees)} followees posting {meme_kind} "
-            f"(need {max(min_followees, 1)})"
+            f"{len(followees)} followees posting {meme_kind} (need {max(min_followees, 1)})"
         )
     memes = frozenset(
         m for v in followees for m in corpus.first_post_by_user[v] if m.kind == meme_kind

@@ -43,9 +43,9 @@ class PostEvent:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable indexed view over a window of post events and a follow graph.
+    """Immutable indexed view over the post events kept by ingest and a follow graph.
 
-    post_count counts ALL posts inside the window (meme-bearing or not);
+    post_count counts ALL kept posts (meme-bearing or not);
     the meme indices cover only the meme-bearing ones. ``memes_by_user``
     is not a field but a derived, read-only view of ``first_post_by_user``,
     so each user's memes are stored once.
@@ -58,8 +58,6 @@ class Corpus:
     field never serves facts derived from the old value.
     """
 
-    window_start: int
-    window_end: int
     posters_by_meme: dict[MemeId, frozenset[int]]
     post_count: dict[int, int]
     first_mention: dict[MemeId, int]
@@ -96,7 +94,6 @@ class Corpus:
         cls,
         events,
         follows,
-        window: tuple[int, int],
         post_counts: dict[int, int] | None = None,
         user_labels: dict[int, str] | None = None,
     ) -> "Corpus":
@@ -107,9 +104,8 @@ class Corpus:
         indices share one ``MemeId`` object per meme, so a pickled corpus
         stores each meme once.
         """
-        start, end = window
         if not events:
-            raise EmptyCorpus("no post events in window")
+            raise EmptyCorpus("no post events")
         posters: dict[MemeId, set[int]] = {}
         first: dict[MemeId, int] = {}
         first_by_user: dict[int, dict[MemeId, int]] = {}
@@ -127,8 +123,6 @@ class Corpus:
         if post_counts is not None:
             counts = dict(post_counts)
         return cls(
-            window_start=start,
-            window_end=end,
             posters_by_meme={m: frozenset(v) for m, v in sorted(posters.items())},
             post_count=dict(sorted(counts.items())),
             first_mention=dict(sorted(first.items())),

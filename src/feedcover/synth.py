@@ -53,7 +53,7 @@ def _validate(spec: SynthSpec) -> None:
 def generate(spec: SynthSpec) -> tuple[Corpus, int]:
     """Generate a corpus plus its ego user; same seed, same corpus."""
     events, follows, ego = generate_events(spec)
-    return Corpus.from_events(events, follows, window=(0, spec.window_days * _DAY)), ego
+    return Corpus.from_events(events, follows), ego
 
 
 def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int]], int]:
@@ -113,7 +113,7 @@ def generate_triadic_corpus(
     events, follows, egos = generate_triadic_events(
         seed, n_communities, community_size, memes_per_community, window_days
     )
-    return Corpus.from_events(events, follows, window=(0, window_days * _DAY)), egos
+    return Corpus.from_events(events, follows), egos
 
 
 def generate_triadic_events(
@@ -131,8 +131,11 @@ def generate_triadic_events(
     them, posting each meme once, early. Optimizing any efficiency
     therefore pulls the ego away from the dense community and into the
     sparse outsiders. Returns the post events, the follow graph and one
-    ego per member.
+    ego per member. Outsiders post on day 1 and members after it, so the
+    window needs at least 2 days.
     """
+    if window_days < 2:
+        raise InvalidSpec(f"triadic_communities needs window_days >= 2, got {window_days}")
     rng = random.Random(seed)
     start, end = 0, window_days * _DAY
     events: list[PostEvent] = []

@@ -19,7 +19,6 @@ def make_corpus(
     inflow=None,
     follows=None,
     times=None,
-    window_days=10,
 ):
     """Corpus from {user: [meme indices]} plus optional inflow/time overrides.
 
@@ -38,7 +37,6 @@ def make_corpus(
     return Corpus.from_events(
         events,
         {u: frozenset(vs) for u, vs in (follows or {}).items()},
-        window=(0, window_days * DAY),
         post_counts=counts,
     )
 

@@ -77,6 +77,31 @@ def test_ingest_empty_window_exit_3(tmp_path, capsys):
     assert "no post events" in capsys.readouterr().err
 
 
+def test_ingest_iso_window_equals_unix_seconds(tmp_path):
+    # The window is 1600000000 <= t < 1600086400 (2020-09-13T12:26:40Z
+    # plus a day); the posts sit on and around both ends.
+    posts = tmp_path / "posts.tsv"
+    posts.write_text("a\t1599999999\t#pre\nb\t1599999999\t#pre\n"
+                     "a\t1600000000\t#first\nb\t1600086399\t#last\n"
+                     "a\t1600086400\t#after\nb\t1600090000\t#later\n")
+    follows = tmp_path / "follows.tsv"
+    follows.write_text("a\tb\n")
+    windows = {
+        "unix": ("1600000000", "1600086400"),
+        "naive": ("2020-09-13T12:26:40", "2020-09-14T12:26:40"),
+        "offset": ("2020-09-13T14:26:40+02:00", "2020-09-14T07:26:40-05:00"),
+    }
+    caches = {}
+    for name, (start, end) in windows.items():
+        assert run(["ingest", "--posts", posts, "--follows", follows,
+                    "--window-start", start, "--window-end", end,
+                    "--out", tmp_path / name]) == 0
+        caches[name] = (tmp_path / name / "corpus.pkl").read_bytes()
+    assert caches["naive"] == caches["unix"] == caches["offset"]
+    kept = cli._load_cached(tmp_path / "unix" / "corpus.pkl").first_mention
+    assert sorted(m.key for m in kept) == ["first", "last"]
+
+
 def test_efficiency_redundant_archetype(redundant_dir, tmp_path):
     out = tmp_path / "rep"
     assert run(["efficiency", "--corpus", redundant_dir, "--egos", "0",
@@ -190,10 +215,68 @@ def test_ego_without_followees_is_skipped_by_label_or_id(tmp_path, capsys, egos,
                 "--egos", egos, "--min-followees", "1", "--out", tmp_path / "rep"]) == code
     err = capsys.readouterr().err
     if code == 0:
-        assert "skip ego b: ego 1: 0 followees posting hashtag" in err
+        assert err.count("skip ego b: 0 followees posting hashtag (need 1)\n") == 1
         assert [r["ego_label"] for r in read_tsv(tmp_path / "rep" / "efficiency.tsv")] == ["a"]
     else:
         assert "unknown ego '7'" in err
+
+
+def test_synth_triadic_honours_window_days(tmp_path):
+    days = {}
+    for window_days in ("7", "14"):
+        out = tmp_path / window_days
+        assert run(["synth", "--archetype", "triadic_communities", "--seed", "2",
+                    "--window-days", window_days, "--out", out]) == 0
+        days[window_days] = max(
+            int(line.split("\t")[1]) // 86400
+            for line in (out / "posts.tsv").read_text().splitlines()
+        )
+    assert days["7"] < 7 and 7 <= days["14"] < 14
+
+
+@pytest.fixture
+def bipartite_corpus(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--archetype", "random_bipartite", "--seed", "4",
+                "--n-users", "30", "--n-memes", "20", "--out", data]) == 0
+    assert run(["ingest", "--posts", data / "posts.tsv", "--follows", data / "follows.tsv",
+                *WINDOW, "--pre-extracted", "--out", tmp_path / "cache"]) == 0
+    return tmp_path / "cache" / "corpus.pkl"
+
+
+def _egos_of_run(corpus_path, out, *args):
+    assert run(["cover", "--corpus", corpus_path, "--min-followees", "1",
+                "--out", out, *args]) == 0
+    return sorted({int(r["ego"]) for r in read_tsv(out / "cover.tsv")})
+
+
+def test_default_egos_are_every_follower(bipartite_corpus, tmp_path, capsys):
+    follows = cli._load_cached(bipartite_corpus).follows
+    assert len(follows) > 10
+    assert _egos_of_run(bipartite_corpus, tmp_path / "all") == sorted(follows)
+    assert "skip ego" not in capsys.readouterr().err
+    kept = _egos_of_run(bipartite_corpus, tmp_path / "big", "--sample-n", "1000")
+    assert kept == sorted(follows)
+
+
+def test_sample_n_is_seeded(bipartite_corpus, tmp_path):
+    runs = [
+        _egos_of_run(bipartite_corpus, tmp_path / tag, "--sample-n", "5", "--seed", "3")
+        for tag in ("one", "two")
+    ]
+    follows = cli._load_cached(bipartite_corpus).follows
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 5 and set(runs[0]) <= set(follows)
+
+
+def test_every_ego_skipped_exit_3(bipartite_corpus, tmp_path, capsys):
+    code = run(["efficiency", "--corpus", bipartite_corpus, "--min-followees", "1000",
+                "--out", tmp_path / "rep"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "no efficiency rows produced" in err
+    assert err.count("skip ego ") == len(cli._load_cached(bipartite_corpus).follows)
+    assert not (tmp_path / "rep").exists()
 
 
 def _efficiency_on(corpus_path, tmp_path):
@@ -269,6 +352,9 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("optimize_coverage", "unrecognized arguments: --coverage"),
     ("egonet_coverage", "unrecognized arguments: --coverage"),
     ("cover_repeated_coverage", "cover takes one --coverage"),
+    ("empty_window", "window [0, 0) is empty"),
+    ("inverted_window", "window [604800, 0) is empty"),
+    ("synth_triadic_one_day", "triadic_communities needs window_days >= 2"),
 ])
 def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     posts = tmp_path / "posts.tsv"
@@ -283,11 +369,17 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
         argv += ["--news-domains", tmp_path / "missing.txt"]
     elif case == "bad_window_start":
         argv[6] = "garbage"
+    elif case in ("empty_window", "inverted_window"):
+        # The posts file is not UTF-8, so this message shows it was not read.
+        argv[6], argv[8] = ("0", "0") if case == "empty_window" else ("604800", "0")
     elif case == "negative_sample_n":
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", "-1",
                 "--out", tmp_path / "rep"]
     elif case == "synth_zero_users":
         argv = ["synth", "--n-users", "0", "--out", tmp_path / "synth"]
+    elif case == "synth_triadic_one_day":
+        argv = ["synth", "--archetype", "triadic_communities", "--window-days", "1",
+                "--out", tmp_path / "synth"]
     elif case == "synth_shadow_few_memes":
         argv = ["synth", "--archetype", "superuser_shadow", "--n-memes", "2",
                 "--out", tmp_path / "synth"]

@@ -180,9 +180,9 @@ def test_zero_inflow_cover_sets_raise_zero_inflow():
     corpus = make_corpus({1: [0, 1]}, inflow={1: 0})
     ctx = make_ctx(corpus, EGO, [1])
     link, inflow, delay, joint = _all_covers(corpus, ctx)
-    with pytest.raises(UndefinedMeasure, match="a cover set of ego .* posted nothing"):
+    with pytest.raises(UndefinedMeasure, match="a cover set posted nothing"):
         cross_efficiencies(ctx, link, inflow, delay, corpus)
-    with pytest.raises(UndefinedMeasure, match="a cover set of ego .* posted nothing"):
+    with pytest.raises(UndefinedMeasure, match="a cover set posted nothing"):
         joint_efficiencies(ctx, joint, link, inflow, corpus)
 
 

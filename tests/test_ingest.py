@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -104,11 +105,50 @@ def test_load_corpus_first_mention_minimum(tmp_path):
     assert corpus.first_mention[MemeId("hashtag", "m")] == 1100
 
 
+# (posts, follows, url aliases or None, pre-extracted, bad file, line number)
+MALFORMED = [
+    ("a\t1\tx\nbadline\n", "a\tb\n", None, False, "posts.tsv", 2),
+    ("a\t1\tx\n\nbadline\n", "a\tb\n", None, False, "posts.tsv", 3),
+    ("a\t1\tx\na\tnoon\t#x\n", "a\tb\n", None, False, "posts.tsv", 2),
+    ("a\t1\thashtag\tx\na\t2\thashtag\n", "a\tb\n", None, True, "posts.tsv", 2),
+    ("a\t1\thashtag\tx\na\t2\thashtag\t\n", "a\tb\n", None, True, "posts.tsv", 2),
+    ("a\t1\tx\n", "\na\tb\n\nab\n", None, False, "follows.tsv", 4),
+    ("a\t1\tx\n", "a\tb\n", "bit.ly/a\tx.com\nno-tab-here\n", False, "aliases.tsv", 2),
+]
+
+
 def test_load_corpus_malformed_line_aborts_with_line_number(tmp_path):
-    p, f = _write(tmp_path, "a\t1\tx\nbadline\n", "a\tb\n")
-    with pytest.raises(MalformedRecord) as err:
-        load_corpus(p, f, CFG)
-    assert err.value.line_no == 2
+    for posts, follows, aliases, pre_extracted, bad, line_no in MALFORMED:
+        p, f = _write(tmp_path, posts, follows)
+        alias_path = tmp_path / "aliases.tsv"
+        alias_path.write_text(aliases or "", encoding="utf-8")
+        cfg = replace(CFG, pre_extracted=pre_extracted,
+                      url_alias_map=str(alias_path) if aliases else None)
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(p, f, cfg)
+        assert (Path(err.value.path).name, err.value.line_no) == (bad, line_no), posts
+
+
+def test_load_corpus_reads_side_files(tmp_path):
+    posts = (
+        "a\t1\twarm up\n"
+        "a\t1100\tread http://bit.ly/x1 now\n"
+        "a\t1200\tand https://www.BBC.co.uk/news\n"
+    )
+    p, f = _write(tmp_path, posts, "b\ta\n")
+    domains = tmp_path / "domains.txt"
+    domains.write_text("CNN.com\n\n  bbc.co.uk \n", encoding="utf-8")
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text("\nhttp://bit.ly/x1\thttps://edition.cnn.com/story,\n\n",
+                       encoding="utf-8")
+    cfg = replace(CFG, news_domain_list=str(domains), url_alias_map=str(aliases))
+    corpus = load_corpus(p, f, cfg)
+    assert sorted(corpus.first_mention) == [
+        MemeId("news_domain", "bbc.co.uk"),
+        MemeId("news_domain", "cnn.com"),
+        MemeId("url", "edition.cnn.com/story"),
+        MemeId("url", "www.BBC.co.uk/news"),
+    ]
 
 
 def test_load_corpus_empty_window(tmp_path):

@@ -37,21 +37,21 @@ def test_order_independence():
     events = _events()
     shuffled = events[:]
     random.Random(7).shuffle(shuffled)
-    a = Corpus.from_events(events, {}, window=(0, 1000))
-    b = Corpus.from_events(shuffled, {}, window=(0, 1000))
+    a = Corpus.from_events(events, {})
+    b = Corpus.from_events(shuffled, {})
     assert a == b
 
 
 def test_first_mention_is_minimum_over_rescan():
     events = _events()
-    corpus = Corpus.from_events(events, {}, window=(0, 1000))
+    corpus = Corpus.from_events(events, {})
     for meme, t0 in corpus.first_mention.items():
         assert t0 == min(ev.time for ev in events if ev.meme == meme)
     assert corpus.first_mention[M(0)] == 30
 
 
 def test_index_consistency():
-    corpus = Corpus.from_events(_events(), {}, window=(0, 1000))
+    corpus = Corpus.from_events(_events(), {})
     for v, memes in corpus.memes_by_user.items():
         for meme in memes:
             assert v in corpus.posters_by_meme[meme]
@@ -61,17 +61,15 @@ def test_index_consistency():
 
 
 def test_post_count_defaults_to_event_count_and_accepts_override():
-    corpus = Corpus.from_events(_events(), {}, window=(0, 1000))
+    corpus = Corpus.from_events(_events(), {})
     assert corpus.post_count == {1: 2, 2: 2, 3: 1}
-    corpus = Corpus.from_events(
-        _events(), {}, window=(0, 1000), post_counts={1: 9, 2: 2, 3: 1}
-    )
+    corpus = Corpus.from_events(_events(), {}, post_counts={1: 9, 2: 2, 3: 1})
     assert corpus.post_count[1] == 9
 
 
 def test_empty_event_stream_rejected():
     with pytest.raises(EmptyCorpus):
-        Corpus.from_events([], {}, window=(0, 1000))
+        Corpus.from_events([], {})
 
 
 @pytest.mark.parametrize("rival_delay_days, picked", [(1.0, 1), (0.99, 2)])
@@ -128,8 +126,8 @@ def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
     events = [PostEvent(u, MemeId("hashtag", f"m{i}"), t) for u, i, t in triples]
     shuffled = events[:]
     rnd.shuffle(shuffled)
-    a = Corpus.from_events(events, {}, window=(0, 100))
-    b = Corpus.from_events(shuffled, {}, window=(0, 100))
+    a = Corpus.from_events(events, {})
+    b = Corpus.from_events(shuffled, {})
     assert a == b
     assert _index_orders(a) == _index_orders(b)
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,7 +12,7 @@ from feedcover.synth import (
     write_corpus_files,
 )
 
-from conftest import make_ctx
+from conftest import DAY, make_ctx
 
 
 def _link_eff(corpus, ego):
@@ -63,7 +63,7 @@ def test_generated_corpora_satisfy_model_invariants(archetype):
     for meme, t0 in corpus.first_mention.items():
         rescan = min(ev.time for ev in events if ev.meme == meme)
         assert t0 == rescan
-        assert corpus.window_start <= t0 < corpus.window_end
+        assert 0 <= t0 < spec.window_days * DAY
 
 
 def test_invalid_specs_rejected():
@@ -105,8 +105,8 @@ def test_write_then_reload_roundtrip(tmp_path, archetype):
     follows = tmp_path / "follows.tsv"
     write_corpus_files(events, follow_graph, posts, follows)
     config = IngestConfig(
-        window_start=corpus.window_start,
-        window_end=corpus.window_end,
+        window_start=0,
+        window_end=spec.window_days * DAY,
         pre_extracted=True,
     )
     reloaded = load_corpus(posts, follows, config)
