@@ -19,12 +19,14 @@ data, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pickle
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import __version__
@@ -45,6 +47,7 @@ from .ingest import IngestConfig, ego_context, load_corpus
 from .model import MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # Bump when the pickled layout of Corpus or MemeId changes.
 CACHE_FORMAT = 5
 _CACHE_HINT = "re-run `feedcover ingest`"
@@ -106,6 +109,23 @@ class _CacheUnpickler(pickle.Unpickler):
             raise pickle.UnpicklingError(f"refusing global {module}.{name}") from None
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore its previous state.
+
+    Building or unpickling a corpus creates tens of thousands of dicts,
+    sets and tuples that form no reference cycle; left on, the collector
+    would scan them again and again while they are built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
     """Pickle the corpus inside an envelope naming the cache format and version."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,7 +142,7 @@ def _load_cached(path) -> Corpus:
     A missing, unreadable, corrupt, foreign or stale file raises CacheError.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, _gc_paused():
             envelope = _CacheUnpickler(fh).load()
     except OSError as exc:
         raise CacheError(f"cannot read corpus cache {path}: {exc.strerror}; {_CACHE_HINT}")
@@ -140,7 +160,11 @@ def _load_cached(path) -> Corpus:
 
 
 def _iso_seconds(text: str) -> int:
-    """argparse type: unix seconds, or an ISO-8601 datetime (UTC if naive)."""
+    """argparse type: unix seconds, or an ISO-8601 datetime (UTC if naive).
+
+    Posts have integer times and the window is ``start <= t < end``, so a
+    fractional second rounds up at either end.
+    """
     try:
         return int(text)
     except ValueError:
@@ -153,7 +177,7 @@ def _iso_seconds(text: str) -> int:
         ) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return -((_EPOCH - dt) // timedelta(seconds=1))  # exact ceiling
 
 
 def _positive_int(text: str) -> int:
@@ -191,17 +215,19 @@ def cmd_ingest(args) -> int:
         url_alias_map=args.url_aliases,
         pre_extracted=args.pre_extracted,
     )
-    corpus = load_corpus(args.posts, args.follows, config)
-    path = _save_corpus(corpus, Path(args.out))
-    per_kind = {kind: 0 for kind in MEME_KINDS}
-    for meme in corpus.first_mention:
-        per_kind[meme.kind] += 1
-    print(f"corpus: {path}")
-    print(f"users: {len(corpus.post_count)}")
-    print(f"posts: {corpus.inflow(corpus.post_count)}")
-    print(f"user-meme pairs: {sum(len(f) for f in corpus.first_post_by_user.values())}")
-    for kind in MEME_KINDS:
-        print(f"unique {kind}: {per_kind[kind]}")
+    with _gc_paused():
+        corpus = load_corpus(args.posts, args.follows, config)
+        path = _save_corpus(corpus, Path(args.out))
+        per_kind = {kind: 0 for kind in MEME_KINDS}
+        for meme in corpus.first_mention:
+            per_kind[meme.kind] += 1
+        print(f"corpus: {path}")
+        print(f"users: {len(corpus.post_count)}")
+        print(f"posts: {corpus.inflow(corpus.post_count)}")
+        print(f"user-meme pairs: {sum(len(f) for f in corpus.first_post_by_user.values())}")
+        for kind in MEME_KINDS:
+            print(f"unique {kind}: {per_kind[kind]}")
+        del corpus  # freed while paused, so no collection scans it afterwards
     return 0
 
 

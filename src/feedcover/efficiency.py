@@ -64,6 +64,17 @@ def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
 
 
+def _ego_delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
+    """``delay_efficiency``, which does not depend on the coverage level,
+    computed once per ego: the corpus memo keeps it for the latest
+    ``(followees, memes)``."""
+    key = (ctx.followees, ctx.memes)
+    slot = corpus._memo.get("ego_delay")
+    if slot is None or slot[0] != key:
+        slot = corpus._memo["ego_delay"] = (key, delay_efficiency(ctx, corpus))
+    return slot[1]
+
+
 def _inflow_ratio(corpus: Corpus, users, baseline) -> float:
     """In-flow of ``users`` over the in-flow of ``baseline``."""
     denominator = corpus.inflow(baseline)
@@ -182,7 +193,7 @@ def evaluate_ego(
     At coverage < 1 the delay and joint covers and the cross- and
     joint-metrics are left empty; they need full coverage. ``e_delay``
     measures the ego's own timeline, not a cover, so it is the same at
-    every coverage level.
+    every coverage level and is computed once per ego.
     """
     spec = cover_mod.CoverSpec(
         universe=ctx.memes,
@@ -195,7 +206,7 @@ def evaluate_ego(
     originals = {
         "l": link_efficiency(ctx, link_cov, corpus),
         "f": inflow_efficiency(ctx, inflow_cov, corpus),
-        "t": delay_efficiency(ctx, corpus),
+        "t": _ego_delay_efficiency(ctx, corpus),
     }
     base = dict(
         ego=ctx.ego,

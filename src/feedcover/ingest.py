@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
-from .model import MEME_KINDS, Corpus, EgoContext, MemeId, PostEvent
+from .model import MEME_KINDS, Corpus, EgoContext, MemeId
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -71,53 +72,66 @@ def _youtube_video_id(url: str) -> str | None:
     return ids[0] if ids else None
 
 
+@lru_cache(maxsize=1 << 16)
+def _hashtag_meme(tag: str) -> MemeId:
+    return MemeId("hashtag", tag.lower())
+
+
+@lru_cache(maxsize=1 << 16)
+def _url_memes(url: str, news_domains: frozenset[str]) -> tuple[MemeId, ...]:
+    """The memes of one non-empty normalised URL: the url itself, then its
+    YouTube video and its news domain, if any. URLs repeat across posts, so
+    each distinct one is classified once."""
+    memes = [MemeId("url", url)]
+    video = _youtube_video_id(url)
+    if video:
+        memes.append(MemeId("youtube_video", video))
+    domain = _registered_domain(url, news_domains)
+    if domain:
+        memes.append(MemeId("news_domain", domain))
+    return tuple(memes)  # shared by every caller, so immutable
+
+
 def extract_memes(
     raw_text: str,
     news_domains: frozenset[str] = frozenset(),
     url_aliases: dict[str, str] | None = None,
 ) -> list[MemeId]:
-    """Extract the memes of every kind from one post's text.
+    """Extract the memes of every kind from one post's text, each once, in
+    first-seen order: the hashtags, then each URL's memes.
 
     URLs are first rewritten through the alias map (offline stand-in
     for unshortening), then classified. A single URL can yield up to
     three memes: url, plus youtube_video or news_domain.
     """
-    url_aliases = url_aliases or {}
-    seen: list[MemeId] = []
-
-    def emit(kind: str, key: str) -> None:
-        if not key:
-            return
-        meme = MemeId(kind, key)
-        if meme not in seen:
-            seen.append(meme)
-
-    for tag in _HASHTAG_RE.findall(raw_text):
-        emit("hashtag", tag.lower())
-    for token in _URL_RE.findall(raw_text):
+    memes = list(map(_hashtag_meme, _HASHTAG_RE.findall(raw_text)))
+    # Every URL match holds "://" or "www."; many posts have neither.
+    has_url = "://" in raw_text or "www." in raw_text
+    for token in _URL_RE.findall(raw_text) if has_url else ():
         url = normalize_url(token)
-        url = url_aliases.get(url, url)
-        if not url:
-            continue
-        emit("url", url)
-        video = _youtube_video_id(url)
-        if video:
-            emit("youtube_video", video)
-        domain = _registered_domain(url, news_domains)
-        if domain:
-            emit("news_domain", domain)
-    return seen
+        if url_aliases:
+            url = url_aliases.get(url, url)
+        if url:
+            memes += _url_memes(url, frozenset(news_domains))  # hashable
+    return list(dict.fromkeys(memes))
 
 
 def load_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable one is a MalformedRecord."""
+    """The lines of a UTF-8 text file; an unreadable one is a MalformedRecord.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r`` only: other Unicode line
+    separators (U+2028, U+0085, form feed, ...) may occur inside a post.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise MalformedRecord(path, None, f"cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise MalformedRecord(path, line_no, f"not UTF-8 ({exc.reason})") from None
+    if not lines[-1]:  # the text after the last newline
+        lines.pop()
+    return lines
 
 
 def load_news_domains(path) -> frozenset[str]:
@@ -155,7 +169,8 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         load_url_aliases(config.url_alias_map) if config.url_alias_map else {}
     )
     ids: dict[str, int] = {}  # label -> integer id, in first-seen order
-    events: list[PostEvent] = []
+    events: list[tuple[int, MemeId, int]] = []
+    append = events.append
     post_counts: dict[int, int] = {}
     active: set[int] = set()
     start, end = config.window_start, config.window_end
@@ -173,27 +188,26 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
                 raise MalformedRecord(posts_path, no, f"unknown meme kind {kind!r}")
             if not key:
                 raise MalformedRecord(posts_path, no, "empty meme key")
-            memes = [MemeId(kind, key)]
+        elif len(parts) != 3:
+            raise MalformedRecord(posts_path, no, "expected user<TAB>time<TAB>text")
         else:
-            if len(parts) != 3:
-                raise MalformedRecord(posts_path, no, "expected user<TAB>time<TAB>text")
             label, time_s, text = parts
-            memes = None
         try:
             time = int(time_s)
         except ValueError:
             raise MalformedRecord(posts_path, no, f"bad timestamp {time_s!r}")
-        user = ids.setdefault(label, len(ids))
+        user = ids.get(label)
+        if user is None:
+            user = ids[label] = len(ids)
         if time < start:
             active.add(user)
-            continue
-        if time >= end:
-            continue
-        post_counts[user] = post_counts.get(user, 0) + 1
-        if memes is None:
-            memes = extract_memes(text, news_domains, url_aliases)
-        for meme in memes:
-            events.append(PostEvent(user, meme, time))
+        elif time < end:
+            post_counts[user] = post_counts.get(user, 0) + 1
+            if config.pre_extracted:
+                append((user, MemeId(kind, key), time))
+            else:
+                for meme in extract_memes(text, news_domains, url_aliases):
+                    append((user, meme, time))
 
     follows: dict[int, set[int]] = {}
     for no, line in enumerate(load_lines(follows_path), start=1):
@@ -202,13 +216,21 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedRecord(follows_path, no, "expected follower<TAB>followee")
-        follower = ids.setdefault(parts[0], len(ids))
-        followee = ids.setdefault(parts[1], len(ids))
+        follower = ids.get(parts[0])
+        if follower is None:
+            follower = ids[parts[0]] = len(ids)
+        followee = ids.get(parts[1])
+        if followee is None:
+            followee = ids[parts[1]] = len(ids)
         if follower != followee:  # a user is not its own source
-            follows.setdefault(follower, set()).add(followee)
+            followees = follows.get(follower)
+            if followees is None:
+                follows[follower] = {followee}
+            else:
+                followees.add(followee)
 
     if config.require_pre_window_activity:
-        events = [ev for ev in events if ev.user in active]
+        events = [ev for ev in events if ev[0] in active]
         post_counts = {u: c for u, c in post_counts.items() if u in active}
         follows = {
             u: {v for v in vs if v in active}

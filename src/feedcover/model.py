@@ -10,6 +10,7 @@ a meme set (which changes with ``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -32,9 +33,10 @@ class MemeId(NamedTuple):
     key: str
 
 
-@dataclass(frozen=True)
-class PostEvent:
-    """One user posting one meme at one timestamp."""
+class PostEvent(NamedTuple):
+    """One user posting one meme at one timestamp: a tuple, so
+    ``Corpus.from_events`` unpacks it like the plain ``(user, meme, time)``
+    triples that ingest builds."""
 
     user: int
     meme: MemeId
@@ -51,8 +53,8 @@ class Corpus:
     so each user's memes are stored once.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    ``memes_by_user`` and the cover engines fill lazily (see
-    ``feedcover.cover``). It is not pickled (a loaded corpus starts with
+    ``memes_by_user``, the cover engines and ``evaluate_ego`` fill lazily
+    (see ``feedcover.cover``). It is not pickled (a loaded corpus starts with
     an empty memo), not compared by ``==`` and not shown by ``repr``; a
     ``dataclasses.replace`` copy starts with an empty one, so replacing a
     field never serves facts derived from the old value.
@@ -97,38 +99,47 @@ class Corpus:
         post_counts: dict[int, int] | None = None,
         user_labels: dict[int, str] | None = None,
     ) -> "Corpus":
-        """Build every index from a stream of PostEvents.
+        """Build every index from a sized collection of ``(user, meme, time)``
+        triples, such as PostEvents.
 
         The result is independent of the order of ``events``. When
-        ``post_counts`` is omitted, each event counts as one post. All
-        indices share one ``MemeId`` object per meme, so a pickled corpus
-        stores each meme once.
+        ``post_counts`` is omitted, each event counts as one post (so
+        ``events`` is read twice and may not be an iterator). All
+        indices share one ``MemeId`` object per meme (its first-seen one),
+        so a pickled corpus stores each meme once.
         """
-        if not events:
+        if len(events) == 0:
             raise EmptyCorpus("no post events")
-        posters: dict[MemeId, set[int]] = {}
+        # Each meme's posters, in first-seen order, with their first time.
+        times_by_meme: dict[MemeId, dict[int, int]] = {}
+        for user, meme, time in events:
+            times = times_by_meme.get(meme)
+            if times is None:
+                times_by_meme[meme] = {user: time}
+            elif time < times.get(user, time + 1):
+                times[user] = time
+        posters: dict[MemeId, frozenset[int]] = {}
         first: dict[MemeId, int] = {}
         first_by_user: dict[int, dict[MemeId, int]] = {}
-        counts: dict[int, int] = {}
-        canon: dict[MemeId, MemeId] = {}  # one MemeId object per meme
-        for ev in events:
-            meme = canon.setdefault(ev.meme, ev.meme)
-            posters.setdefault(meme, set()).add(ev.user)
-            if meme not in first or ev.time < first[meme]:
-                first[meme] = ev.time
-            per_user = first_by_user.setdefault(ev.user, {})
-            if meme not in per_user or ev.time < per_user[meme]:
-                per_user[meme] = ev.time
-            counts[ev.user] = counts.get(ev.user, 0) + 1
-        if post_counts is not None:
-            counts = dict(post_counts)
+        for meme in sorted(times_by_meme):
+            times = times_by_meme.pop(meme)  # freed once its indices are built
+            # Adding the posters one by one, as a set grown per event
+            # would, keeps each frozenset's layout, hence its pickle.
+            posters[meme] = frozenset(set(iter(times)))
+            first[meme] = min(times.values())
+            for user, time in times.items():
+                per_user = first_by_user.get(user)
+                if per_user is None:
+                    first_by_user[user] = {meme: time}
+                else:
+                    per_user[meme] = time  # memes arrive in sorted order
+        if post_counts is None:
+            post_counts = Counter(user for user, _, _ in events)
         return cls(
-            posters_by_meme={m: frozenset(v) for m, v in sorted(posters.items())},
-            post_count=dict(sorted(counts.items())),
-            first_mention=dict(sorted(first.items())),
-            first_post_by_user={
-                u: dict(sorted(v.items())) for u, v in sorted(first_by_user.items())
-            },
+            posters_by_meme=posters,
+            post_count=dict(sorted(post_counts.items())),
+            first_mention=first,
+            first_post_by_user=dict(sorted(first_by_user.items())),
             follows={u: frozenset(v) for u, v in sorted(follows.items())},
             user_labels=dict(user_labels or {}),
         )

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from feedcover import cli, errors
+from feedcover import cover as cover_mod
 from feedcover.cli import main
 
 WINDOW = ["--window-start", "0", "--window-end", "604800"]
@@ -100,6 +102,39 @@ def test_ingest_iso_window_equals_unix_seconds(tmp_path):
     assert caches["naive"] == caches["unix"] == caches["offset"]
     kept = cli._load_cached(tmp_path / "unix" / "corpus.pkl").first_mention
     assert sorted(m.key for m in kept) == ["first", "last"]
+
+
+@pytest.mark.parametrize("start, end, kept", [
+    ("2020-09-13T12:26:40.5", "1600001000", ["after"]),
+    ("1599999500", "2020-09-13T12:26:40.5", ["on"]),
+])
+def test_iso_window_rounds_fractional_seconds_up(tmp_path, start, end, kept):
+    # 2020-09-13T12:26:40.5Z lies half a second after the post at 1600000000.
+    posts = tmp_path / "posts.tsv"
+    posts.write_text("a\t1599999000\twarm up\na\t1600000000\t#on\na\t1600000001\t#after\n")
+    follows = tmp_path / "follows.tsv"
+    follows.write_text("b\ta\n")
+    assert run(["ingest", "--posts", posts, "--follows", follows, "--window-start", start,
+                "--window-end", end, "--out", tmp_path / "cache"]) == 0
+    corpus = cli._load_cached(tmp_path / "cache" / "corpus.pkl")
+    assert sorted(m.key for m in corpus.first_mention) == kept
+
+
+def test_e_delay_computed_once_per_ego(bipartite_corpus, tmp_path, monkeypatch):
+    calls = []
+    real = cover_mod.set_average_delay_days
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cover_mod, "set_average_delay_days", counted)
+    assert run(["efficiency", "--corpus", bipartite_corpus, "--min-followees", "1",
+                "--coverage", "0.5", "--coverage", "1.0", "--out", tmp_path / "rep"]) == 0
+    egos = {r["ego"] for r in read_tsv(tmp_path / "rep" / "efficiency.tsv")}
+    assert len(egos) > 10
+    # Per ego: e_delay once, then et_ul, et_uf and et_ua at full coverage.
+    assert len(calls) == 4 * len(egos)
 
 
 def test_efficiency_redundant_archetype(redundant_dir, tmp_path):
@@ -408,6 +443,34 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     assert "Traceback" not in proc.stderr
     assert expect in proc.stderr
     assert not (tmp_path / "synth").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, code", [
+    ("ingest", 0), ("analysis", 0), ("corrupt_cache", 2), ("malformed_posts", 2),
+])
+def test_main_restores_gc_state(redundant_dir, tmp_path, enabled, case, code):
+    posts, follows = tmp_path / "posts.tsv", tmp_path / "follows.tsv"
+    posts.write_text("a\t-5\tw\na\t10\t#x\n" + ("broken\n" if case == "malformed_posts" else ""))
+    follows.write_text("b\ta\n")
+    cache = tmp_path / "corrupt.pkl"
+    cache.write_bytes(b"\x00garbage")
+    if case in ("ingest", "malformed_posts"):
+        argv = ["ingest", "--posts", posts, "--follows", follows, *WINDOW,
+                "--out", tmp_path / "cache"]
+    else:
+        corpus = redundant_dir if case == "analysis" else cache
+        argv = ["efficiency", "--corpus", corpus, "--egos", "0", "--min-followees", "1",
+                "--out", tmp_path / "rep"]
+    was_enabled = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # The exit code of each class in feedcover.errors that reaches cli.main.

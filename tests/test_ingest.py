@@ -2,14 +2,21 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedcover.efficiency import delay_efficiency
 from feedcover.errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
+    _HASHTAG_RE,
+    _URL_RE,
     IngestConfig,
+    _registered_domain,
+    _youtube_video_id,
     ego_context,
     extract_memes,
     load_corpus,
+    load_lines,
     normalize_url,
 )
 from feedcover.model import MemeId
@@ -69,6 +76,102 @@ def test_url_normalization_idempotent_and_keeps_www():
     url = normalize_url("https://www.example.com/path,")
     assert url == "www.example.com/path"
     assert normalize_url(url) == url
+
+
+def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None):
+    """``extract_memes`` as a plain loop: each URL occurrence classified
+    again, each meme appended unless an equal one is already listed."""
+    url_aliases = url_aliases or {}
+    seen = []
+
+    def emit(kind, key):
+        if not key:
+            return
+        meme = MemeId(kind, key)
+        if meme not in seen:
+            seen.append(meme)
+
+    for tag in _HASHTAG_RE.findall(raw_text):
+        emit("hashtag", tag.lower())
+    for token in _URL_RE.findall(raw_text):
+        url = normalize_url(token)
+        url = url_aliases.get(url, url)
+        if not url:
+            continue
+        emit("url", url)
+        video = _youtube_video_id(url)
+        if video:
+            emit("youtube_video", video)
+        domain = _registered_domain(url, news_domains)
+        if domain:
+            emit("news_domain", domain)
+    return seen
+
+
+TOKENS = (
+    "#News", "#news", "#a_b", "#x1", "#", "word", "http://bit.ly/x1", "https://bit.ly/x1!",
+    "http://bit.ly/x2,", "bit.ly/x1", "https://www.youtube.com/watch?v=abc123&t=5",
+    "www.youtube.com/watch?v=abc123.", "https://WWW.YouTube.com/watch?v=Q", "www.youtube.com/watch",
+    "http://edition.cnn.com/world/x", "(https://cnn.com/a)", "http://cnn.com.evil.org/a",
+    "www.bbc.co.uk", "https://news.bbc.co.uk/x#frag", "http://", "https://.", "www.",
+)
+ALIASES = {
+    "bit.ly/x1": "www.youtube.com/watch?v=abc123&t=5",
+    "bit.ly/x2": "edition.cnn.com/story",
+    "www.bbc.co.uk": "",
+}
+texts = st.lists(
+    st.one_of(st.sampled_from(TOKENS), st.text(alphabet="#w./:?=&hpstv_xA1 ", max_size=12)),
+    max_size=12,
+).flatmap(lambda parts: st.sampled_from([" ", "", "\t", "\u2028"]).map(
+    lambda sep: sep.join(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts,
+    st.frozensets(st.sampled_from(["cnn.com", "bbc.co.uk", "co.uk", "youtube.com", "org"])),
+    st.dictionaries(st.sampled_from(sorted(ALIASES)), st.just(None)),
+)
+def test_extract_memes_matches_reference(text, news_domains, alias_keys):
+    aliases = {short: ALIASES[short] for short in alias_keys}
+    expected = reference_extract_memes(text, news_domains, aliases)
+    # Twice: the second call is served from the per-URL cache.
+    assert extract_memes(text, news_domains, aliases) == expected
+    assert extract_memes(text, news_domains, aliases) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "a\n\n", "a\n\nb", "a\r\nb\r\n", "a\rb\r", "\ta\t\n",
+])
+def test_load_lines_equals_splitlines_without_unicode_separators(tmp_path, text):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_lines(path) == text.splitlines()
+
+
+def test_load_lines_keeps_unicode_separators_inside_a_line(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("a\u2028b\u0085c\fd\ve\x1cf\x1dg\x1eh\u2029i\nnext\n", encoding="utf-8")
+    assert load_lines(path) == ["a\u2028b\u0085c\fd\ve\x1cf\x1dg\x1eh\u2029i", "next"]
+
+
+def test_posts_with_unicode_line_separators(tmp_path):
+    posts = (
+        "a\t1\twarm up\n"
+        "a\t1100\tline\u2028break #one\n"
+        "a\t1200\tnext\u0085line\f#two www.x.org/\u2028y\n"
+    )
+    p, f = _write(tmp_path, posts, "b\ta\n")
+    corpus = load_corpus(p, f, CFG)
+    assert corpus.post_count == {0: 2}
+    assert sorted(corpus.first_mention) == [
+        MemeId("hashtag", "one"), MemeId("hashtag", "two"), MemeId("url", "www.x.org/"),
+    ]
+    p.write_text(posts + "a\t1300\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(p, f, CFG)
+    assert err.value.line_no == 4
 
 
 def _write(tmp_path, posts, follows):
