@@ -33,7 +33,6 @@ from .egonet import (
 )
 from .ingest import IngestConfig, ego_context, extract_memes, load_corpus
 from .model import Corpus, CoverResult, EgoContext, MemeId, PostEvent
-from .synth import SynthSpec, generate, generate_triadic_corpus, write_corpus_files
 
 __all__ = [
     "Corpus",
@@ -68,3 +67,15 @@ __all__ = [
     "overlap",
     "write_corpus_files",
 ]
+
+
+def __getattr__(name):
+    """The ``synth`` names load on first access, so only ``feedcover synth`` imports it."""
+    if name in ("SynthSpec", "generate", "generate_triadic_corpus", "write_corpus_files"):
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -20,20 +20,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import pickle
-import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import __version__
 from . import cover as cover_mod
 from . import efficiency as eff_mod
 from . import egonet as egonet_mod
-from . import synth as synth_mod
 from .errors import (
     CacheError,
     EmptyCorpus,
@@ -44,10 +40,9 @@ from .errors import (
     UndefinedMeasure,
 )
 from .ingest import IngestConfig, ego_context, load_corpus
-from .model import MEME_KINDS, Corpus, MemeId
+from .model import ARCHETYPES, MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # Bump when the pickled layout of Corpus or MemeId changes.
 CACHE_FORMAT = 5
 _CACHE_HINT = "re-run `feedcover ingest`"
@@ -81,8 +76,10 @@ class ReportWriter:
         path = self.out_dir / f"{name}.{ext}"
         lines = [f"# feedcover {name}", f"# seed {self.seed}"]
         if self.timestamp:
+            from datetime import datetime, timezone
             lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
         if self.fmt == "jsonl":
+            import json
             lines.extend(
                 json.dumps({c: row.get(c) for c in columns}, sort_keys=False)
                 for row in rows
@@ -115,7 +112,8 @@ def _gc_paused():
 
     Building or unpickling a corpus creates tens of thousands of dicts,
     sets and tuples that form no reference cycle; left on, the collector
-    would scan them again and again while they are built.
+    would scan them again and again while they are built. A pause defers
+    that scan to the next collection; ``cmd_analysis`` freezes what it loads.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -142,7 +140,7 @@ def _load_cached(path) -> Corpus:
     A missing, unreadable, corrupt, foreign or stale file raises CacheError.
     """
     try:
-        with open(path, "rb") as fh, _gc_paused():
+        with open(path, "rb") as fh:
             envelope = _CacheUnpickler(fh).load()
     except OSError as exc:
         raise CacheError(f"cannot read corpus cache {path}: {exc.strerror}; {_CACHE_HINT}")
@@ -169,6 +167,7 @@ def _iso_seconds(text: str) -> int:
         return int(text)
     except ValueError:
         pass
+    from datetime import datetime, timedelta, timezone
     try:
         dt = datetime.fromisoformat(text)
     except ValueError:
@@ -177,7 +176,7 @@ def _iso_seconds(text: str) -> int:
         ) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return -((_EPOCH - dt) // timedelta(seconds=1))  # exact ceiling
+    return -((datetime(1970, 1, 1, tzinfo=timezone.utc) - dt) // timedelta(seconds=1))
 
 
 def _positive_int(text: str) -> int:
@@ -202,6 +201,7 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
         return sorted(set(egos))
     pool = sorted(corpus.follows)
     if args.sample_n is not None and args.sample_n < len(pool):
+        import random
         pool = sorted(random.Random(args.seed).sample(pool, args.sample_n))
     return pool
 
@@ -389,9 +389,13 @@ _ANALYSES = {
 
 
 def cmd_analysis(args) -> int:
-    """Run one analysis subcommand over the selected egos; write its reports."""
+    """Run one analysis subcommand over the selected egos; write its reports.
+    The corpus loads with the GC paused, then ``gc.freeze`` keeps it out of
+    every later collection, the one at exit included."""
     _, row_fn, summarize, _ = _ANALYSES[args.command]
-    corpus = _load_cached(args.corpus)
+    with _gc_paused():
+        corpus = _load_cached(args.corpus)
+        gc.freeze()
     rows, skipped = [], 0
     for ego in _select_egos(corpus, args):
         try:
@@ -415,6 +419,7 @@ def cmd_analysis(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth as synth_mod
     out = Path(args.out)
     if args.archetype == "triadic_communities":
         events, follows, egos = synth_mod.generate_triadic_events(
@@ -482,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic corpus files")
     p.add_argument("--archetype", default="random_bipartite",
-                   choices=synth_mod.ARCHETYPES + ("triadic_communities",),
+                   choices=ARCHETYPES + ("triadic_communities",),
                    help="triadic_communities reads only --seed and --window-days")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-users", type=int, default=20)
@@ -511,18 +516,14 @@ def main(argv=None) -> int:
             parser.error("cover takes one --coverage")
     try:
         return args.fn(args)
-    except (MalformedRecord, CacheError, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (EmptyCorpus, InfeasibleCover) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except FeedcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, (MalformedRecord, CacheError, InvalidSpec)):
+            return 2
+        return 3 if isinstance(exc, (EmptyCorpus, InfeasibleCover)) else 4
 
 
 if __name__ == "__main__":

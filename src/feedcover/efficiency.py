@@ -6,14 +6,11 @@ set, making a ratio exceed 1; such values are clamped to 1 and logged.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import cover as cover_mod
 from .errors import UndefinedMeasure
 from .model import Corpus, CoverResult, EgoContext
-
-log = logging.getLogger(__name__)
 
 
 def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[int]:
@@ -26,7 +23,8 @@ def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[
 
 def _clamp(value: float, metric: str, ego: int) -> float:
     if value > 1.0:
-        log.warning("clamping %s=%g > 1 for ego %d", metric, value, ego)
+        import logging  # loaded on the first clamp, not at startup
+        logging.getLogger(__name__).warning("clamping %s=%g > 1 for ego %d", metric, value, ego)
         return 1.0
     return value
 

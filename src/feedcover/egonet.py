@@ -6,8 +6,8 @@ scores 0 and a fully connected member set scores 1.
 """
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
+from math import fsum, sqrt
 
 from .errors import UndefinedMeasure
 from .model import Corpus
@@ -53,13 +53,16 @@ def overlap(optimal, followees) -> float:
 
 
 def lcc_overlap_correlation(points) -> float:
-    """Pearson correlation of (lcc, overlap) pairs; no p-value reported."""
+    """Pearson correlation of (lcc, overlap) pairs, bit for bit as Python
+    3.11's ``statistics.correlation``, which is not imported; no p-value."""
     points = list(points)
     if len(points) < 2:
         raise UndefinedMeasure("need at least two points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    try:
-        return statistics.correlation(xs, ys)
-    except statistics.StatisticsError as exc:
-        raise UndefinedMeasure(str(exc)) from exc
+    xs, ys = zip(*points)
+    xbar, ybar = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    sxy = fsum((x - xbar) * (y - ybar) for x, y in points)
+    sxx = fsum((x - xbar) * (x - xbar) for x in xs)
+    syy = fsum((y - ybar) * (y - ybar) for y in ys)
+    if sxx * syy == 0:
+        raise UndefinedMeasure("at least one of the inputs is constant")
+    return sxy / sqrt(sxx * syy)

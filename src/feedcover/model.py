@@ -20,6 +20,8 @@ from .errors import EmptyCorpus
 SECONDS_PER_DAY = 86400.0
 
 MEME_KINDS = ("hashtag", "url", "news_domain", "youtube_video")
+# Archetypes of ``feedcover.synth``, named here so the CLI need not import it.
+ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pareto_inflow")
 
 
 class MemeId(NamedTuple):

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidSpec
-from .model import Corpus, MemeId, PostEvent
-
-ARCHETYPES = (
-    "random_bipartite",
-    "redundant_followees",
-    "superuser_shadow",
-    "pareto_inflow",
-)
+from .model import ARCHETYPES, Corpus, MemeId, PostEvent
 
 _DAY = 86400
 
@@ -91,7 +84,6 @@ def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int
             for w in range(1, n):
                 if v != w and rng.random() < 0.1:
                     follows.setdefault(v, set()).add(w)
-        follows[ego] = set(range(1, k + 1))
     else:  # pareto_inflow
         n = max(spec.n_users, k + 1)
         for v in range(1, n):
@@ -102,17 +94,10 @@ def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int
     return events, follows, ego
 
 
-def generate_triadic_corpus(
-    seed: int = 0,
-    n_communities: int = 20,
-    community_size: int = 12,
-    memes_per_community: int = 30,
-    window_days: int = 7,
-) -> tuple[Corpus, list[int]]:
-    """The corpus of ``generate_triadic_events`` and one ego per member."""
-    events, follows, egos = generate_triadic_events(
-        seed, n_communities, community_size, memes_per_community, window_days
-    )
+def generate_triadic_corpus(*args, **kwargs) -> tuple[Corpus, list[int]]:
+    """The corpus of ``generate_triadic_events`` with the same arguments,
+    and one ego per member."""
+    events, follows, egos = generate_triadic_events(*args, **kwargs)
     return Corpus.from_events(events, follows), egos
 
 

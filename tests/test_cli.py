@@ -390,6 +390,8 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("empty_window", "window [0, 0) is empty"),
     ("inverted_window", "window [604800, 0) is empty"),
     ("synth_triadic_one_day", "triadic_communities needs window_days >= 2"),
+    ("synth_unknown_archetype", "invalid choice: 'bogus' (choose from 'random_bipartite', "
+     "'redundant_followees', 'superuser_shadow', 'pareto_inflow', 'triadic_communities')"),
 ])
 def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     posts = tmp_path / "posts.tsv"
@@ -415,6 +417,8 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     elif case == "synth_triadic_one_day":
         argv = ["synth", "--archetype", "triadic_communities", "--window-days", "1",
                 "--out", tmp_path / "synth"]
+    elif case == "synth_unknown_archetype":
+        argv = ["synth", "--archetype", "bogus", "--out", tmp_path / "synth"]
     elif case == "synth_shadow_few_memes":
         argv = ["synth", "--archetype", "superuser_shadow", "--n-memes", "2",
                 "--out", tmp_path / "synth"]
@@ -471,6 +475,26 @@ def test_main_restores_gc_state(redundant_dir, tmp_path, enabled, case, code):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("case, code, frozen", [("analysis", 0, True), ("corrupt_cache", 2, False)])
+def test_analysis_freezes_the_loaded_corpus(redundant_dir, tmp_path, case, code, frozen):
+    # In a fresh interpreter: gc.freeze is process-wide, so pytest's own
+    # process cannot tell this run's freeze from an earlier test's.
+    cache = tmp_path / "corrupt.pkl"
+    cache.write_bytes(b"\x00garbage")
+    corpus = redundant_dir if case == "analysis" else cache
+    argv = ["efficiency", "--corpus", corpus, "--egos", "0", "--min-followees", "1",
+            "--out", tmp_path / "rep"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc, sys\nfrom feedcover.cli import main\ncode = main(sys.argv[1:])\n"
+         "print(code, gc.get_freeze_count() > 0, gc.isenabled())",
+         *map(str, argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout.split()[-3:] == [str(code), str(frozen), "True"]
+    assert "Traceback" not in proc.stderr
 
 
 # The exit code of each class in feedcover.errors that reaches cli.main.

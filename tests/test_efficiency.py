@@ -203,6 +203,7 @@ def test_greedy_overshoot_is_clamped(caplog):
     with caplog.at_level("WARNING"):
         assert link_efficiency(ctx, cov, corpus) == 1.0
     assert "clamping" in caplog.text
+    assert [r.name for r in caplog.records] == ["feedcover.efficiency"]
 
 
 def test_partial_coverage_filters_followees():

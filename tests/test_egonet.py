@@ -1,7 +1,11 @@
 import random
+import statistics
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedcover.egonet import (
     EgoNetwork,
@@ -142,3 +146,37 @@ def test_correlation_degenerate():
         lcc_overlap_correlation([(1, 1)])
     with pytest.raises(UndefinedMeasure, match="constant"):
         lcc_overlap_correlation([(1, 1), (1, 2), (1, 3)])
+
+
+# An LCC or overlap: any float in [0, 1], or a value on a coarse grid so
+# that ties and constant inputs come up often.
+_UNIT = st.one_of(st.floats(0.0, 1.0, allow_subnormal=False),
+                  st.integers(0, 8).map(lambda k: k / 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_UNIT, _UNIT), max_size=40))
+@example([])
+@example([(0.25, 0.5)])
+@example([(0.5, 0.0), (0.5, 1.0), (0.5, 0.25)])
+@example([(0.0, 0.375), (1.0, 0.375)])
+# Squaring deviations with ``** 2.0`` instead of ``d * d`` moves this
+# result by one ulp (glibc's pow), so it pins the 3.11 formula.
+@example([(0.907, 0.805), (0.665, 0.064), (0.668, 0.421)])
+def test_correlation_matches_statistics(points):
+    # lcc_overlap_correlation uses statistics.correlation's formula of
+    # Python 3.11, so there the two agree to the bit. Python 3.10 squares
+    # each deviation with ``** 2.0`` (libm pow, which differs from ``d * d``
+    # in the last bit for about 1 value in 1,200) and 3.12 switched to
+    # ``math.sumprod``, so on other versions they agree within rounding.
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    try:
+        expected = statistics.correlation(xs, ys)
+    except statistics.StatisticsError:  # fewer than two points, or a constant input
+        with pytest.raises(UndefinedMeasure):
+            lcc_overlap_correlation(points)
+        return
+    if sys.version_info[:2] == (3, 11):
+        assert lcc_overlap_correlation(points) == expected
+    else:
+        assert lcc_overlap_correlation(points) == pytest.approx(expected, rel=1e-9, abs=1e-12)
