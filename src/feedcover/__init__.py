@@ -44,7 +44,6 @@ __all__ = [
     "IngestConfig",
     "MemeId",
     "PostEvent",
-    "SynthSpec",
     "build_ego_network",
     "cross_efficiencies",
     "delay_efficiency",
@@ -53,8 +52,6 @@ __all__ = [
     "ego_context",
     "evaluate_ego",
     "extract_memes",
-    "generate",
-    "generate_triadic_corpus",
     "greedy_min_cover",
     "greedy_weighted_cover",
     "inflow_efficiency",
@@ -65,17 +62,5 @@ __all__ = [
     "load_corpus",
     "local_clustering_coefficient",
     "overlap",
-    "write_corpus_files",
 ]
 
-
-def __getattr__(name):
-    """The ``synth`` names load on first access, so only ``feedcover synth`` imports it."""
-    if name in ("SynthSpec", "generate", "generate_triadic_corpus", "write_corpus_files"):
-        from . import synth
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -14,7 +14,7 @@ timestamp line can be suppressed for byte-identical reruns. Rows are
 sorted by user id. Exit codes: 0 success, 2 bad input (an unreadable
 or malformed input file, an invalid parameter, an unwritable ``--out``,
 or a missing, corrupt or stale corpus cache), 3 empty or infeasible
-data, 4 internal error.
+data, 4 internal error; a FeedcoverError exits with its ``exit_code``.
 """
 from __future__ import annotations
 
@@ -30,22 +30,13 @@ from . import __version__
 from . import cover as cover_mod
 from . import efficiency as eff_mod
 from . import egonet as egonet_mod
-from .errors import (
-    CacheError,
-    EmptyCorpus,
-    FeedcoverError,
-    InfeasibleCover,
-    InvalidSpec,
-    MalformedRecord,
-    UndefinedMeasure,
-)
+from .errors import EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord, UndefinedMeasure
 from .ingest import IngestConfig, ego_context, load_corpus
 from .model import ARCHETYPES, MEME_KINDS, Corpus, MemeId
 
 HIST_BIN_WIDTH = 0.02
 # Bump when the pickled layout of Corpus or MemeId changes.
 CACHE_FORMAT = 5
-_CACHE_HINT = "re-run `feedcover ingest`"
 # Decoding errors pickle raises on truncated, corrupt or incompatible data.
 _UNPICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, IndexError, KeyError,
@@ -136,24 +127,23 @@ def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
 
 def _load_cached(path) -> Corpus:
     """Load a cache written by ``_save_corpus`` of this format and version.
-
-    A missing, unreadable, corrupt, foreign or stale file raises CacheError.
-    """
+    A missing, unreadable, corrupt, foreign or stale file raises a
+    MalformedRecord: ``<path>: <reason>; re-run `feedcover ingest```."""
+    def unusable(reason):
+        return MalformedRecord(path, None, f"{reason}; re-run `feedcover ingest`")
     try:
         with open(path, "rb") as fh:
             envelope = _CacheUnpickler(fh).load()
     except OSError as exc:
-        raise CacheError(f"cannot read corpus cache {path}: {exc.strerror}; {_CACHE_HINT}")
+        raise unusable(f"cannot read corpus cache: {exc.strerror}") from None
     except _UNPICKLE_ERRORS as exc:
-        raise CacheError(f"{path} is not a readable corpus cache ({exc}); {_CACHE_HINT}")
+        raise unusable(f"not a readable corpus cache ({exc})") from None
     if not isinstance(envelope, dict) or not isinstance(envelope.get("corpus"), Corpus):
-        raise CacheError(f"{path} is not a feedcover corpus cache; {_CACHE_HINT}")
+        raise unusable("not a feedcover corpus cache")
     found = (envelope.get("format"), envelope.get("version"))
     if found != (CACHE_FORMAT, __version__):
-        raise CacheError(
-            f"{path} has cache format {found[0]} from feedcover {found[1]}; this "
-            f"feedcover {__version__} reads format {CACHE_FORMAT}; {_CACHE_HINT}"
-        )
+        raise unusable(f"cache format {found[0]} from feedcover {found[1]}; this "
+                       f"feedcover {__version__} reads format {CACHE_FORMAT}")
     return envelope["corpus"]
 
 
@@ -181,7 +171,7 @@ def _iso_seconds(text: str) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
     return int(text)
 
@@ -194,7 +184,7 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
             token = token.strip()
             if token in by_label:
                 egos.append(by_label[token])
-            elif token.isdigit() and int(token) in corpus.user_labels:
+            elif token.isdecimal() and int(token) in corpus.user_labels:
                 egos.append(int(token))
             else:
                 raise EmptyCorpus(f"unknown ego {token!r}")
@@ -521,9 +511,7 @@ def main(argv=None) -> int:
         return 2
     except FeedcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (MalformedRecord, CacheError, InvalidSpec)):
-            return 2
-        return 3 if isinstance(exc, (EmptyCorpus, InfeasibleCover)) else 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -55,21 +55,15 @@ def _set_delay_efficiency(corpus: Corpus, selected, universe) -> float:
 def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     """1 / (1 + mean days between global first mention and ego receipt).
 
-    The ego receives each meme when its first followee posts it.
-    """
+    The ego receives each meme when its first followee posts it. The value
+    is the same at every coverage level; the corpus memo keeps it for the
+    latest ``(followees, memes)``, so it is computed once per ego."""
     if not ctx.memes:
         raise UndefinedMeasure("received no memes")
-    return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
-
-
-def _ego_delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
-    """``delay_efficiency``, which does not depend on the coverage level,
-    computed once per ego: the corpus memo keeps it for the latest
-    ``(followees, memes)``."""
     key = (ctx.followees, ctx.memes)
     slot = corpus._memo.get("ego_delay")
     if slot is None or slot[0] != key:
-        slot = corpus._memo["ego_delay"] = (key, delay_efficiency(ctx, corpus))
+        slot = corpus._memo["ego_delay"] = (key, _set_delay_efficiency(corpus, *key))
     return slot[1]
 
 
@@ -204,7 +198,7 @@ def evaluate_ego(
     originals = {
         "l": link_efficiency(ctx, link_cov, corpus),
         "f": inflow_efficiency(ctx, inflow_cov, corpus),
-        "t": _ego_delay_efficiency(ctx, corpus),
+        "t": delay_efficiency(ctx, corpus),
     }
     base = dict(
         ego=ctx.ego,

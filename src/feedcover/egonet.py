@@ -1,8 +1,7 @@
 """Ego-network construction and the structural measures: LCC and overlap.
 
-Directed follow edges are symmetrized for the clustering coefficient;
-the ego's own edges to members do not count toward it, so a pure star
-scores 0 and a fully connected member set scores 1.
+Follow edges among an ego's members (never the ego) are symmetrized for the
+clustering coefficient, so a pure star scores 0 and a complete member set 1.
 """
 from __future__ import annotations
 
@@ -15,33 +14,33 @@ from .model import Corpus
 
 @dataclass(frozen=True)
 class EgoNetwork:
-    ego: int
+    """An ego's members (the ego left out) and ``edges``: each member pair
+    ``(a, b)``, ``a < b``, joined by a follow edge in either direction."""
+
     members: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
 
 def build_ego_network(corpus: Corpus, ego: int, members) -> EgoNetwork:
-    """Induced subgraph of the follow graph on {ego} | members."""
+    """The members other than ``ego`` and the follow edges among them."""
     members = frozenset(members) - {ego}
     if not members:
         raise UndefinedMeasure("empty member set")
-    nodes = members | {ego}
     edges = frozenset(
-        (a, b)
-        for a in nodes
-        for b in corpus.follows.get(a, frozenset()) & nodes
+        (a, b) if a < b else (b, a)
+        for a in members
+        for b in corpus.follows.get(a, frozenset()) & members
         if a != b
     )
-    return EgoNetwork(ego=ego, members=members, edges=edges)
+    return EgoNetwork(members=members, edges=edges)
 
 
 def local_clustering_coefficient(net: EgoNetwork) -> float:
-    """Fraction of member pairs connected by a (symmetrized) follow edge."""
+    """Fraction of member pairs connected by a follow edge."""
     n = len(net.members)
     if n < 2:
         raise UndefinedMeasure(f"LCC undefined for {n} members")
-    undirected = {frozenset(e) for e in net.edges if net.ego not in e}
-    return len(undirected) / (n * (n - 1) / 2)
+    return len(net.edges) / (n * (n - 1) / 2)
 
 
 def overlap(optimal, followees) -> float:

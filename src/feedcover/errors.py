@@ -1,11 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each class's ``exit_code``
+is what ``feedcover`` exits with when that error stops a command."""
 
 
 class FeedcoverError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 4
+
 
 class MalformedRecord(FeedcoverError):
+    """An unusable input file or corpus cache; ``line_no`` is None for a whole file."""
+
+    exit_code = 2
+
     def __init__(self, path, line_no, reason):
         where = path if line_no is None else f"{path}:{line_no}"
         super().__init__(f"{where}: {reason}")
@@ -14,20 +21,16 @@ class MalformedRecord(FeedcoverError):
         self.reason = reason
 
 
-class CacheError(FeedcoverError):
-    """A corpus cache that is missing, unreadable, foreign or stale."""
-
-
 class EmptyCorpus(FeedcoverError):
-    pass
+    exit_code = 3
 
 
 class InfeasibleCover(FeedcoverError):
-    pass
+    exit_code = 3
 
 
 class InvalidSpec(FeedcoverError):
-    pass
+    exit_code = 2
 
 
 class UndefinedMeasure(FeedcoverError):

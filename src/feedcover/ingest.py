@@ -117,13 +117,13 @@ def extract_memes(
 
 
 def load_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable one is a MalformedRecord.
+    """The lines of a UTF-8 file (a BOM dropped); an unreadable one is a MalformedRecord.
 
     Lines end at ``\n``, ``\r\n`` or ``\r`` only: other Unicode line
     separators (U+2028, U+0085, form feed, ...) may occur inside a post.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except OSError as exc:
         raise MalformedRecord(path, None, f"cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -1,8 +1,9 @@
 """Core domain types: posts, corpora, ego contexts, cover results.
 
 All types are frozen dataclasses or tuples, and nothing in the package
-mutates their dict or set fields after construction. User ids are integer surrogates assigned at ingestion in
-first-seen order; every tie-break in the package uses this order.
+mutates their dict or set fields after construction, except the private
+cache ``Corpus._memo`` (see ``Corpus``). User ids are integer surrogates
+assigned at ingestion in first-seen order, which every tie-break uses.
 Timestamps are integer unix seconds; delays are converted to
 real-valued days where averaged. Delays are summed with ``math.fsum``,
 which rounds once, so a mean does not depend on the iteration order of
@@ -55,7 +56,7 @@ class Corpus:
     so each user's memes are stored once.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    ``memes_by_user``, the cover engines and ``evaluate_ego`` fill lazily
+    ``memes_by_user``, the cover engines and ``delay_efficiency`` fill lazily
     (see ``feedcover.cover``). It is not pickled (a loaded corpus starts with
     an empty memo), not compared by ``==`` and not shown by ``repr``; a
     ``dataclasses.replace`` copy starts with an empty one, so replacing a

@@ -235,7 +235,8 @@ def test_console_entrypoint_smoke():
     assert "ingest" in proc.stdout
 
 
-@pytest.mark.parametrize("egos, code", [("a,b", 0), ("0,1", 0), ("0,7", 3)])
+# "\u00b2" is a superscript two: a digit to str.isdigit, but not to int.
+@pytest.mark.parametrize("egos, code", [("a,b", 0), ("0,1", 0), ("0,7", 3), ("0,\u00b2", 3)])
 def test_ego_without_followees_is_skipped_by_label_or_id(tmp_path, capsys, egos, code):
     # b (id 1) follows only itself, and self-follow edges are dropped at
     # ingest, so b is a user of the corpus but not a key of its follows.
@@ -253,7 +254,8 @@ def test_ego_without_followees_is_skipped_by_label_or_id(tmp_path, capsys, egos,
         assert err.count("skip ego b: 0 followees posting hashtag (need 1)\n") == 1
         assert [r["ego_label"] for r in read_tsv(tmp_path / "rep" / "efficiency.tsv")] == ["a"]
     else:
-        assert "unknown ego '7'" in err
+        assert f"unknown ego '{egos.split(',')[-1]}'" in err
+        assert "Traceback" not in err
 
 
 def test_synth_triadic_honours_window_days(tmp_path):
@@ -378,6 +380,7 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("non_utf8_posts", "posts.tsv:2"),
     ("bad_window_start", "--window-start"),
     ("negative_sample_n", "--sample-n"),
+    ("superscript_sample_n", "'\u00b2' is not an integer >= 1"),
     ("synth_zero_users", "all counts must be >= 1"),
     ("synth_shadow_few_memes", "superuser_shadow needs n_memes"),
     ("ingest_out_is_file", "follows.tsv: File exists"),
@@ -409,8 +412,9 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     elif case in ("empty_window", "inverted_window"):
         # The posts file is not UTF-8, so this message shows it was not read.
         argv[6], argv[8] = ("0", "0") if case == "empty_window" else ("604800", "0")
-    elif case == "negative_sample_n":
-        argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", "-1",
+    elif case in ("negative_sample_n", "superscript_sample_n"):
+        sample_n = "-1" if case == "negative_sample_n" else "\u00b2"
+        argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", sample_n,
                 "--out", tmp_path / "rep"]
     elif case == "synth_zero_users":
         argv = ["synth", "--n-users", "0", "--out", tmp_path / "synth"]
@@ -499,7 +503,7 @@ def test_analysis_freezes_the_loaded_corpus(redundant_dir, tmp_path, case, code,
 
 # The exit code of each class in feedcover.errors that reaches cli.main.
 EXIT_CODES = {
-    "MalformedRecord": 2, "CacheError": 2, "InvalidSpec": 2,
+    "MalformedRecord": 2, "InvalidSpec": 2,
     "EmptyCorpus": 3, "InfeasibleCover": 3,
     "FeedcoverError": 4, "UndefinedMeasure": 4,
 }
@@ -517,5 +521,5 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, cls):
     monkeypatch.setattr(cli, "load_corpus", fail)
     code = run(["ingest", "--posts", tmp_path / "posts.tsv", "--follows",
                 tmp_path / "follows.tsv", *WINDOW, "--out", tmp_path / "cache"])
-    assert code == EXIT_CODES[cls.__name__]
+    assert code == EXIT_CODES[cls.__name__] == cls.exit_code
     assert "error:" in capsys.readouterr().err

@@ -254,6 +254,39 @@ def test_load_corpus_reads_side_files(tmp_path):
     ]
 
 
+def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
+    # The first record of each file names what a BOM would rename: user a
+    # (active only through its warm-up post), follower b, news domain
+    # cnn.com and the short link bit.ly/x1.
+    files = {
+        "posts.tsv": "a\t1\twarm up\nb\t2\twarm up\n"
+                     "a\t1100\tread http://bit.ly/x1 now\nb\t1200\t#x\n",
+        "follows.tsv": "b\ta\n",
+        "domains.txt": "cnn.com\n",
+        "aliases.tsv": "http://bit.ly/x1\thttps://edition.cnn.com/story\n",
+    }
+
+    def ingest(prefix):
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(prefix + text.encode("utf-8"))
+        cfg = replace(CFG, news_domain_list=str(tmp_path / "domains.txt"),
+                      url_alias_map=str(tmp_path / "aliases.tsv"))
+        return load_corpus(tmp_path / "posts.tsv", tmp_path / "follows.tsv", cfg)
+
+    plain = ingest(b"")
+    assert sorted(plain.user_labels.values()) == ["a", "b"]
+    assert plain.follows == {_uid(plain, "b"): frozenset({_uid(plain, "a")})}
+    assert sorted(plain.first_mention) == [
+        MemeId("hashtag", "x"), MemeId("news_domain", "cnn.com"),
+        MemeId("url", "edition.cnn.com/story"),
+    ]
+    assert ingest(b"\xef\xbb\xbf") == plain
+    (tmp_path / "posts.tsv").write_bytes(b"\xef\xbb\xbfa\t1\tx\na\t1100\t#one \xff\n")
+    with pytest.raises(MalformedRecord) as err:
+        load_lines(tmp_path / "posts.tsv")
+    assert err.value.line_no == 2
+
+
 def test_load_corpus_empty_window(tmp_path):
     p, f = _write(tmp_path, "a\t1\t#x\n", "a\tb\n")
     with pytest.raises(EmptyCorpus):
