@@ -3,11 +3,12 @@
 Subcommands: ingest, efficiency, cover, optimize, egonet, synth. The
 four per-ego analyses run through one runner, ``cmd_analysis``, and the
 ``_ANALYSES`` table gives each its row function, optional summary
-function and extra options. The runner loads the corpus cache, builds
-each selected ego's context and rows, skips and counts an ego that
-raises a FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes
-the main report (columns from its first row) and the summaries, and
-prints ``rows: N  egos skipped: K``.
+function and extra options. The runner loads the corpus cache (its
+shared part and the part of ``--meme-kind`` only), builds each selected
+ego's context and rows, skips and counts an ego that raises a
+FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes the main
+report (columns from its first row) and the summaries, and prints
+``rows: N  egos skipped: K``.
 
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import pickle
 import sys
 from contextlib import contextmanager
@@ -32,11 +34,15 @@ from . import efficiency as eff_mod
 from . import egonet as egonet_mod
 from .errors import EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord, UndefinedMeasure
 from .ingest import IngestConfig, ego_context, load_corpus
-from .model import ARCHETYPES, MEME_KINDS, Corpus, MemeId
+from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex, MemeId
 
 HIST_BIN_WIDTH = 0.02
-# Bump when the pickled layout of Corpus or MemeId changes.
-CACHE_FORMAT = 5
+# Bump when the cache layout or the pickled layout of KindIndex or MemeId changes.
+CACHE_FORMAT = 6
+# The Corpus fields that the cache's first part holds, shared by every meme kind.
+_SHARED = ("post_count", "follows", "mean_delay_days", "user_labels")
+# Bytes of the little-endian size that precedes each kind's part.
+_PART_SIZE_BYTES = 8
 # Decoding errors pickle raises on truncated, corrupt or incompatible data.
 _UNPICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, IndexError, KeyError,
@@ -85,9 +91,12 @@ class ReportWriter:
 
 
 class _CacheUnpickler(pickle.Unpickler):
-    """Resolves only the corpus classes, so a foreign pickle cannot run code."""
+    """Resolves only the corpus classes, so a foreign pickle cannot run code.
+    ``Corpus`` is in no current cache; older formats pickled it whole, and
+    resolving it lets such a cache be reported as stale."""
 
     _classes = {("feedcover.model", "Corpus"): Corpus,
+                ("feedcover.model", "KindIndex"): KindIndex,
                 ("feedcover.model", "MemeId"): MemeId}
 
     def find_class(self, module, name):
@@ -116,17 +125,31 @@ def _gc_paused():
 
 
 def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
-    """Pickle the corpus inside an envelope naming the cache format and version."""
+    """Write ``corpus.pkl``: one pickle holding an envelope (the cache format,
+    the feedcover version and the kinds present, in order) and the shared
+    fields, then each kind's ``KindIndex`` as its own pickle, preceded by
+    its size in bytes so that a reader can seek past it."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.pkl"
-    envelope = {"format": CACHE_FORMAT, "version": __version__, "corpus": corpus}
+    envelope = {"format": CACHE_FORMAT, "version": __version__, "kinds": tuple(corpus.kinds),
+                **{name: getattr(corpus, name) for name in _SHARED}}
     with open(path, "wb") as fh:
         pickle.dump(envelope, fh)
+        for part in corpus.kinds.values():
+            start = fh.tell()
+            fh.write(bytes(_PART_SIZE_BYTES))
+            pickle.dump(part, fh)
+            end = fh.tell()
+            fh.seek(start)
+            fh.write((end - start - _PART_SIZE_BYTES).to_bytes(_PART_SIZE_BYTES, "little"))
+            fh.seek(end)
     return path
 
 
-def _load_cached(path) -> Corpus:
-    """Load a cache written by ``_save_corpus`` of this format and version.
+def _load_cached(path, meme_kind: str | None = None) -> Corpus:
+    """Load a cache written by ``_save_corpus`` of this format and version:
+    every kind, or with ``meme_kind`` only the shared part and that kind's
+    part (a kind without memes loads as a corpus without meme indices).
     A missing, unreadable, corrupt, foreign or stale file raises a
     MalformedRecord: ``<path>: <reason>; re-run `feedcover ingest```."""
     def unusable(reason):
@@ -134,17 +157,26 @@ def _load_cached(path) -> Corpus:
     try:
         with open(path, "rb") as fh:
             envelope = _CacheUnpickler(fh).load()
+            if not isinstance(envelope, dict) or "format" not in envelope:
+                raise unusable("not a feedcover corpus cache")
+            found = (envelope["format"], envelope.get("version"))
+            if found != (CACHE_FORMAT, __version__):
+                raise unusable(f"cache format {found[0]} from feedcover {found[1]}; this "
+                               f"feedcover {__version__} reads format {CACHE_FORMAT}")
+            kinds = {}
+            for kind in envelope["kinds"]:
+                size = int.from_bytes(fh.read(_PART_SIZE_BYTES), "little")
+                if meme_kind not in (None, kind):
+                    fh.seek(size, os.SEEK_CUR)
+                    continue
+                kinds[kind] = _CacheUnpickler(fh).load()
+                if not isinstance(kinds[kind], KindIndex):
+                    raise unusable("not a feedcover corpus cache")
+            return Corpus(kinds=kinds, **{name: envelope[name] for name in _SHARED})
     except OSError as exc:
         raise unusable(f"cannot read corpus cache: {exc.strerror}") from None
     except _UNPICKLE_ERRORS as exc:
         raise unusable(f"not a readable corpus cache ({exc})") from None
-    if not isinstance(envelope, dict) or not isinstance(envelope.get("corpus"), Corpus):
-        raise unusable("not a feedcover corpus cache")
-    found = (envelope.get("format"), envelope.get("version"))
-    if found != (CACHE_FORMAT, __version__):
-        raise unusable(f"cache format {found[0]} from feedcover {found[1]}; this "
-                       f"feedcover {__version__} reads format {CACHE_FORMAT}")
-    return envelope["corpus"]
 
 
 def _iso_seconds(text: str) -> int:
@@ -208,15 +240,14 @@ def cmd_ingest(args) -> int:
     with _gc_paused():
         corpus = load_corpus(args.posts, args.follows, config)
         path = _save_corpus(corpus, Path(args.out))
-        per_kind = {kind: 0 for kind in MEME_KINDS}
-        for meme in corpus.first_mention:
-            per_kind[meme.kind] += 1
+        parts = corpus.kinds
         print(f"corpus: {path}")
         print(f"users: {len(corpus.post_count)}")
         print(f"posts: {corpus.inflow(corpus.post_count)}")
-        print(f"user-meme pairs: {sum(len(f) for f in corpus.first_post_by_user.values())}")
+        print("user-meme pairs: "
+              f"{sum(len(f) for part in parts.values() for f in part.first_post_by_user.values())}")
         for kind in MEME_KINDS:
-            print(f"unique {kind}: {per_kind[kind]}")
+            print(f"unique {kind}: {len(parts[kind].first_mention) if kind in parts else 0}")
         del corpus  # freed while paused, so no collection scans it afterwards
     return 0
 
@@ -384,7 +415,7 @@ def cmd_analysis(args) -> int:
     every later collection, the one at exit included."""
     _, row_fn, summarize, _ = _ANALYSES[args.command]
     with _gc_paused():
-        corpus = _load_cached(args.corpus)
+        corpus = _load_cached(args.corpus, args.meme_kind)
         gc.freeze()
     rows, skipped = [], 0
     for ego in _select_egos(corpus, args):

@@ -17,11 +17,11 @@ The kernel runs each order to exhaustion, until no candidate adds a
 meme. A cover at coverage ``p`` is the shortest prefix of that order
 covering ``ceil(p * |universe|)`` memes; a prefix that falls short
 raises InfeasibleCover. The corpus's private ``_memo``, filled on first
-use, keeps each user's mean delay (the joint weight) and each meme's
-earliest ``(time, user id)`` poster for the corpus's lifetime, and the
-pool, its bitmasks and each engine's full order (keyed by engine, plus
-``alpha``/``beta`` for the joint one) only for the latest universe and
-candidate set, so memory does not grow with the number of egos.
+use, keeps each meme's earliest ``(time, user id)`` poster for the
+corpus's lifetime, and the pool, its bitmasks and each engine's full
+order (keyed by engine, plus ``alpha``/``beta`` for the joint one) only
+for the latest universe and candidate set, so memory does not grow with
+the number of egos.
 """
 from __future__ import annotations
 
@@ -149,15 +149,14 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """Joint in-flow/delay greedy heuristic.
 
     Score is inflow**alpha * avg_delay**beta / gain, where avg_delay is
-    the mean delay in days over all memes the candidate posts; a
-    zero-delay candidate scores 0 under beta > 0 and so is always
-    preferred while it still covers something.
+    the candidate's ``corpus.mean_delay_days``, its mean delay in days
+    over all the memes it posts, of every kind; a zero-delay candidate
+    scores 0 under beta > 0 and so is always preferred while it still
+    covers something.
     """
-    delays = corpus._memo.setdefault("mean_delay_days", {})
+    delays = corpus.mean_delay_days
 
     def weight(v):
-        if v not in delays:
-            delays[v] = _mean_delay_days(corpus, corpus.first_post_by_user[v])
         return (float(corpus.post_count[v]) ** spec.alpha) * (delays[v] ** spec.beta)
 
     return _greedy(corpus, spec, ("joint", spec.alpha, spec.beta), weight)

@@ -121,14 +121,20 @@ def load_lines(path) -> list[str]:
 
     Lines end at ``\n``, ``\r\n`` or ``\r`` only: other Unicode line
     separators (U+2028, U+0085, form feed, ...) may occur inside a post.
+    The bytes are decoded in one piece: a decoder fed chunk by chunk, as
+    ``Path.read_text`` does, reads a file holding only the first byte or
+    two of a BOM as empty instead of failing.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise MalformedRecord(path, None, f"cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise MalformedRecord(path, line_no, f"not UTF-8 ({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if not lines[-1]:  # the text after the last newline
         lines.pop()
     return lines
@@ -251,15 +257,12 @@ def ego_context(
     corpus: Corpus, ego: int, meme_kind: str, min_followees: int = 1
 ) -> EgoContext:
     """Timeline view for one ego, restricted to followees posting the kind."""
-    followees = frozenset(
-        v for v in corpus.follows.get(ego, frozenset())
-        if any(m.kind == meme_kind for m in corpus.first_post_by_user.get(v, ()))
-    )
+    part = corpus.kinds.get(meme_kind)
+    first_by_user = part.first_post_by_user if part else {}
+    followees = frozenset(v for v in corpus.follows.get(ego, ()) if v in first_by_user)
     if len(followees) < max(min_followees, 1):
         raise UndefinedMeasure(
             f"{len(followees)} followees posting {meme_kind} (need {max(min_followees, 1)})"
         )
-    memes = frozenset(
-        m for v in followees for m in corpus.first_post_by_user[v] if m.kind == meme_kind
-    )
+    memes = frozenset(m for v in followees for m in first_by_user[v])
     return EgoContext(ego=ego, followees=followees, memes=memes)

@@ -2,7 +2,8 @@
 
 All types are frozen dataclasses or tuples, and nothing in the package
 mutates their dict or set fields after construction, except the private
-cache ``Corpus._memo`` (see ``Corpus``). User ids are integer surrogates
+cache ``Corpus._memo`` and the views a ``Corpus`` builds on first access
+(see ``Corpus``). User ids are integer surrogates
 assigned at ingestion in first-seen order, which every tie-break uses.
 Timestamps are integer unix seconds; delays are converted to
 real-valued days where averaged. Delays are summed with ``math.fsum``,
@@ -11,9 +12,11 @@ a meme set (which changes with ``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import EmptyCorpus
@@ -46,46 +49,79 @@ class PostEvent(NamedTuple):
     time: int
 
 
+class KindIndex(NamedTuple):
+    """The meme indices of one meme kind.
+
+    ``posters_by_meme`` maps each meme to the users posting it,
+    ``first_mention`` to its earliest post time, and ``first_post_by_user``
+    maps each user posting the kind to ``{meme: time of the user's first
+    post}``. Every dict is in sorted key order.
+    """
+
+    posters_by_meme: dict[MemeId, frozenset[int]]
+    first_mention: dict[MemeId, int]
+    first_post_by_user: dict[int, dict[MemeId, int]]
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable indexed view over the post events kept by ingest and a follow graph.
 
-    post_count counts ALL kept posts (meme-bearing or not);
-    the meme indices cover only the meme-bearing ones. ``memes_by_user``
-    is not a field but a derived, read-only view of ``first_post_by_user``,
-    so each user's memes are stored once.
+    ``kinds`` holds the meme indices of each meme kind present, in sorted
+    order, so that the corpus cache can load one kind alone; the analysis
+    commands run on such a one-kind corpus. The other fields cover every
+    kind: ``post_count`` counts ALL kept posts (meme-bearing or not), and
+    ``mean_delay_days`` is each posting user's mean delay in days over all
+    of its memes, the joint cover's weight, computed once by ``from_events``.
+
+    ``posters_by_meme``, ``first_mention``, ``first_post_by_user`` and
+    ``memes_by_user`` are read-only views over the kinds in ``kinds``,
+    built on first access. With one kind the first three are that kind's
+    own dicts; with several, merged copies. ``memes_by_user`` maps each
+    posting user to the keys of its ``first_post_by_user`` entry, so each
+    user's memes are stored once. Do not mutate them.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    ``memes_by_user``, the cover engines and ``delay_efficiency`` fill lazily
-    (see ``feedcover.cover``). It is not pickled (a loaded corpus starts with
-    an empty memo), not compared by ``==`` and not shown by ``repr``; a
-    ``dataclasses.replace`` copy starts with an empty one, so replacing a
-    field never serves facts derived from the old value.
+    the cover engines and ``delay_efficiency`` fill lazily (see
+    ``feedcover.cover``). It is not compared by ``==`` and not shown by
+    ``repr``; a ``dataclasses.replace`` copy starts with an empty one, so
+    replacing a field never serves facts derived from the old value.
     """
 
-    posters_by_meme: dict[MemeId, frozenset[int]]
+    kinds: dict[str, KindIndex]
     post_count: dict[int, int]
-    first_mention: dict[MemeId, int]
-    first_post_by_user: dict[int, dict[MemeId, int]]
     follows: dict[int, frozenset[int]]
+    mean_delay_days: dict[int, float]
     user_labels: dict[int, str] = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+    def _merged(self, name: str) -> dict:
+        parts = [getattr(part, name) for part in self.kinds.values()]
+        if len(parts) == 1:
+            return parts[0]
+        return {key: value for part in parts for key, value in part.items()}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _memo={})
+    @cached_property
+    def posters_by_meme(self) -> dict[MemeId, frozenset[int]]:
+        return self._merged("posters_by_meme")
 
-    @property
+    @cached_property
+    def first_mention(self) -> dict[MemeId, int]:
+        return self._merged("first_mention")
+
+    @cached_property
+    def first_post_by_user(self) -> dict[int, dict[MemeId, int]]:
+        if len(self.kinds) == 1:
+            return self._merged("first_post_by_user")
+        merged: dict[int, dict[MemeId, int]] = {}
+        for part in self.kinds.values():  # kinds in sorted order, so memes too
+            for user, first in part.first_post_by_user.items():
+                merged.setdefault(user, {}).update(first)
+        return dict(sorted(merged.items()))
+
+    @cached_property
     def memes_by_user(self) -> dict[int, KeysView[MemeId]]:
-        """Each posting user's memes: the keys of ``first_post_by_user``.
-        Built once, on first access, and kept in ``_memo``; do not mutate it."""
-        if "memes_by_user" not in self._memo:
-            self._memo["memes_by_user"] = {
-                u: first.keys() for u, first in self.first_post_by_user.items()
-            }
-        return self._memo["memes_by_user"]
+        return {u: first.keys() for u, first in self.first_post_by_user.items()}
 
     def label(self, user: int) -> str:
         return self.user_labels.get(user, str(user))
@@ -109,8 +145,12 @@ class Corpus:
         ``post_counts`` is omitted, each event counts as one post (so
         ``events`` is read twice and may not be an iterator). All
         indices share one ``MemeId`` object per meme (its first-seen one),
-        so a pickled corpus stores each meme once.
+        so a pickled corpus stores each meme once. Each user's mean delay
+        sums the terms of ``feedcover.cover._mean_delay_days`` with
+        ``math.fsum``, so it equals that function over all the user's memes.
         """
+        from array import array  # here: the analysis commands build no corpus
+
         if len(events) == 0:
             raise EmptyCorpus("no post events")
         # Each meme's posters, in first-seen order, with their first time.
@@ -121,29 +161,43 @@ class Corpus:
                 times_by_meme[meme] = {user: time}
             elif time < times.get(user, time + 1):
                 times[user] = time
-        posters: dict[MemeId, frozenset[int]] = {}
-        first: dict[MemeId, int] = {}
-        first_by_user: dict[int, dict[MemeId, int]] = {}
-        for meme in sorted(times_by_meme):
+        kinds: dict[str, KindIndex] = {}
+        # Each user's delay in days to each meme it posts, of any kind, as
+        # C doubles: the terms of its mean delay.
+        delays: dict[int, array] = {}
+        kind = None
+        for meme in sorted(times_by_meme):  # each kind is one contiguous run
+            if meme.kind != kind:
+                kind = meme.kind
+                posters, first, first_by_user = kinds[kind] = KindIndex({}, {}, {})
             times = times_by_meme.pop(meme)  # freed once its indices are built
-            # Adding the posters one by one, as a set grown per event
-            # would, keeps each frozenset's layout, hence its pickle.
-            posters[meme] = frozenset(set(iter(times)))
-            first[meme] = min(times.values())
+            posters[meme] = frozenset(times)
+            born = first[meme] = min(times.values())
             for user, time in times.items():
                 per_user = first_by_user.get(user)
                 if per_user is None:
                     first_by_user[user] = {meme: time}
                 else:
                     per_user[meme] = time  # memes arrive in sorted order
+                delay = (time - born) / SECONDS_PER_DAY
+                user_delays = delays.get(user)
+                if user_delays is None:
+                    delays[user] = array("d", (delay,))
+                else:
+                    user_delays.append(delay)
+        kinds = {
+            kind: KindIndex(posters, first, dict(sorted(first_by_user.items())))
+            for kind, (posters, first, first_by_user) in kinds.items()
+        }
+        mean_delays = {u: math.fsum(d) / len(d) for u, d in sorted(delays.items())}
+        del delays  # freed before the follow sets are copied
         if post_counts is None:
             post_counts = Counter(user for user, _, _ in events)
         return cls(
-            posters_by_meme=posters,
+            kinds=kinds,
             post_count=dict(sorted(post_counts.items())),
-            first_mention=first,
-            first_post_by_user=dict(sorted(first_by_user.items())),
             follows={u: frozenset(v) for u, v in sorted(follows.items())},
+            mean_delay_days=mean_delays,
             user_labels=dict(user_labels or {}),
         )
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import feedcover
 from feedcover import cli, errors
 from feedcover import cover as cover_mod
 from feedcover.cli import main
@@ -357,6 +358,88 @@ def test_bare_corpus_pickle_exit_2(redundant_dir, tmp_path, capsys):
     bare.write_bytes(pickle.dumps(cli._load_cached(redundant_dir)))
     assert _efficiency_on(bare, tmp_path) == 2
     assert "not a feedcover corpus cache" in capsys.readouterr().err
+
+
+def test_format_5_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys):
+    # Format 5 pickled the whole Corpus inside the envelope.
+    old = tmp_path / "old.pkl"
+    old.write_bytes(pickle.dumps({"format": 5, "version": feedcover.__version__,
+                                  "corpus": cli._load_cached(redundant_dir)}))
+    assert _efficiency_on(old, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"cache format 5 from feedcover {feedcover.__version__}" in err
+    assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
+
+
+@pytest.fixture
+def mixed_cache(tmp_path):
+    """A cache of three meme kinds, in which ego e follows posters of each."""
+    posts, follows = tmp_path / "posts.tsv", tmp_path / "follows.tsv"
+    posts.write_text("".join(
+        f"{user}\t{t}\t{kind}\t{key}\n"
+        for user, t, kind, key in [
+            ("a", 10, "hashtag", "x"), ("b", 20, "hashtag", "x"), ("b", 30, "hashtag", "y"),
+            ("a", 40, "news_domain", "cnn.com"), ("b", 50, "url", "cnn.com/1"),
+            ("a", 60, "url", "cnn.com/2"), ("e", 70, "hashtag", "z"),
+        ]
+    ))
+    follows.write_text("e\ta\ne\tb\n")
+    assert run(["ingest", "--posts", posts, "--follows", follows, *WINDOW, "--pre-extracted",
+                "--no-activity-filter", "--out", tmp_path / "cache"]) == 0
+    return tmp_path / "cache" / "corpus.pkl"
+
+
+def _part_spans(path):
+    """Byte range of each kind's part, from the envelope and the size prefixes."""
+    spans = {}
+    with open(path, "rb") as fh:
+        kinds = pickle.load(fh)["kinds"]
+        for kind in kinds:
+            size = int.from_bytes(fh.read(8), "little")
+            spans[kind] = (fh.tell(), fh.tell() + size)
+            fh.seek(size, 1)
+    return spans
+
+
+def _kind_efficiency(path, tmp_path, kind):
+    return run(["efficiency", "--corpus", path, "--egos", "e", "--meme-kind", kind,
+                "--min-followees", "1", "--no-header-timestamp", "--out", tmp_path / kind])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "size"])
+def test_damaged_kind_part_exit_2(mixed_cache, tmp_path, capsys, damage):
+    data = mixed_cache.read_bytes()
+    spans = _part_spans(mixed_cache)
+    assert list(spans) == ["hashtag", "news_domain", "url"]
+    start, end = spans["url"]
+    middle = (start + end) // 2
+    if damage == "truncated":
+        data = data[:middle]
+    elif damage == "corrupt":
+        data = data[:middle] + bytes(8) + data[middle + 8:]
+    else:  # news_domain's size prefix points past the end of the file
+        prefix = spans["news_domain"][0] - 8
+        data = data[:prefix] + (2 ** 40).to_bytes(8, "little") + data[prefix + 8:]
+    damaged = tmp_path / "damaged.pkl"
+    damaged.write_bytes(data)
+    assert _kind_efficiency(damaged, tmp_path, "url") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {damaged}: not a readable corpus cache (")
+    assert err.endswith("; re-run `feedcover ingest`\n")
+    # The parts before url are intact and are all that a hashtag run reads.
+    assert _kind_efficiency(damaged, tmp_path, "hashtag") == 0
+
+
+def test_kind_without_memes_in_cache(redundant_dir, tmp_path, capsys):
+    # redundant_followees holds hashtags only: every ego is skipped.
+    assert list(_part_spans(redundant_dir)) == ["hashtag"]
+    code = run(["efficiency", "--corpus", redundant_dir, "--meme-kind", "youtube_video",
+                "--min-followees", "1", "--out", tmp_path / "rep"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("skip ego 0: 0 followees posting youtube_video (need 1)\n"
+                            "error: no efficiency rows produced\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -5,6 +5,7 @@ import pytest
 
 from feedcover.cover import (
     CoverSpec,
+    _mean_delay_days,
     delay_optimal_cover,
     greedy_min_cover,
     greedy_weighted_cover,
@@ -144,8 +145,8 @@ def test_delay_sums_independent_of_iteration_order():
     # Delays of 0.1, 0.2 and 0.3 days: a plain left-to-right float sum
     # gives 0.6000000000000001 in some orders and 0.6 in others. Rival
     # user 2 posts the same memes 0.3, 0.2 and 0.1 days late, so under
-    # alpha=0, beta=1 the joint cover ties them and picks user 1 in every
-    # order of user 1's first posts.
+    # alpha=0, beta=1 the joint cover ties them and picks user 1 with the
+    # mean delay computed in every order of user 1's first posts.
     times = {(9, i): 0 for i in range(3)}
     times.update({(1, i): (i + 1) * DAY // 10 for i in range(3)})
     times.update({(2, i): (3 - i) * DAY // 10 for i in range(3)})
@@ -155,8 +156,9 @@ def test_delay_sums_independent_of_iteration_order():
     for order in permutations(M(i) for i in range(3)):
         memes = IterOrder(order)
         ctx = EgoContext(EGO, frozenset({1}), memes)
-        reordered = replace(corpus, first_post_by_user={
-            **corpus.first_post_by_user, 1: {m: first[m] for m in order},
+        reordered = replace(corpus, mean_delay_days={
+            **corpus.mean_delay_days,
+            1: _mean_delay_days(corpus, {m: first[m] for m in order}),
         })
         spec = CoverSpec(universe=memes, candidates=frozenset({1, 2}), alpha=0.0, beta=1.0)
         results.add((

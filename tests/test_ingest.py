@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feedcover.cli import main
 from feedcover.efficiency import delay_efficiency
 from feedcover.errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
@@ -287,6 +288,21 @@ def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("prefix", [b"\xef", b"\xef\xbb"])
+def test_incomplete_byte_order_mark_is_malformed(tmp_path, capsys, prefix):
+    # The first one or two bytes of a BOM, and nothing else, are not UTF-8.
+    posts = tmp_path / "posts.tsv"
+    posts.write_bytes(prefix)
+    with pytest.raises(MalformedRecord) as err:
+        load_lines(posts)
+    assert (err.value.path, err.value.line_no) == (str(posts), 1)
+    (tmp_path / "follows.tsv").write_text("a\tb\n")
+    code = main(["ingest", "--posts", str(posts), "--follows", str(tmp_path / "follows.tsv"),
+                 "--window-start", "0", "--window-end", "10", "--out", str(tmp_path / "cache")])
+    assert code == 2
+    assert f"error: {posts}:1: not UTF-8" in capsys.readouterr().err
+
+
 def test_load_corpus_empty_window(tmp_path):
     p, f = _write(tmp_path, "a\t1\t#x\n", "a\tb\n")
     with pytest.raises(EmptyCorpus):
@@ -353,7 +369,10 @@ def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
     ctx = ego_context(kind_corpus, ego, "hashtag")
     m1, m2 = MemeId("hashtag", "m1"), MemeId("hashtag", "m2")
     assert ctx.memes == {m1, m2}
-    born = replace(kind_corpus, first_mention={m1: 1000, m2: 1000})
+    hashtags = kind_corpus.kinds["hashtag"]
+    born = replace(kind_corpus, kinds={
+        "hashtag": hashtags._replace(first_mention={m1: 1000, m2: 1000}),
+    })
     assert delay_efficiency(ctx, born) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tempfile
 from dataclasses import replace
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedcover.cli import _load_cached, _save_corpus
-from feedcover.errors import EmptyCorpus
+from feedcover.efficiency import evaluate_ego
+from feedcover.errors import EmptyCorpus, FeedcoverError
 from feedcover.cover import (
     CoverSpec,
     delay_optimal_cover,
@@ -17,7 +19,7 @@ from feedcover.cover import (
     joint_cover,
 )
 from feedcover.ingest import ego_context
-from feedcover.model import Corpus, MemeId, PostEvent
+from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus, MemeId, PostEvent
 from feedcover.synth import generate_triadic_corpus
 
 from conftest import DAY, M, make_corpus
@@ -163,3 +165,72 @@ def test_cover_memo_never_leaks(tmp_path):
     assert _load_cached(tmp_path / "used" / "corpus.pkl")._memo == {}
     assert replace(corpus)._memo == {}
     assert corpus._memo  # saving and copying leave the original's memo alone
+
+
+# Users 10 and 11 post hashtags g1 and g2 at their birth, and three posts
+# each. 10 also posts url gu a day after user 12 does, 11 posts url gv
+# first: over all kinds 10's mean delay is 1/3 day and 11's is 0, over
+# hashtags alone both are 0. Ego 13 follows both: its hashtag joint cover
+# is (11,) under the all-kind weight and (10,), the smaller id, under the
+# hashtag-only one.
+G1, G2 = MemeId("hashtag", "g1"), MemeId("hashtag", "g2")
+GADGET = [
+    PostEvent(10, G1, 0), PostEvent(10, G2, 0), PostEvent(11, G1, 0), PostEvent(11, G2, 0),
+    PostEvent(12, MemeId("url", "gu"), 0), PostEvent(10, MemeId("url", "gu"), DAY),
+    PostEvent(11, MemeId("url", "gv"), 0),
+]
+ENGINES = (greedy_min_cover, greedy_weighted_cover, joint_cover, delay_optimal_cover)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FeedcoverError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _selected(engine, corpus, spec):
+    result = _outcome(engine, corpus, spec)
+    return result if isinstance(result, str) else result.selected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from(MEME_KINDS), st.integers(0, 3),
+                       st.integers(0, 5 * DAY)), max_size=40),
+    st.dictionaries(st.integers(0, 5), st.frozensets(st.integers(0, 5), max_size=5),
+                    max_size=6),
+)
+def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
+    events = GADGET + [PostEvent(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    corpus = Corpus.from_events(events, {**follows, 13: frozenset({10, 11})})
+    for user, first in corpus.first_post_by_user.items():
+        fsum = math.fsum((t - corpus.first_mention[m]) / SECONDS_PER_DAY
+                         for m, t in first.items()) / len(first)
+        assert corpus.mean_delay_days[user].hex() == fsum.hex()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _save_corpus(corpus, Path(tmp))
+        loaded = {kind: _load_cached(path, kind) for kind in MEME_KINDS}
+    for kind, one in loaded.items():
+        assert one.kinds == {k: v for k, v in corpus.kinds.items() if k == kind}
+        assert one.mean_delay_days == corpus.mean_delay_days
+        for ego in one.follows:
+            ctx = _outcome(ego_context, corpus, ego, kind)
+            assert _outcome(ego_context, one, ego, kind) == ctx
+            if isinstance(ctx, str):
+                continue
+            assert (_outcome(evaluate_ego, one, ctx, kind)
+                    == _outcome(evaluate_ego, corpus, ctx, kind))
+            for coverage in (0.5, 1.0):
+                spec = CoverSpec(universe=ctx.memes, coverage=coverage)
+                for engine in ENGINES:
+                    assert _selected(engine, one, spec) == _selected(engine, corpus, spec)
+    # The stored weight is not the one-kind mean, and it decides the order.
+    hashtags = loaded["hashtag"]
+    one_kind = {u: math.fsum((t - hashtags.first_mention[m]) / SECONDS_PER_DAY
+                             for m, t in first.items()) / len(first)
+                for u, first in hashtags.first_post_by_user.items()}
+    assert one_kind[10] == 0.0 < hashtags.mean_delay_days[10]
+    spec = CoverSpec(universe=frozenset({G1, G2}))
+    assert joint_cover(hashtags, spec).selected == (11,)
+    assert joint_cover(replace(hashtags, mean_delay_days=one_kind), spec).selected == (10,)
