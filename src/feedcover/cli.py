@@ -25,7 +25,6 @@ import os
 import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -90,12 +89,20 @@ class ReportWriter:
         return path
 
 
+class _PickledCorpus:
+    """What a pickled ``Corpus`` loads as, whatever fields it was pickled with."""
+
+    def __new__(cls, *fields):
+        return object.__new__(cls)
+
+
 class _CacheUnpickler(pickle.Unpickler):
     """Resolves only the corpus classes, so a foreign pickle cannot run code.
-    ``Corpus`` is in no current cache; older formats pickled it whole, and
-    resolving it lets such a cache be reported as stale."""
+    ``Corpus`` is in no current cache; format 5 pickled it whole, and a
+    stand-in for it lets such a cache's envelope load and be reported as
+    stale."""
 
-    _classes = {("feedcover.model", "Corpus"): Corpus,
+    _classes = {("feedcover.model", "Corpus"): _PickledCorpus,
                 ("feedcover.model", "KindIndex"): KindIndex,
                 ("feedcover.model", "MemeId"): MemeId}
 
@@ -267,9 +274,9 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
 
 def _report_row(report: eff_mod.EfficiencyReport) -> dict:
     """The efficiency row of a report: its fields in order but ``joint_selected``."""
-    return {
-        f.name: getattr(report, f.name) for f in fields(report) if f.name != "joint_selected"
-    }
+    row = report._asdict()
+    del row["joint_selected"]
+    return row
 
 
 def _efficiency_rows(corpus, ctx, args) -> list[dict]:

@@ -27,29 +27,38 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleCover, InvalidSpec
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """What to cover, from whom, and how greedily to weigh candidates."""
-
+class _CoverSpecFields(NamedTuple):
     universe: frozenset[MemeId]
     candidates: frozenset[int] | None = None
     coverage: float = 1.0
     alpha: float = 1.0
     beta: float = 0.5
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coverage <= 1.0:
-            raise InvalidSpec(f"coverage {self.coverage} is outside (0, 1]")
+
+class CoverSpec(_CoverSpecFields):
+    """What to cover, from whom, and how greedily to weigh candidates.
+    A ``_replace`` copy is checked like a new spec."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if not 0.0 < spec.coverage <= 1.0:
+            raise InvalidSpec(f"coverage {spec.coverage} is outside (0, 1]")
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
+            value = getattr(spec, name)
             if not 0.0 <= value < math.inf:
                 raise InvalidSpec(f"{name} {value} is not a finite number >= 0")
+        return spec
+
+    def _replace(self, /, **changes):
+        return type(self)(*super()._replace(**changes))
 
 
 def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:

@@ -6,7 +6,7 @@ set, making a ratio exceed 1; such values are clamped to 1 and logged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cover as cover_mod
 from .errors import UndefinedMeasure
@@ -126,8 +126,7 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
 _LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
 
 
-@dataclass(frozen=True, kw_only=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Everything measured for one ego at one meme kind and coverage level.
 
     Fields are the report columns, in order (``joint_selected``, last,
@@ -144,8 +143,8 @@ class EfficiencyReport:
     e_delay: float
     link_set_size: int
     inflow_set_size: int
-    delay_set_size: int | None = None
-    joint_set_size: int | None = None
+    delay_set_size: int | None
+    joint_set_size: int | None
     followee_inflow: int
     link_set_inflow: int
     inflow_set_inflow: int
@@ -216,7 +215,7 @@ def evaluate_ego(
         inflow_set_inflow=corpus.inflow(inflow_cov.selected),
     )
     if coverage != 1.0:
-        return EfficiencyReport(**base)
+        return EfficiencyReport(**base, delay_set_size=None, joint_set_size=None)
     delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
     joint_cov = cover_mod.joint_cover(corpus, spec)
     optimized = {

@@ -5,15 +5,14 @@ clustering coefficient, so a pure star scores 0 and a complete member set 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, sqrt
+from typing import NamedTuple
 
 from .errors import UndefinedMeasure
 from .model import Corpus
 
 
-@dataclass(frozen=True)
-class EgoNetwork:
+class EgoNetwork(NamedTuple):
     """An ego's members (the ego left out) and ``edges``: each member pair
     ``(a, b)``, ``a < b``, joined by a follow edge in either direction."""
 

@@ -13,9 +13,9 @@ data loss would corrupt the efficiency denominators downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
@@ -28,10 +28,7 @@ _TRAILING_PUNCT = ".,;:!?)\"'>]"
 _YOUTUBE_PREFIX = "www.youtube.com/watch"
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """What ``load_corpus`` keeps: posts at ``window_start <= t < window_end``."""
-
+class _IngestConfigFields(NamedTuple):
     window_start: int
     window_end: int
     require_pre_window_activity: bool = True
@@ -39,9 +36,21 @@ class IngestConfig:
     url_alias_map: str | None = None
     pre_extracted: bool = False
 
-    def __post_init__(self) -> None:
-        if self.window_end <= self.window_start:
-            raise InvalidSpec(f"window [{self.window_start}, {self.window_end}) is empty")
+
+class IngestConfig(_IngestConfigFields):
+    """What ``load_corpus`` keeps: posts at ``window_start <= t < window_end``.
+    A ``_replace`` copy is checked like a new config."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.window_end <= config.window_start:
+            raise InvalidSpec(f"window [{config.window_start}, {config.window_end}) is empty")
+        return config
+
+    def _replace(self, /, **changes):
+        return type(self)(*super()._replace(**changes))
 
 
 def normalize_url(token: str) -> str:

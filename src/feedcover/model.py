@@ -1,6 +1,6 @@
 """Core domain types: posts, corpora, ego contexts, cover results.
 
-All types are frozen dataclasses or tuples, and nothing in the package
+Every record is a ``typing.NamedTuple``, and nothing in the package
 mutates their dict or set fields after construction, except the private
 cache ``Corpus._memo`` and the views a ``Corpus`` builds on first access
 (see ``Corpus``). User ids are integer surrogates
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import KeysView
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -63,8 +62,15 @@ class KindIndex(NamedTuple):
     first_post_by_user: dict[int, dict[MemeId, int]]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class _CorpusFields(NamedTuple):
+    kinds: dict[str, KindIndex]
+    post_count: dict[int, int]
+    follows: dict[int, frozenset[int]]
+    mean_delay_days: dict[int, float]
+    user_labels: dict[int, str]
+
+
+class Corpus(_CorpusFields):
     """Immutable indexed view over the post events kept by ingest and a follow graph.
 
     ``kinds`` holds the meme indices of each meme kind present, in sorted
@@ -84,16 +90,15 @@ class Corpus:
     ``_memo`` is a private cache of facts derived from the fields, which
     the cover engines and ``delay_efficiency`` fill lazily (see
     ``feedcover.cover``). It is not compared by ``==`` and not shown by
-    ``repr``; a ``dataclasses.replace`` copy starts with an empty one, so
-    replacing a field never serves facts derived from the old value.
+    ``repr``; a ``_replace`` copy starts with an empty one, so replacing
+    a field never serves facts derived from the old value. The fields
+    are read-only; the class has no ``__slots__``, so the views and the
+    memo live in the instance ``__dict__``. A corpus is not hashable.
     """
 
-    kinds: dict[str, KindIndex]
-    post_count: dict[int, int]
-    follows: dict[int, frozenset[int]]
-    mean_delay_days: dict[int, float]
-    user_labels: dict[int, str] = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
 
     def _merged(self, name: str) -> dict:
         parts = [getattr(part, name) for part in self.kinds.values()]
@@ -202,8 +207,7 @@ class Corpus:
         )
 
 
-@dataclass(frozen=True)
-class EgoContext:
+class EgoContext(NamedTuple):
     """An ego user's timeline for one meme kind: the followees posting
     that kind, and the memes of that kind they post (the universe every
     cover of this ego must cover)."""
@@ -213,8 +217,7 @@ class EgoContext:
     memes: frozenset[MemeId]
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     """An ordered selection of posters with per-step coverage bookkeeping."""
 
     selected: tuple[int, ...]

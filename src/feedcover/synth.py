@@ -10,8 +10,8 @@ posters, for structural (LCC) experiments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .model import ARCHETYPES, Corpus, MemeId, PostEvent
@@ -19,8 +19,7 @@ from .model import ARCHETYPES, Corpus, MemeId, PostEvent
 _DAY = 86400
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(NamedTuple):
     seed: int = 0
     n_users: int = 20
     n_memes: int = 30

@@ -371,6 +371,24 @@ def test_format_5_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys):
     assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
 
 
+def test_format_5_cache_of_the_old_corpus_shape_exit_2_as_stale(tmp_path, capsys,
+                                                                 monkeypatch):
+    # Format 5 pickled a Corpus whose fields were instance attributes: the
+    # pickle names the class, passes no constructor arguments and sets the
+    # fields as its state. A stand-in module of the same name length writes
+    # those bytes without the old class.
+    old_model = type(sys)("feedcover_model")
+    old_model.Corpus = type("Corpus", (), {"__module__": old_model.__name__})
+    monkeypatch.setitem(sys.modules, old_model.__name__, old_model)
+    corpus = old_model.Corpus()
+    corpus.__dict__.update(post_count={0: 1}, follows={}, user_labels={0: "a"})
+    data = pickle.dumps({"format": 5, "version": feedcover.__version__, "corpus": corpus})
+    old = tmp_path / "old.pkl"
+    old.write_bytes(data.replace(b"feedcover_model", b"feedcover.model"))
+    assert _efficiency_on(old, tmp_path) == 2
+    assert "cache format 5 from feedcover" in capsys.readouterr().err
+
+
 @pytest.fixture
 def mixed_cache(tmp_path):
     """A cache of three meme kinds, in which ego e follows posters of each."""

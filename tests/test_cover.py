@@ -265,6 +265,15 @@ class TestCoverSpecValidation:
         spec = CoverSpec(universe=frozenset(), coverage=1.0, alpha=0.0, beta=0.0)
         assert spec.coverage == 1.0
 
+    def test_replace_is_checked_like_a_new_spec(self):
+        spec = CoverSpec(universe=frozenset({M(1)}), coverage=0.5)
+        with pytest.raises(InvalidSpec):
+            spec._replace(coverage=0)
+        with pytest.raises(InvalidSpec):
+            spec._replace(beta=math.inf)
+        assert spec._replace(alpha=0.0) == CoverSpec(frozenset({M(1)}), None, 0.5, 0.0, 0.5)
+        assert type(spec._replace()) is CoverSpec
+
 
 class TestSharedProperties:
     def test_full_coverage_covers_universe(self, rng):

@@ -7,7 +7,6 @@ cover is checked against each meme's earliest candidate poster.
 """
 import math
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -240,7 +239,7 @@ def test_memoised_calls_match_a_fresh_corpus(instance, data):
             if engine is delay_optimal_cover and level < 1.0:
                 continue
             call = CoverSpec(universe, candidates, level, alpha, beta)
-            assert outcome(engine, corpus, call) == outcome(engine, replace(corpus), call)
+            assert outcome(engine, corpus, call) == outcome(engine, corpus._replace(), call)
 
 
 def test_memoised_partial_cover_whose_full_cover_is_infeasible():
@@ -252,7 +251,7 @@ def test_memoised_partial_cover_whose_full_cover_is_infeasible():
     full = CoverSpec(universe, frozenset({1, 2}))
     for engine in (greedy_min_cover, greedy_weighted_cover, joint_cover):
         for first, then in ((full, half), (half, full)):
-            fresh = [outcome(engine, replace(corpus), s) for s in (first, then)]
+            fresh = [outcome(engine, corpus._replace(), s) for s in (first, then)]
             assert [outcome(engine, corpus, s) for s in (first, then)] == fresh
         assert outcome(engine, corpus, full) == "InfeasibleCover: covered 3 of required 4 memes"
         assert len(outcome(engine, corpus, half).covered) >= 2

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -156,7 +155,7 @@ def test_delay_sums_independent_of_iteration_order():
     for order in permutations(M(i) for i in range(3)):
         memes = IterOrder(order)
         ctx = EgoContext(EGO, frozenset({1}), memes)
-        reordered = replace(corpus, mean_delay_days={
+        reordered = corpus._replace(mean_delay_days={
             **corpus.mean_delay_days,
             1: _mean_delay_days(corpus, {m: first[m] for m in order}),
         })

@@ -23,7 +23,9 @@ def test_cli_import_leaves_out_what_no_analysis_runs():
         "print(*sorted(set(sys.modules) - before), sep='\\n')\n"
     ).split()
     assert "feedcover.cli" in loaded
-    assert not {"feedcover.synth", "statistics", "json", "logging"} & set(loaded)
+    assert not {
+        "feedcover.synth", "statistics", "json", "logging", "dataclasses", "inspect",
+    } & set(loaded)
 
 
 def test_package_root_exports_resolve():

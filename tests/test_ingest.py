@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from feedcover.cli import main
 from feedcover.efficiency import delay_efficiency
-from feedcover.errors import EmptyCorpus, MalformedRecord, UndefinedMeasure
+from feedcover.errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
     _HASHTAG_RE,
     _URL_RE,
@@ -226,8 +225,8 @@ def test_load_corpus_malformed_line_aborts_with_line_number(tmp_path):
         p, f = _write(tmp_path, posts, follows)
         alias_path = tmp_path / "aliases.tsv"
         alias_path.write_text(aliases or "", encoding="utf-8")
-        cfg = replace(CFG, pre_extracted=pre_extracted,
-                      url_alias_map=str(alias_path) if aliases else None)
+        cfg = CFG._replace(pre_extracted=pre_extracted,
+                           url_alias_map=str(alias_path) if aliases else None)
         with pytest.raises(MalformedRecord) as err:
             load_corpus(p, f, cfg)
         assert (Path(err.value.path).name, err.value.line_no) == (bad, line_no), posts
@@ -245,7 +244,7 @@ def test_load_corpus_reads_side_files(tmp_path):
     aliases = tmp_path / "aliases.tsv"
     aliases.write_text("\nhttp://bit.ly/x1\thttps://edition.cnn.com/story,\n\n",
                        encoding="utf-8")
-    cfg = replace(CFG, news_domain_list=str(domains), url_alias_map=str(aliases))
+    cfg = CFG._replace(news_domain_list=str(domains), url_alias_map=str(aliases))
     corpus = load_corpus(p, f, cfg)
     assert sorted(corpus.first_mention) == [
         MemeId("news_domain", "bbc.co.uk"),
@@ -270,8 +269,8 @@ def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
     def ingest(prefix):
         for name, text in files.items():
             (tmp_path / name).write_bytes(prefix + text.encode("utf-8"))
-        cfg = replace(CFG, news_domain_list=str(tmp_path / "domains.txt"),
-                      url_alias_map=str(tmp_path / "aliases.tsv"))
+        cfg = CFG._replace(news_domain_list=str(tmp_path / "domains.txt"),
+                           url_alias_map=str(tmp_path / "aliases.tsv"))
         return load_corpus(tmp_path / "posts.tsv", tmp_path / "follows.tsv", cfg)
 
     plain = ingest(b"")
@@ -307,6 +306,15 @@ def test_load_corpus_empty_window(tmp_path):
     p, f = _write(tmp_path, "a\t1\t#x\n", "a\tb\n")
     with pytest.raises(EmptyCorpus):
         load_corpus(p, f, CFG)
+
+
+def test_ingest_config_replace_is_checked_like_a_new_config():
+    with pytest.raises(InvalidSpec, match=r"window \[1000, 1000\) is empty"):
+        CFG._replace(window_end=1000)
+    with pytest.raises(InvalidSpec):
+        CFG._replace(window_start=3000)
+    assert CFG._replace(pre_extracted=True).pre_extracted is True
+    assert type(CFG._replace()) is IngestConfig
 
 
 def test_load_corpus_pre_extracted(tmp_path):
@@ -370,7 +378,7 @@ def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
     m1, m2 = MemeId("hashtag", "m1"), MemeId("hashtag", "m2")
     assert ctx.memes == {m1, m2}
     hashtags = kind_corpus.kinds["hashtag"]
-    born = replace(kind_corpus, kinds={
+    born = kind_corpus._replace(kinds={
         "hashtag": hashtags._replace(first_mention={m1: 1000, m2: 1000}),
     })
     assert delay_efficiency(ctx, born) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)

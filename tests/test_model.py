@@ -1,7 +1,6 @@
 import math
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -146,7 +145,7 @@ def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
 
 def test_cover_memo_never_leaks(tmp_path):
     corpus, egos = generate_triadic_corpus(seed=4, n_communities=3, community_size=5)
-    fresh = replace(corpus)
+    fresh = corpus._replace()
     fresh_bytes = _save_corpus(fresh, tmp_path / "fresh").read_bytes()
     for ego in egos[::4]:  # egos from every community
         ctx = ego_context(corpus, ego, "hashtag")
@@ -163,8 +162,23 @@ def test_cover_memo_never_leaks(tmp_path):
     used_bytes = _save_corpus(corpus, tmp_path / "used").read_bytes()
     assert used_bytes == fresh_bytes
     assert _load_cached(tmp_path / "used" / "corpus.pkl")._memo == {}
-    assert replace(corpus)._memo == {}
+    assert corpus._replace()._memo == {}
     assert corpus._memo  # saving and copying leave the original's memo alone
+
+
+def test_corpus_record_contract():
+    corpus = Corpus.from_events(_events(), {1: {2}})
+    corpus.posters_by_meme
+    corpus._memo["key"] = "value"
+    assert {"posters_by_meme", "_memo"} <= set(vars(corpus))
+    fresh = corpus._replace()
+    assert fresh == corpus and fresh is not corpus
+    assert fresh._memo == {} and "posters_by_meme" not in vars(fresh)
+    with pytest.raises(AttributeError):
+        corpus.follows = {}
+    with pytest.raises(TypeError):
+        hash(corpus)
+    assert isinstance(vars(Corpus)["from_events"], classmethod)
 
 
 # Users 10 and 11 post hashtags g1 and g2 at their birth, and three posts
@@ -233,4 +247,4 @@ def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
     assert one_kind[10] == 0.0 < hashtags.mean_delay_days[10]
     spec = CoverSpec(universe=frozenset({G1, G2}))
     assert joint_cover(hashtags, spec).selected == (11,)
-    assert joint_cover(replace(hashtags, mean_delay_days=one_kind), spec).selected == (10,)
+    assert joint_cover(hashtags._replace(mean_delay_days=one_kind), spec).selected == (10,)
