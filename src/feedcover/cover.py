@@ -29,7 +29,7 @@ import heapq
 import math
 from typing import NamedTuple
 
-from .errors import InfeasibleCover, InvalidSpec
+from .errors import InfeasibleCover, InvalidSpec, UndefinedMeasure
 from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
 
 
@@ -161,12 +161,19 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     the candidate's ``corpus.mean_delay_days``, its mean delay in days
     over all the memes it posts, of every kind; a zero-delay candidate
     scores 0 under beta > 0 and so is always preferred while it still
-    covers something.
+    covers something. A weight past the float range raises UndefinedMeasure.
     """
     delays = corpus.mean_delay_days
 
     def weight(v):
-        return (float(corpus.post_count[v]) ** spec.alpha) * (delays[v] ** spec.beta)
+        try:
+            w = (float(corpus.post_count[v]) ** spec.alpha) * (delays[v] ** spec.beta)
+        except OverflowError:
+            w = math.inf
+        if w == math.inf:
+            raise UndefinedMeasure(f"joint weight of user {corpus.label(v)} overflows "
+                                   f"a float at alpha {spec.alpha}, beta {spec.beta}")
+        return w
 
     return _greedy(corpus, spec, ("joint", spec.alpha, spec.beta), weight)
 

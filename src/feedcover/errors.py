@@ -35,4 +35,5 @@ class InvalidSpec(FeedcoverError):
 
 class UndefinedMeasure(FeedcoverError):
     """A measure that is undefined for this ego or set: too few followees
-    posting the meme kind, zero in-flow, no memes, or too few members."""
+    posting the meme kind, zero in-flow, no memes, too few members, or a
+    joint cover weight past the float range."""

@@ -38,8 +38,8 @@ def _validate(spec: SynthSpec) -> None:
         raise InvalidSpec(f"unknown archetype {spec.archetype!r}")
     if min(spec.n_users, spec.n_memes, spec.window_days, spec.ego_followee_count) < 1:
         raise InvalidSpec("all counts must be >= 1")
-    if spec.pareto_exponent <= 0:
-        raise InvalidSpec("pareto exponent must be > 0")
+    if not 0 < spec.pareto_exponent < float("inf"):
+        raise InvalidSpec(f"pareto exponent {spec.pareto_exponent} is not a finite number > 0")
 
 
 def generate(spec: SynthSpec) -> tuple[Corpus, int]:
@@ -86,8 +86,10 @@ def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int
     else:  # pareto_inflow
         n = max(spec.n_users, k + 1)
         for v in range(1, n):
-            n_posts = min(int(rng.paretovariate(spec.pareto_exponent)), 500)
-            n_posts = max(n_posts, 1)
+            try:
+                n_posts = max(min(int(rng.paretovariate(spec.pareto_exponent)), 500), 1)
+            except OverflowError:  # a draw past the float range is past the cap too
+                n_posts = 500
             for _ in range(n_posts):
                 events.append(PostEvent(v, _meme(rng.randrange(spec.n_memes)), t()))
     return events, follows, ego

@@ -582,24 +582,90 @@ def test_main_restores_gc_state(redundant_dir, tmp_path, enabled, case, code):
             gc.enable()
 
 
-@pytest.mark.parametrize("case, code, frozen", [("analysis", 0, True), ("corrupt_cache", 2, False)])
-def test_analysis_freezes_the_loaded_corpus(redundant_dir, tmp_path, case, code, frozen):
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, code", [("ingest", 0), ("analysis", 0), ("corrupt_cache", 2)])
+def test_main_freezes_and_starts_no_collection(redundant_dir, tmp_path, enabled, case, code):
     # In a fresh interpreter: gc.freeze is process-wide, so pytest's own
     # process cannot tell this run's freeze from an earlier test's.
     cache = tmp_path / "corrupt.pkl"
     cache.write_bytes(b"\x00garbage")
-    corpus = redundant_dir if case == "analysis" else cache
-    argv = ["efficiency", "--corpus", corpus, "--egos", "0", "--min-followees", "1",
-            "--out", tmp_path / "rep"]
+    if case == "ingest":
+        data = tmp_path / "data"
+        argv = ["ingest", "--posts", data / "posts.tsv", "--follows", data / "follows.tsv",
+                *WINDOW, "--pre-extracted", "--out", tmp_path / "again"]
+    else:
+        corpus = redundant_dir if case == "analysis" else cache
+        argv = ["efficiency", "--corpus", corpus, "--egos", "0", "--min-followees", "1",
+                "--out", tmp_path / "rep"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import gc, sys\nfrom feedcover.cli import main\ncode = main(sys.argv[1:])\n"
-         "print(code, gc.get_freeze_count() > 0, gc.isenabled())",
-         *map(str, argv)],
+         "import gc, sys\nfrom feedcover.cli import main\n"
+         "enabled = sys.argv[1] == 'True'\n"
+         "if not enabled:\n    gc.disable()\n"
+         "starts = []\n"
+         "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+         "code = main(sys.argv[2:])\n"
+         "print(code, gc.isenabled() is enabled, gc.get_freeze_count() > 0, len(starts))",
+         str(enabled), *map(str, argv)],
         capture_output=True, text=True,
     )
-    assert proc.stdout.split()[-3:] == [str(code), str(frozen), "True"]
+    assert proc.stdout.split()[-4:] == [str(code), "True", "True", "0"]
     assert "Traceback" not in proc.stderr
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_ALPHA_BETA_COMMANDS = (["efficiency"], ["cover", "--method", "joint"], ["optimize"], ["egonet"])
+
+
+@pytest.mark.parametrize("command, option, value", [
+    pytest.param(command, option, value, id=" ".join([*command, option, value]))
+    for command, option, values in [
+        *[(command, option, ("400", "1e308", "nan", "inf"))
+          for option in ("--alpha", "--beta") for command in _ALPHA_BETA_COMMANDS],
+        *[(command, "--coverage", ("nan", "inf", "-0.0", "1e-300"))
+          for command in (["efficiency"], ["cover"])],
+        (["synth", "--archetype", "pareto_inflow"], "--pareto-exponent",
+         ("nan", "inf", "-1", "0", "1e-9")),
+    ]
+    for value in values
+])
+def test_extreme_float_options_exit_without_traceback(request, tmp_path, capsys,
+                                                      command, option, value):
+    if command[0] == "synth":
+        argv = [*command, "--out", tmp_path / "synth"]
+    else:
+        argv = [*command, "--corpus", request.getfixturevalue("redundant_dir"),
+                "--min-followees", "1", "--out", tmp_path / "rep"]
+    assert _exit_code([*argv, f"{option}={value}"]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _ALPHA_BETA_COMMANDS, ids=" ".join)
+def test_overflowing_joint_weight_skips_the_ego(redundant_dir, tmp_path, capsys, command):
+    code = run([*command, "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+                "--alpha", "400", "--out", tmp_path / "rep"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("skip ego 0: joint weight of user 1 overflows a float at "
+                          "alpha 400.0, beta 0.5\n")
+
+
+@pytest.mark.parametrize("values", [["0.5", "0.5"], ["1", "1.0"], ["0.5", "1", "0.50"]],
+                         ids=" ".join)
+def test_repeated_coverage_exit_2(redundant_dir, tmp_path, capsys, values):
+    argv = ["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+            "--out", tmp_path / "rep"]
+    for value in values:
+        argv += ["--coverage", value]
+    assert _exit_code(argv) == 2
+    assert "--coverage repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 # The exit code of each class in feedcover.errors that reaches cli.main.

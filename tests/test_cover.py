@@ -11,7 +11,7 @@ from feedcover.cover import (
     joint_cover,
     set_average_delay_days,
 )
-from feedcover.errors import InfeasibleCover, InvalidSpec
+from feedcover.errors import InfeasibleCover, InvalidSpec, UndefinedMeasure
 
 from conftest import DAY, M, brute_force_cover, make_corpus, random_instance
 
@@ -209,6 +209,15 @@ class TestJointCover:
         )
         result = joint_cover(corpus, spec_for(corpus, alpha=1.0, beta=0.5))
         assert result.selected == (1,)
+
+    @pytest.mark.parametrize("alpha, beta", [(400.0, 0.5), (1.0, 1000.0), (30.0, 100.0)])
+    def test_weight_past_float_range_is_undefined(self, alpha, beta):
+        # User 1: in-flow 10**6 and a 100-day delay. 10**2400 and 100**1000
+        # overflow a power; 10**180 * 100**100 overflows only the product.
+        corpus = make_corpus({1: [0], 2: [0]}, inflow={1: 10**6},
+                             times={(1, 0): 100 * DAY, (2, 0): 0})
+        with pytest.raises(UndefinedMeasure, match=f"user 1 .* alpha {alpha}, beta {beta}$"):
+            joint_cover(corpus, spec_for(corpus, alpha=alpha, beta=beta))
 
 
 class TestBruteForceCover:

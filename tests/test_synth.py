@@ -71,11 +71,19 @@ def test_invalid_specs_rejected():
         generate(SynthSpec(archetype="nope"))
     with pytest.raises(InvalidSpec):
         generate(SynthSpec(n_memes=0))
-    with pytest.raises(InvalidSpec):
-        generate(SynthSpec(archetype="pareto_inflow", pareto_exponent=0))
+    for exponent in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="pareto exponent"):
+            generate(SynthSpec(archetype="pareto_inflow", pareto_exponent=exponent))
     with pytest.raises(InvalidSpec):
         generate(SynthSpec(archetype="superuser_shadow",
                            ego_followee_count=9, n_memes=4))
+
+
+def test_overflowing_pareto_draw_counts_as_the_cap():
+    # A draw past the float range is past the 500-post cap too.
+    events, _, _ = generate_events(SynthSpec(archetype="pareto_inflow", pareto_exponent=1e-9))
+    users = [ev.user for ev in events]
+    assert {users.count(v) for v in set(users)} == {500}
 
 
 def test_pareto_inflow_counts_positive():
