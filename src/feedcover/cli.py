@@ -36,7 +36,7 @@ from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex, MemeId
 
 HIST_BIN_WIDTH = 0.02
 # Bump when the cache layout or the pickled layout of KindIndex or MemeId changes.
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 # The Corpus fields that the cache's first part holds, shared by every meme kind.
 _SHARED = tuple(name for name in Corpus._fields if name != "kinds")
 # Bytes of the little-endian size that precedes each kind's part.
@@ -189,11 +189,13 @@ def _iso_seconds(text: str) -> int:
     return -((datetime(1970, 1, 1, tzinfo=timezone.utc) - dt) // timedelta(seconds=1))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return int(text)
+def _count(minimum: int):
+    """argparse type: a decimal integer >= ``minimum``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+        return int(text)
+    return parse
 
 
 def _select_egos(corpus: Corpus, args) -> list[int]:
@@ -454,8 +456,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--meme-kind", default="hashtag", choices=MEME_KINDS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--min-followees", type=int, default=20)
-    p.add_argument("--sample-n", type=_positive_int, default=None)
+    p.add_argument("--min-followees", type=_count(0), default=20)
+    p.add_argument("--sample-n", type=_count(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--egos", default=None, help="explicit comma-separated egos")
     p.add_argument("--out", required=True)
@@ -504,6 +506,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code. Leaves the garbage collector
+    as it found it, so a library or test process may call it repeatedly."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "alpha" in vars(args):
+        args.coverage = getattr(args, "coverage", None) or [1.0]
+        try:
+            for p in args.coverage:
+                cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
+        except InvalidSpec as exc:
+            parser.error(str(exc))
+        if getattr(args, "method", None) == "delay" and args.coverage[0] < 1.0:
+            parser.error("--method delay needs --coverage 1")
+        if args.command == "cover" and len(args.coverage) > 1:
+            parser.error("cover takes one --coverage")
+        if len(set(args.coverage)) < len(args.coverage):
+            parser.error("--coverage repeats a value")
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except FeedcoverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+
+
+def console_main(argv=None) -> int:
+    """The ``feedcover`` console script and ``python -m feedcover.cli``:
+    ``main`` in a process that exits when it returns."""
     # The cyclic GC stays off while a command runs: a collection finds 0
     # unreachable objects after an analysis stage and a few hundred after
     # ingest, yet a running collector rescans the corpus as it is built or
@@ -512,29 +544,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if "alpha" in vars(args):
-            args.coverage = getattr(args, "coverage", None) or [1.0]
-            try:
-                for p in args.coverage:
-                    cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)
-            except InvalidSpec as exc:
-                parser.error(str(exc))
-            if getattr(args, "method", None) == "delay" and args.coverage[0] < 1.0:
-                parser.error("--method delay needs --coverage 1")
-            if args.command == "cover" and len(args.coverage) > 1:
-                parser.error("cover takes one --coverage")
-            if len(set(args.coverage)) < len(args.coverage):
-                parser.error("--coverage repeats a value")
-        try:
-            return args.fn(args)
-        except OSError as exc:
-            print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-        except FeedcoverError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.exit_code
+        return main(argv)
     finally:
         gc.freeze()
         if enabled:
@@ -542,4 +552,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

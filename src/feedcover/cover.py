@@ -65,7 +65,7 @@ def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
     """Candidates posting at least one universe meme, sorted by id."""
     pool = set()
     for meme in spec.universe:
-        pool.update(corpus.posters_by_meme.get(meme, frozenset()))
+        pool.update(corpus.posters_by_meme.get(meme, ()))
     if spec.candidates is not None:
         pool &= spec.candidates
     return sorted(pool)
@@ -192,9 +192,9 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     chosen: dict[int, int] = {}
     for meme in sorted(spec.universe):
         if meme not in earliest:
-            posters = corpus.posters_by_meme.get(meme, frozenset())
+            posters = corpus.posters_by_meme.get(meme, ())
             if spec.candidates is not None:
-                posters = posters & spec.candidates
+                posters = spec.candidates.intersection(posters)
             if not posters:
                 raise InfeasibleCover(f"meme {meme} has no candidate poster")
             earliest[meme] = min((corpus.first_post_by_user[v][meme], v) for v in posters)

@@ -28,7 +28,7 @@ def build_ego_network(corpus: Corpus, ego: int, members) -> EgoNetwork:
     edges = frozenset(
         (a, b) if a < b else (b, a)
         for a in members
-        for b in corpus.follows.get(a, frozenset()) & members
+        for b in members.intersection(corpus.follows.get(a, ()))
         if a != b
     )
     return EgoNetwork(members=members, edges=edges)

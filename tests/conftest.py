@@ -36,7 +36,7 @@ def make_corpus(
         counts.update(inflow)
     return Corpus.from_events(
         events,
-        {u: frozenset(vs) for u, vs in (follows or {}).items()},
+        {u: tuple(sorted(set(vs))) for u, vs in (follows or {}).items()},
         post_counts=counts,
     )
 

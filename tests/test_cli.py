@@ -389,6 +389,27 @@ def test_format_5_cache_of_the_old_corpus_shape_exit_2_as_stale(tmp_path, capsys
     assert "cache format 5 from feedcover" in capsys.readouterr().err
 
 
+def test_format_6_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys, monkeypatch):
+    # Format 6 had today's layout with frozensets of posters and followees.
+    corpus = cli._load_cached(redundant_dir)
+
+    def as_sets(ids_by_key):
+        return {key: frozenset(ids) for key, ids in ids_by_key.items()}
+
+    old = corpus._replace(
+        follows=as_sets(corpus.follows),
+        kinds={kind: part._replace(posters_by_meme=as_sets(part.posters_by_meme))
+               for kind, part in corpus.kinds.items()},
+    )
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 6)
+    path = cli._save_corpus(old, tmp_path / "old")
+    monkeypatch.undo()
+    assert _efficiency_on(path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"cache format 6 from feedcover {feedcover.__version__}" in err
+    assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
+
+
 @pytest.fixture
 def mixed_cache(tmp_path):
     """A cache of three meme kinds, in which ego e follows posters of each."""
@@ -482,6 +503,7 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("bad_window_start", "--window-start"),
     ("negative_sample_n", "--sample-n"),
     ("superscript_sample_n", "'\u00b2' is not an integer >= 1"),
+    ("negative_min_followees", "--min-followees: '-1' is not an integer >= 0"),
     ("synth_zero_users", "all counts must be >= 1"),
     ("synth_shadow_few_memes", "superuser_shadow needs n_memes"),
     ("ingest_out_is_file", "follows.tsv: File exists"),
@@ -516,6 +538,9 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     elif case in ("negative_sample_n", "superscript_sample_n"):
         sample_n = "-1" if case == "negative_sample_n" else "\u00b2"
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", sample_n,
+                "--out", tmp_path / "rep"]
+    elif case == "negative_min_followees":
+        argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--min-followees", "-1",
                 "--out", tmp_path / "rep"]
     elif case == "synth_zero_users":
         argv = ["synth", "--n-users", "0", "--out", tmp_path / "synth"]
@@ -575,7 +600,7 @@ def test_main_restores_gc_state(redundant_dir, tmp_path, enabled, case, code):
     try:
         if not enabled:
             gc.disable()
-        assert run(argv) == code
+        assert cli.console_main([str(a) for a in argv]) == code
         assert gc.isenabled() is enabled
     finally:
         if was_enabled:
@@ -599,18 +624,46 @@ def test_main_freezes_and_starts_no_collection(redundant_dir, tmp_path, enabled,
                 "--out", tmp_path / "rep"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import gc, sys\nfrom feedcover.cli import main\n"
+         "import gc, sys\nfrom feedcover.cli import console_main\n"
          "enabled = sys.argv[1] == 'True'\n"
          "if not enabled:\n    gc.disable()\n"
          "starts = []\n"
          "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
-         "code = main(sys.argv[2:])\n"
+         "code = console_main(sys.argv[2:])\n"
          "print(code, gc.isenabled() is enabled, gc.get_freeze_count() > 0, len(starts))",
          str(enabled), *map(str, argv)],
         capture_output=True, text=True,
     )
     assert proc.stdout.split()[-4:] == [str(code), "True", "True", "0"]
     assert "Traceback" not in proc.stderr
+
+
+def test_main_leaves_its_garbage_collectable(redundant_dir, tmp_path):
+    # The subparsers main builds hold reference cycles, so only a collection
+    # frees them; main neither freezes them nor switches the collector.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        frozen = gc.get_freeze_count()
+        for out in ("first", "second"):
+            assert _efficiency_on(redundant_dir, tmp_path / out) == 0
+        assert not gc.isenabled() and gc.get_freeze_count() == frozen
+        assert gc.collect() > 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_min_followees_zero_reads_as_one(bipartite_corpus, tmp_path):
+    reports = []
+    for minimum in ("0", "1"):
+        out = tmp_path / minimum
+        assert run(["efficiency", "--corpus", bipartite_corpus, "--min-followees", minimum,
+                    "--no-header-timestamp", "--out", out]) == 0
+        reports.append([(out / name).read_text()
+                        for name in ("efficiency.tsv", "efficiency_aggregate.tsv")])
+    assert reports[0] == reports[1]
 
 
 def _exit_code(argv):

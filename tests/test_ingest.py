@@ -275,7 +275,7 @@ def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
 
     plain = ingest(b"")
     assert sorted(plain.user_labels.values()) == ["a", "b"]
-    assert plain.follows == {_uid(plain, "b"): frozenset({_uid(plain, "a")})}
+    assert plain.follows == {_uid(plain, "b"): (_uid(plain, "a"),)}
     assert sorted(plain.first_mention) == [
         MemeId("hashtag", "x"), MemeId("news_domain", "cnn.com"),
         MemeId("url", "edition.cnn.com/story"),
@@ -409,7 +409,7 @@ def test_load_corpus_drops_self_follow(tmp_path):
     p, f = _write(tmp_path, posts, "a\ta\na\tb\n")
     corpus = load_corpus(p, f, cfg)
     a, b = _uid(corpus, "a"), _uid(corpus, "b")
-    assert corpus.follows == {a: frozenset({b})}
+    assert corpus.follows == {a: (b,)}
     ctx = ego_context(corpus, a, "hashtag")
     assert ctx.followees == {b}
     assert ctx.memes == {MemeId("hashtag", "y")}

@@ -248,3 +248,27 @@ def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
     spec = CoverSpec(universe=frozenset({G1, G2}))
     assert joint_cover(hashtags, spec).selected == (11,)
     assert joint_cover(hashtags._replace(mean_delay_days=one_kind), spec).selected == (10,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.sampled_from(MEME_KINDS), st.integers(0, 4),
+                       st.integers(0, 3 * DAY)), min_size=1, max_size=40),
+    st.dictionaries(st.integers(0, 9), st.frozensets(st.integers(0, 9), max_size=6),
+                    max_size=8),
+)
+def test_user_id_sets_are_sorted_tuples(triples, follows):
+    events = [PostEvent(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    corpus = Corpus.from_events(events, follows)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = _load_cached(_save_corpus(corpus, Path(tmp)))
+    posters: dict[MemeId, set[int]] = {}
+    for user, meme, _ in events:
+        posters.setdefault(meme, set()).add(user)
+    for one in (corpus, loaded):
+        assert {m: set(ids) for m, ids in one.posters_by_meme.items()} == posters
+        assert {u: set(ids) for u, ids in one.follows.items()} == follows
+        for ids in [*one.posters_by_meme.values(), *one.follows.values()]:
+            assert type(ids) is tuple
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert loaded == corpus
