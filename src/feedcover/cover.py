@@ -8,10 +8,12 @@ candidate posts. Ties go to the smallest user id; a zero-gain candidate
 is never picked. Each candidate's universe memes are a bitmask over the
 sorted universe. A heap holds ``(score, user id)`` keys as of each
 entry's last refresh. Gains only shrink and rounded division is
-monotone, so a stale key is a lower bound on the current score. The top
-entry is re-scored and taken if its fresh key is still no larger than
-every other key: exactly the pick of a full rescan, tie-break included.
-Otherwise it goes back into the heap under its fresh key.
+monotone, so a stale key is a lower bound on the current score. A top
+entry with a stale key goes back into the heap under its fresh one; a
+top entry whose key is current is no larger than any other entry's
+current key, so it is taken: exactly the pick of a full rescan,
+tie-break included. Of candidates with the same bitmask, only those
+that can ever rank first enter the heap (see ``_greedy_order``).
 
 The kernel runs each order to exhaustion, until no candidate adds a
 meme. A cover at coverage ``p`` is the shortest prefix of that order
@@ -93,24 +95,34 @@ def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
 
 def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> list:
     """The lazy greedy's picks as ``(user, gain, mask)``, run until no
-    candidate adds a meme."""
-    heap = [(w / m.bit_count(), v, m, w) for v, m, w in zip(pool, masks, weights)]
+    candidate adds a meme.
+
+    Candidates with equal masks have equal gains at every step, and once
+    one is picked the others gain nothing. A candidate whose weight is no
+    lower than that of a smaller id with its mask never ranks above that
+    id (its score is no lower, and it loses ties), so only the others
+    enter the heap. Every weight is still evaluated, so each can raise.
+    """
+    lightest: dict[int, float] = {}
+    heap = []
+    for v, m, w in zip(pool, masks, weights):  # pool is sorted by id
+        if m not in lightest or w < lightest[m]:
+            lightest[m] = w
+            heap.append((w / m.bit_count(), v, m, w))
     heapq.heapify(heap)
     remaining = (1 << n_memes) - 1
     order = []
     while heap and remaining:
-        _, v, mask, w = heap[0]
+        score, v, mask, w = heap[0]
         gain = (mask & remaining).bit_count()
         if gain == 0:
             heapq.heappop(heap)
-            continue
-        fresh = (w / gain, v, mask, w)
-        if len(heap) > 1 and fresh > min(heap[1:3]):
-            heapq.heapreplace(heap, fresh)
-            continue
-        heapq.heappop(heap)
-        remaining &= ~mask
-        order.append((v, gain, mask))
+        elif w / gain != score:  # a stale key: re-key it and look again
+            heapq.heapreplace(heap, (w / gain, v, mask, w))
+        else:
+            heapq.heappop(heap)
+            remaining &= ~mask
+            order.append((v, gain, mask))
     return order
 
 

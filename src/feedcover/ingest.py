@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
@@ -26,6 +27,10 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _TRAILING_PUNCT = ".,;:!?)\"'>]"
 
 _YOUTUBE_PREFIX = "www.youtube.com/watch"
+
+# Each meme kind's one shared string, so that pre-extracted memes do not
+# each hold the kind split from their own line.
+_KINDS = {kind: kind for kind in MEME_KINDS}
 
 
 class _IngestConfigFields(NamedTuple):
@@ -167,6 +172,23 @@ def load_url_aliases(path) -> dict[str, str]:
     return aliases
 
 
+class _EventColumns:
+    """Post events held as parallel columns of users, memes and times,
+    read as ``(user, meme, time)`` triples: three lists of shared objects
+    take far less memory than a tuple per event."""
+
+    __slots__ = ("users", "memes", "times")
+
+    def __init__(self, users: list[int], memes: list[MemeId], times: list[int]):
+        self.users, self.memes, self.times = users, memes, times
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self):
+        return zip(self.users, self.memes, self.times)
+
+
 def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
     """Build a windowed Corpus with the activity filter applied.
 
@@ -184,8 +206,10 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         load_url_aliases(config.url_alias_map) if config.url_alias_map else {}
     )
     ids: dict[str, int] = {}  # label -> integer id, in first-seen order
-    events: list[tuple[int, MemeId, int]] = []
-    append = events.append
+    # The kept post events as three parallel columns, one entry per meme.
+    users: list[int] = []
+    memes: list[MemeId] = []
+    times: list[int] = []
     post_counts: dict[int, int] = {}
     active: set[int] = set()
     start, end = config.window_start, config.window_end
@@ -198,9 +222,10 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
                 raise MalformedRecord(
                     posts_path, no, "expected user<TAB>time<TAB>kind<TAB>key"
                 )
-            label, time_s, kind, key = parts
-            if kind not in MEME_KINDS:
-                raise MalformedRecord(posts_path, no, f"unknown meme kind {kind!r}")
+            label, time_s, kind_s, key = parts
+            kind = _KINDS.get(kind_s)
+            if kind is None:
+                raise MalformedRecord(posts_path, no, f"unknown meme kind {kind_s!r}")
             if not key:
                 raise MalformedRecord(posts_path, no, "empty meme key")
         elif len(parts) != 3:
@@ -219,12 +244,18 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         elif time < end:
             post_counts[user] = post_counts.get(user, 0) + 1
             if config.pre_extracted:
-                append((user, MemeId(kind, key), time))
+                users.append(user)
+                memes.append(MemeId(kind, key))
+                times.append(time)
             else:
-                for meme in extract_memes(text, news_domains, url_aliases):
-                    append((user, meme, time))
+                found = extract_memes(text, news_domains, url_aliases)
+                users += [user] * len(found)
+                memes += found
+                times += [time] * len(found)
 
-    follows: dict[int, set[int]] = {}
+    # Each follower's followees in file order, repeats kept: from_events
+    # drops them when it sorts each list into the corpus's tuple.
+    follows: dict[int, list[int]] = {}
     for no, line in enumerate(load_lines(follows_path), start=1):
         if not line:
             continue
@@ -240,22 +271,24 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
         if follower != followee:  # a user is not its own source
             followees = follows.get(follower)
             if followees is None:
-                follows[follower] = {followee}
+                follows[follower] = [followee]
             else:
-                followees.add(followee)
+                followees.append(followee)
 
     if config.require_pre_window_activity:
-        events = [ev for ev in events if ev[0] in active]
+        keep = [u in active for u in users]
+        users, memes, times = (list(compress(c, keep)) for c in (users, memes, times))
+        del keep
         post_counts = {u: c for u, c in post_counts.items() if u in active}
         follows = {
-            u: {v for v in vs if v in active}
+            u: [v for v in vs if v in active]
             for u, vs in follows.items()
             if u in active
         }
-    if not events:
+    if not users:
         raise EmptyCorpus("no post events survive window and activity filtering")
     return Corpus.from_events(
-        events,
+        _EventColumns(users, memes, times),
         follows,
         post_counts=post_counts,
         user_labels={uid: label for label, uid in ids.items()},

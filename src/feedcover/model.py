@@ -149,13 +149,15 @@ class Corpus(_CorpusFields):
         post_counts: dict[int, int] | None = None,
         user_labels: dict[int, str] | None = None,
     ) -> "Corpus":
-        """Build every index from a sized collection of ``(user, meme, time)``
-        triples, such as PostEvents, and ``follows``, which maps each
-        follower to a set of followee ids.
+        """Build every index from ``events``, any sized iterable of
+        ``(user, meme, time)`` triples (such as a list of PostEvents), and
+        ``follows``, which maps each follower to any iterable of followee
+        ids, repeats allowed: each value is stored once, as
+        ``tuple(sorted(set(ids)))``.
 
         The result is independent of the order of ``events``. When
-        ``post_counts`` is omitted, each event counts as one post (so
-        ``events`` is read twice and may not be an iterator). All
+        ``post_counts`` is omitted, each event counts as one post, so
+        ``events`` is read twice and must be re-iterable, not an iterator. All
         indices share one ``MemeId`` object per meme (its first-seen one),
         so a pickled corpus stores each meme once. Each user's mean delay
         sums the terms of ``feedcover.cover._mean_delay_days`` with
@@ -208,7 +210,7 @@ class Corpus(_CorpusFields):
         return cls(
             kinds=kinds,
             post_count=dict(sorted(post_counts.items())),
-            follows={u: tuple(sorted(v)) for u, v in sorted(follows.items())},
+            follows={u: tuple(sorted(set(v))) for u, v in sorted(follows.items())},
             mean_delay_days=mean_delays,
             user_labels=dict(user_labels or {}),
         )

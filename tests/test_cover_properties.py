@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from feedcover.cover import (
     CoverSpec,
+    _greedy_order,
     candidate_pool,
     delay_optimal_cover,
     greedy_min_cover,
@@ -95,20 +96,24 @@ ENGINES = [
 
 
 @st.composite
-def instances(draw, max_users=15, max_memes=12):
+def instances(draw, max_users=15, max_memes=12, shared=False):
     """A random corpus and cover spec with many score ties.
 
     Post counts and posting days come from tiny ranges, so equal weights,
-    equal gains and zero-delay posters are common.
+    equal gains and zero-delay posters are common. With ``shared``, each
+    user posts one of at most three shared meme subsets, and 0 or 1
+    posts, so many candidates have equal bitmasks and equal weights.
     """
     n_memes = draw(st.integers(1, max_memes))
     n_users = draw(st.integers(1, max_users))
     meme_ids = st.integers(0, n_memes - 1)
-    sets = {v: draw(st.lists(meme_ids, min_size=1, max_size=n_memes, unique=True))
-            for v in range(1, n_users + 1)}
+    subsets = st.lists(meme_ids, min_size=1, max_size=n_memes, unique=True)
+    if shared:
+        subsets = st.sampled_from(draw(st.lists(subsets, min_size=1, max_size=3)))
+    sets = {v: draw(subsets) for v in range(1, n_users + 1)}
     times = {(v, i): draw(st.integers(0, 3)) * DAY for v, memes in sets.items()
              for i in memes}
-    inflow = {v: draw(st.integers(0, 4)) for v in sets}
+    inflow = {v: draw(st.integers(0, 1 if shared else 4)) for v in sets}
     corpus = make_corpus(sets, inflow=inflow, times=times)
     everything = sorted(corpus.first_mention)
     universe = frozenset(draw(st.one_of(
@@ -142,7 +147,7 @@ def outcome(engine, corpus, spec):
 
 
 @settings(max_examples=250, deadline=None)
-@given(instances())
+@given(st.one_of(instances(), instances(shared=True)))
 def test_lazy_kernel_matches_eager_reference(instance):
     corpus, spec = instance
     for engine, reference in ENGINES:
@@ -153,6 +158,24 @@ def test_lazy_kernel_matches_eager_reference(instance):
         assert got.selected == want.selected
         assert got.per_step == want.per_step
         assert got.covered == want.covered
+
+
+# 7.000000000000001 / 3 rounds to 7 / 3.
+HEAVIER_SEVEN = math.nextafter(7.0, 8.0)
+
+
+@pytest.mark.parametrize("masks, weights, picks", [
+    # Equal masks and equal scores: the rescan takes the smaller id,
+    # though it weighs more, so it must not be dropped for the lighter one.
+    ([0b111, 0b111], [HEAVIER_SEVEN, 7.0], [(1, 3, 0b111)]),
+    ([0b111, 0b111], [7.0, HEAVIER_SEVEN], [(1, 3, 0b111)]),
+    # After user 3's pick, user 1's key 0.5 is stale; its fresh score 1.0
+    # loses to user 2's 0.6, so user 1 goes back into the heap.
+    ([0b011, 0b100, 0b001], [1.0, 0.6, 0.1], [(3, 1, 0b001), (2, 1, 0b100), (1, 1, 0b011)]),
+])
+def test_greedy_order_picks_like_a_full_rescan(masks, weights, picks):
+    assert HEAVIER_SEVEN / 3 == 7.0 / 3
+    assert _greedy_order(list(range(1, len(masks) + 1)), masks, weights, 3) == picks
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,10 +1,11 @@
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedcover.cli import main
+from feedcover.cli import _load_cached, _save_corpus, main
 from feedcover.efficiency import delay_efficiency
 from feedcover.errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
 from feedcover.ingest import (
@@ -19,7 +20,7 @@ from feedcover.ingest import (
     load_lines,
     normalize_url,
 )
-from feedcover.model import MemeId
+from feedcover.model import MEME_KINDS, Corpus, MemeId
 
 CFG = IngestConfig(window_start=1000, window_end=2000)
 
@@ -339,6 +340,93 @@ def test_load_corpus_pre_extracted_bad_kind(tmp_path):
     p, f = _write(tmp_path, "a\t5\tgif\tfoo\n", "a\tb\n")
     with pytest.raises(MalformedRecord):
         load_corpus(p, f, cfg)
+
+
+def test_pre_extracted_memes_share_one_kind_string(tmp_path):
+    cfg = IngestConfig(window_start=0, window_end=100, pre_extracted=True,
+                       require_pre_window_activity=False)
+    posts = "".join(f"u{i}\t{i}\t{kind}\tk{i}\n" for i, kind in enumerate(MEME_KINDS * 3))
+    p, f = _write(tmp_path, posts, "u0\tu1\n")
+    corpus = load_corpus(p, f, cfg)
+    loaded = _load_cached(_save_corpus(corpus, tmp_path / "cache"))
+    assert loaded == corpus
+    for one in (corpus, loaded):
+        assert len(one.first_mention) == 12
+        assert len({id(meme.kind) for meme in one.first_mention}) == len(MEME_KINDS)
+    p.write_text(posts + "u0\t5\tgif\tk\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="posts.tsv:13: unknown meme kind 'gif'"):
+        load_corpus(p, f, cfg)
+
+
+def _reference_corpus(posts_path, follows_path, config):
+    """What ``load_corpus`` builds, the plain way: a set of followees per
+    follower and a tuple per event, handed to ``Corpus.from_events``.
+    Pre-extracted memes get the shared kind string, as in ``load_corpus``."""
+    ids: dict[str, int] = {}
+    def uid(label):
+        return ids.setdefault(label, len(ids))
+    events, counts, active = [], {}, set()
+    for line in load_lines(posts_path):
+        label, time_s, *rest = line.split("\t")
+        user, time = uid(label), int(time_s)
+        if time < config.window_start:
+            active.add(user)
+        elif time < config.window_end:
+            counts[user] = counts.get(user, 0) + 1
+            if config.pre_extracted:
+                memes = [MemeId(MEME_KINDS[MEME_KINDS.index(rest[0])], rest[1])]
+            else:
+                memes = extract_memes(rest[0])
+            events += [(user, meme, time) for meme in memes]
+    follows: dict[int, set[int]] = {}
+    for line in load_lines(follows_path):
+        follower, followee = map(uid, line.split("\t"))
+        if follower != followee:
+            follows.setdefault(follower, set()).add(followee)
+    if config.require_pre_window_activity:
+        events = [ev for ev in events if ev[0] in active]
+        counts = {u: c for u, c in counts.items() if u in active}
+        follows = {u: {v for v in vs if v in active} for u, vs in follows.items()
+                   if u in active}
+    return Corpus.from_events(events, follows, post_counts=counts,
+                              user_labels={uid: label for label, uid in ids.items()})
+
+
+_LABELS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    st.booleans(),
+    # Window [10, 20): times before it mark users active, times after it are dropped.
+    st.lists(st.tuples(_LABELS, st.integers(0, 30),
+                       st.sampled_from(["", "no memes", "#x", "#X #y #x",
+                                        "see http://ex.com/p #y", "www.ex.com/q #z"]),
+                       st.sampled_from(MEME_KINDS), st.sampled_from(["k1", "k2", "k3"])),
+             max_size=25),
+    st.lists(st.tuples(_LABELS, _LABELS), max_size=25),  # repeats and self-follows
+)
+def test_load_corpus_matches_set_and_tuple_reference(pre_extracted, active_only, posts,
+                                                     follows):
+    config = IngestConfig(window_start=10, window_end=20, pre_extracted=pre_extracted,
+                          require_pre_window_activity=active_only)
+    lines = [(label, str(t), kind, key) if pre_extracted else (label, str(t), text)
+             for label, t, text, kind, key in posts]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        p, f = _write(tmp, "".join("\t".join(x) + "\n" for x in lines),
+                      "".join(f"{a}\t{b}\n" for a, b in follows))
+        try:
+            want = _reference_corpus(p, f, config)
+        except EmptyCorpus:
+            with pytest.raises(EmptyCorpus):
+                load_corpus(p, f, config)
+            return
+        got = load_corpus(p, f, config)
+        assert got == want
+        assert (_save_corpus(got, tmp / "got").read_bytes()
+                == _save_corpus(want, tmp / "want").read_bytes())
 
 
 @pytest.fixture
