@@ -88,21 +88,10 @@ class ReportWriter:
         return path
 
 
-class _PickledCorpus:
-    """What a pickled ``Corpus`` loads as, whatever fields it was pickled with."""
-
-    def __new__(cls, *fields):
-        return object.__new__(cls)
-
-
 class _CacheUnpickler(pickle.Unpickler):
-    """Resolves only the corpus classes, so a foreign pickle cannot run code.
-    ``Corpus`` is in no current cache; format 5 pickled it whole, and a
-    stand-in for it lets such a cache's envelope load and be reported as
-    stale."""
+    """Resolves only the classes a cache holds, so a foreign pickle cannot run code."""
 
-    _classes = {("feedcover.model", "Corpus"): _PickledCorpus,
-                ("feedcover.model", "KindIndex"): KindIndex,
+    _classes = {("feedcover.model", "KindIndex"): KindIndex,
                 ("feedcover.model", "MemeId"): MemeId}
 
     def find_class(self, module, name):
@@ -199,7 +188,7 @@ def _count(minimum: int):
 
 
 def _select_egos(corpus: Corpus, args) -> list[int]:
-    if args.egos:
+    if args.egos is not None:
         by_label = {lbl: uid for uid, lbl in corpus.user_labels.items()}
         egos = []
         for token in args.egos.split(","):

@@ -14,11 +14,15 @@ from .model import Corpus, CoverResult, EgoContext
 
 
 def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[int]:
-    """Followees posting at least one covered meme (partial-coverage rule)."""
-    return frozenset(
+    """Followees posting at least one covered meme (partial-coverage rule);
+    raises UndefinedMeasure when there are none."""
+    effective = frozenset(
         v for v in ctx.followees
         if not covered.isdisjoint(corpus.first_post_by_user.get(v, ()))
     )
+    if not effective:
+        raise UndefinedMeasure("no followees posting covered memes")
+    return effective
 
 
 def _clamp(value: float, metric: str, ego: int) -> float:
@@ -32,16 +36,12 @@ def _clamp(value: float, metric: str, ego: int) -> float:
 def link_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """Size of the covering set over the (effective) followee count."""
     effective = _effective_followees(ctx, cov.covered, corpus)
-    if not effective:
-        raise UndefinedMeasure("no followees posting covered memes")
     return _clamp(len(cov.selected) / len(effective), "link efficiency", ctx.ego)
 
 
 def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """In-flow of the covering set over the (effective) followees' in-flow."""
     effective = _effective_followees(ctx, cov.covered, corpus)
-    if not effective:
-        raise UndefinedMeasure("no followees posting covered memes")
     original = corpus.inflow(effective)
     if original == 0:
         raise UndefinedMeasure("followees posted nothing in the window")
@@ -55,16 +55,11 @@ def _set_delay_efficiency(corpus: Corpus, selected, universe) -> float:
 def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     """1 / (1 + mean days between global first mention and ego receipt).
 
-    The ego receives each meme when its first followee posts it. The value
-    is the same at every coverage level; the corpus memo keeps it for the
-    latest ``(followees, memes)``, so it is computed once per ego."""
+    The ego receives each meme when its first followee posts it, so the
+    value is the same at every coverage level."""
     if not ctx.memes:
         raise UndefinedMeasure("received no memes")
-    key = (ctx.followees, ctx.memes)
-    slot = corpus._memo.get("ego_delay")
-    if slot is None or slot[0] != key:
-        slot = corpus._memo["ego_delay"] = (key, _set_delay_efficiency(corpus, *key))
-    return slot[1]
+    return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
 
 
 def _inflow_ratio(corpus: Corpus, users, baseline) -> float:
@@ -184,7 +179,7 @@ def evaluate_ego(
     At coverage < 1 the delay and joint covers and the cross- and
     joint-metrics are left empty; they need full coverage. ``e_delay``
     measures the ego's own timeline, not a cover, so it is the same at
-    every coverage level and is computed once per ego.
+    every coverage level.
     """
     spec = cover_mod.CoverSpec(
         universe=ctx.memes,

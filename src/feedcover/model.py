@@ -94,12 +94,12 @@ class Corpus(_CorpusFields):
     user's memes are stored once. Do not mutate them.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    the cover engines and ``delay_efficiency`` fill lazily (see
-    ``feedcover.cover``). It is not compared by ``==`` and not shown by
-    ``repr``; a ``_replace`` copy starts with an empty one, so replacing
-    a field never serves facts derived from the old value. The fields
-    are read-only; the class has no ``__slots__``, so the views and the
-    memo live in the instance ``__dict__``. A corpus is not hashable.
+    only the cover engines fill, lazily (see ``feedcover.cover``). It is
+    not compared by ``==`` and not shown by ``repr``; a ``_replace`` copy
+    starts with an empty one, so replacing a field never serves facts
+    derived from the old value. The fields are read-only; the class has
+    no ``__slots__``, so the views and the memo live in the instance
+    ``__dict__``. A corpus is not hashable.
     """
 
     @cached_property

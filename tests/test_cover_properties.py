@@ -2,8 +2,11 @@
 
 ``eager_greedy`` is the plain greedy: on every pick it rescans the whole
 pool and takes the smallest ``(score, user id)``. The package's lazy
-kernel must return exactly the same covers, step by step. The delay
-cover is checked against each meme's earliest candidate poster.
+kernel must return exactly the same covers, step by step.
+``rescan_order`` is the same plain greedy over bitmasks, and the kernel
+``_greedy_order`` is also checked against it directly, on inputs drawn
+to put stale keys just below their fresh scores. The delay cover is
+checked against each meme's earliest candidate poster.
 """
 import math
 from collections import Counter
@@ -176,6 +179,63 @@ HEAVIER_SEVEN = math.nextafter(7.0, 8.0)
 def test_greedy_order_picks_like_a_full_rescan(masks, weights, picks):
     assert HEAVIER_SEVEN / 3 == 7.0 / 3
     assert _greedy_order(list(range(1, len(masks) + 1)), masks, weights, 3) == picks
+
+
+def rescan_order(pool, masks, weights, n_memes) -> list:
+    """The plain greedy over bitmasks: each step rescans every candidate and
+    takes the smallest ``(w / gain, user id)`` among those with a nonzero gain."""
+    remaining = (1 << n_memes) - 1
+    order = []
+    while True:
+        steps = [(w / gain, v, gain, m) for v, m, w in zip(pool, masks, weights)
+                 if (gain := (m & remaining).bit_count())]
+        if not steps:
+            return order
+        _, v, gain, m = min(steps)
+        remaining &= ~m
+        order.append((v, gain, m))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A pool of up to 30 users, their masks over at most 12 memes, and
+    float weights spread over several orders of magnitude.
+
+    The lazy rule matters when a stale key lies just below its fresh
+    score and another candidate's score falls between the two. A
+    candidate of 11 or 12 memes that loses one moves up by 9-10%, so
+    meme counts of 11 and 12 are drawn often, and the users come in
+    three groups: one or two cheap posters of a single meme, picked
+    first; up to 25 posters of all memes but at most two (often a cheap
+    poster's meme, so that the cheap pick leaves them current while it
+    makes others stale), weighed from a palette of one or two weights, so
+    equal scores are common; and up to three posters of any memes at any
+    weight, zero included.
+    """
+    n_memes = draw(st.one_of(st.integers(1, 12), st.integers(11, 12)))
+    full = (1 << n_memes) - 1
+    bit = st.integers(0, n_memes - 1).map(lambda i: 1 << i)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    palette = draw(st.lists(st.integers(1, 12).map(lambda k: k * scale),
+                            min_size=1, max_size=2))
+    cheap = draw(st.lists(st.tuples(bit, st.integers(1, 12).map(lambda k: k * scale / 1000)),
+                          min_size=1, max_size=2))
+    drop = st.one_of(st.sampled_from([m for m, _ in cheap]), bit)
+    dense = st.tuples(st.lists(drop, max_size=2).map(lambda d: full & ~sum(set(d)) or full),
+                      st.sampled_from(palette))
+    other = st.tuples(st.integers(1, full), st.one_of(st.just(0.0), st.floats(1e-4, 1e4)))
+    users = (cheap + draw(st.lists(dense, min_size=1, max_size=25))
+             + draw(st.lists(other, max_size=3)))
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(users), max_size=len(users),
+                        unique=True))  # in drawn order, so any group may hold the lowest ids
+    pool, masks, weights = zip(*sorted((v, m, w) for v, (m, w) in zip(ids, users)))
+    return list(pool), list(masks), list(weights), n_memes
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_greedy_order_matches_a_full_rescan(inputs):
+    assert _greedy_order(*inputs) == rescan_order(*inputs)
 
 
 @settings(max_examples=120, deadline=None)
