@@ -242,18 +242,11 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
     ]
 
 
-def _report_row(report: eff_mod.EfficiencyReport) -> dict:
-    """The efficiency row of a report: its fields in order but ``joint_selected``."""
-    row = report._asdict()
-    del row["joint_selected"]
-    return row
-
-
 def _efficiency_rows(corpus, ctx, args) -> list[dict]:
     return [
-        _report_row(eff_mod.evaluate_ego(
+        eff_mod.evaluate_ego(
             corpus, ctx, args.meme_kind, coverage=p, alpha=args.alpha, beta=args.beta,
-        ))
+        )._asdict()
         for p in args.coverage
     ]
 
@@ -290,19 +283,21 @@ def _cover_rows(corpus, ctx, args) -> list[dict]:
 
 
 def _optimize_rows(corpus, ctx, args) -> list[dict]:
-    report = eff_mod.evaluate_ego(
-        corpus, ctx, args.meme_kind, alpha=args.alpha, beta=args.beta
+    spec = cover_mod.CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
+    link_cov, inflow_cov, originals = eff_mod.original_efficiencies(corpus, ctx, spec)
+    joint_cov, measured = eff_mod.optimized_efficiencies(
+        corpus, ctx, spec, link_cov, inflow_cov, originals
     )
     return [{
-        "meme_kind": report.meme_kind,
-        "n_followees": report.n_followees,
-        "selected": ",".join(corpus.label(v) for v in report.joint_selected),
-        "el_ua": report.el_ua,
-        "ef_ua": report.ef_ua,
-        "et_ua": report.et_ua,
-        "ratio_link": report.ratio_link_by_joint_opt,
-        "ratio_inflow": report.ratio_inflow_by_joint_opt,
-        "ratio_delay": report.ratio_delay_by_joint_opt,
+        "meme_kind": args.meme_kind,
+        "n_followees": len(ctx.followees),
+        "selected": ",".join(corpus.label(v) for v in joint_cov.selected),
+        "el_ua": measured["el_ua"],
+        "ef_ua": measured["ef_ua"],
+        "et_ua": measured["et_ua"],
+        "ratio_link": measured["ratio_link_by_joint_opt"],
+        "ratio_inflow": measured["ratio_inflow_by_joint_opt"],
+        "ratio_delay": measured["ratio_delay_by_joint_opt"],
     }]
 
 

@@ -121,11 +121,44 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
 _LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
 
 
+def original_efficiencies(
+    corpus: Corpus, ctx: EgoContext, spec: cover_mod.CoverSpec
+) -> tuple[CoverResult, CoverResult, dict[str, float]]:
+    """The link and in-flow covers of ``spec``, and the ego's own link,
+    in-flow and delay efficiencies keyed by their letters (``_LEGEND``)."""
+    link_cov = cover_mod.greedy_min_cover(corpus, spec)
+    inflow_cov = cover_mod.greedy_weighted_cover(corpus, spec)
+    return link_cov, inflow_cov, {
+        "l": link_efficiency(ctx, link_cov, corpus),
+        "f": inflow_efficiency(ctx, inflow_cov, corpus),
+        "t": delay_efficiency(ctx, corpus),
+    }
+
+
+def optimized_efficiencies(
+    corpus: Corpus, ctx: EgoContext, spec: cover_mod.CoverSpec, link_cov: CoverResult,
+    inflow_cov: CoverResult, originals: dict[str, float], delay_cov: CoverResult | None = None,
+) -> tuple[CoverResult, dict[str, float]]:
+    """The joint cover of ``spec``, and the joint set's ``e<metric>_ua`` and
+    their ratios to ``originals`` (named by ``_LEGEND``); with ``delay_cov``,
+    the cross-efficiencies and their ratios too. Measures are computed in
+    report-column order, so the error raised is the first undefined column's."""
+    joint_cov = cover_mod.joint_cover(corpus, spec)
+    optimized = {} if delay_cov is None else cross_efficiencies(
+        ctx, link_cov, inflow_cov, delay_cov, corpus)
+    optimized.update(joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus))
+    return joint_cov, {**optimized, **{
+        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
+            efficiency_ratio(value, originals[name[1]])
+        for name, value in optimized.items()
+    }}
+
+
 class EfficiencyReport(NamedTuple):
     """Everything measured for one ego at one meme kind and coverage level.
 
-    Fields are the report columns, in order (``joint_selected``, last,
-    is not a column); the full-coverage ones are None at partial coverage.
+    Fields are the report columns, in order; the full-coverage ones are
+    None at partial coverage.
     """
 
     ego: int
@@ -163,7 +196,6 @@ class EfficiencyReport(NamedTuple):
     ratio_link_by_joint_opt: float | None = None
     ratio_inflow_by_joint_opt: float | None = None
     ratio_delay_by_joint_opt: float | None = None
-    joint_selected: tuple[int, ...] = ()
 
 
 def evaluate_ego(
@@ -179,21 +211,10 @@ def evaluate_ego(
     At coverage < 1 the delay and joint covers and the cross- and
     joint-metrics are left empty; they need full coverage. ``e_delay``
     measures the ego's own timeline, not a cover, so it is the same at
-    every coverage level.
+    every coverage level. ``optimize`` shares its two helpers.
     """
-    spec = cover_mod.CoverSpec(
-        universe=ctx.memes,
-        coverage=coverage,
-        alpha=alpha,
-        beta=beta,
-    )
-    link_cov = cover_mod.greedy_min_cover(corpus, spec)
-    inflow_cov = cover_mod.greedy_weighted_cover(corpus, spec)
-    originals = {
-        "l": link_efficiency(ctx, link_cov, corpus),
-        "f": inflow_efficiency(ctx, inflow_cov, corpus),
-        "t": delay_efficiency(ctx, corpus),
-    }
+    spec = cover_mod.CoverSpec(universe=ctx.memes, coverage=coverage, alpha=alpha, beta=beta)
+    link_cov, inflow_cov, originals = original_efficiencies(corpus, ctx, spec)
     base = dict(
         ego=ctx.ego,
         meme_kind=meme_kind,
@@ -212,23 +233,14 @@ def evaluate_ego(
     if coverage != 1.0:
         return EfficiencyReport(**base, delay_set_size=None, joint_set_size=None)
     delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
-    joint_cov = cover_mod.joint_cover(corpus, spec)
-    optimized = {
-        **cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus),
-        **joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus),
-    }
-    ratios = {
-        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
-            efficiency_ratio(value, originals[name[1]])
-        for name, value in optimized.items()
-    }
+    joint_cov, optimized = optimized_efficiencies(
+        corpus, ctx, spec, link_cov, inflow_cov, originals, delay_cov
+    )
     return EfficiencyReport(
         delay_set_size=len(delay_cov.selected),
         joint_set_size=len(joint_cov.selected),
         delay_set_inflow=corpus.inflow(delay_cov.selected),
         joint_set_inflow=corpus.inflow(joint_cov.selected),
-        joint_selected=joint_cov.selected,
         **base,
         **optimized,
-        **ratios,
     )

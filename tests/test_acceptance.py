@@ -204,11 +204,14 @@ def test_08_partial_coverage_consistency():
         )
         corpora.append((corpus, make_ctx(corpus, ego, corpus.follows[ego])))
     for corpus, ctx in corpora:
-        full = evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)
+        # A fresh copy evaluates p = 1.0 only; the original first runs
+        # p = 0.5, so its p = 1.0 call reads the memo that run filled.
+        full = evaluate_ego(corpus._replace(), ctx, "hashtag", coverage=1.0)
+        half = evaluate_ego(corpus, ctx, "hashtag", coverage=0.5)
         via_partial_path = evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)
         assert full.e_link == via_partial_path.e_link
         assert full.e_inflow == via_partial_path.e_inflow
-        assert full.e_delay == via_partial_path.e_delay
+        assert full.e_delay == via_partial_path.e_delay == half.e_delay
         # filtered followee set at p = 1.0 is every meme-posting followee
         cov = greedy_min_cover(corpus, CoverSpec(universe=ctx.memes))
         assert cov.covered == ctx.memes

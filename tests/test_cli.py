@@ -1,13 +1,23 @@
+import argparse
 import gc
 import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import feedcover
 from feedcover import cli, errors
 from feedcover.cli import main
+from feedcover.cover import CoverSpec, joint_cover
+from feedcover.efficiency import evaluate_ego
+from feedcover.ingest import ego_context
+from feedcover.model import ARCHETYPES
+from feedcover.synth import SynthSpec, generate
+
+from conftest import make_corpus, make_ctx
 
 WINDOW = ["--window-start", "0", "--window-end", "604800"]
 
@@ -183,6 +193,72 @@ def test_optimize_report(redundant_dir, tmp_path):
     bins = read_tsv(out / "optimize_bins.tsv")
     assert len(bins) == 1
     assert int(bins[0]["count"]) == 1
+
+
+def _rows_or_error(row_fn, *args):
+    """The rows as (column, value) lists in column order, or the error raised."""
+    try:
+        return [list(row.items()) for row in row_fn(*args)]
+    except errors.FeedcoverError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _projected_report(corpus, ctx, args):
+    """``optimize``'s row as a projection of the full-coverage report."""
+    report = evaluate_ego(corpus, ctx, args.meme_kind, coverage=1.0,
+                          alpha=args.alpha, beta=args.beta)
+    spec = CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
+    selected = joint_cover(corpus, spec).selected
+    assert len(selected) == report.joint_set_size
+    return [{
+        "meme_kind": report.meme_kind,
+        "n_followees": report.n_followees,
+        "selected": ",".join(corpus.label(v) for v in selected),
+        "el_ua": report.el_ua,
+        "ef_ua": report.ef_ua,
+        "et_ua": report.et_ua,
+        "ratio_link": report.ratio_link_by_joint_opt,
+        "ratio_inflow": report.ratio_inflow_by_joint_opt,
+        "ratio_delay": report.ratio_delay_by_joint_opt,
+    }]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(SynthSpec, seed=st.integers(0, 10**6), n_users=st.integers(2, 16),
+              n_memes=st.integers(3, 14), window_days=st.just(7),
+              archetype=st.sampled_from(ARCHETYPES), pareto_exponent=st.just(1.5),
+              ego_followee_count=st.integers(1, 3)),
+    # alpha 400 overflows the joint weight of any user with 6 or more posts.
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 400.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_optimize_rows_project_the_full_coverage_report(spec, alpha, beta):
+    corpus, _ = generate(spec)
+    # Labels that differ from the ids, as an ingested corpus may have.
+    corpus = corpus._replace(user_labels={v: f"u{v}" for v in corpus.post_count})
+    args = argparse.Namespace(meme_kind="hashtag", alpha=alpha, beta=beta)
+    for ego in corpus.follows:
+        try:
+            ctx = ego_context(corpus, ego, "hashtag")
+        except errors.FeedcoverError:
+            continue
+        # Each side gets a fresh copy, so neither reads covers the other memoised.
+        assert (_rows_or_error(cli._optimize_rows, corpus._replace(), ctx, args)
+                == _rows_or_error(_projected_report, corpus._replace(), ctx, args))
+
+
+def test_optimize_rows_fail_where_the_full_report_fails_first():
+    # The ego's one followee has no posts in the window, and user 2, whom
+    # it does not follow, has too many for a joint weight at alpha 400.
+    # The full report stops at the in-flow efficiency, before the joint
+    # cover, and so must the optimize row.
+    corpus = make_corpus({1: [0], 2: [0]}, inflow={1: 0, 2: 10})
+    ctx = make_ctx(corpus, 0, [1])
+    args = argparse.Namespace(meme_kind="hashtag", alpha=400.0, beta=0.5)
+    expected = "UndefinedMeasure: followees posted nothing in the window"
+    assert _rows_or_error(_projected_report, corpus._replace(), ctx, args) == expected
+    assert _rows_or_error(cli._optimize_rows, corpus._replace(), ctx, args) == expected
 
 
 def test_egonet_star_fixture(redundant_dir, tmp_path):

@@ -325,6 +325,27 @@ def test_memoised_calls_match_a_fresh_corpus(instance, data):
             assert outcome(engine, corpus, call) == outcome(engine, corpus._replace(), call)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(), instances(shared=True)))
+def test_covered_is_the_union_of_the_picks_universe_memes(instance):
+    # ``covered`` is decoded from the prefix's bitmask. It must name exactly
+    # the universe memes that the selected users post: at full coverage,
+    # the whole universe.
+    corpus, spec = instance
+    for coverage in (spec.coverage, 1.0):
+        call = spec._replace(coverage=coverage)
+        for engine in ALL_ENGINES:
+            if engine is delay_optimal_cover and coverage < 1.0:
+                continue
+            result = run(engine, corpus, call)
+            if result is InfeasibleCover:
+                continue
+            reached = frozenset().union(*(corpus.memes_by_user[v] for v in result.selected))
+            assert result.covered == reached & spec.universe
+            if coverage == 1.0:
+                assert result.covered == spec.universe
+
+
 def test_memoised_partial_cover_whose_full_cover_is_infeasible():
     # Candidates {1, 2} reach memes 0-2 of 0-3: the full cover is
     # infeasible, a half cover is the first pick of the full order.

@@ -304,6 +304,28 @@ def test_evaluate_ego_partial_then_full_consistency():
     assert full.e_link == evaluate_ego(corpus, ctx, "hashtag", coverage=1.0).e_link
 
 
+@pytest.mark.parametrize("fixture", [fig2_fixture, fig3_fixture, fig4_fixture])
+def test_e_delay_equal_at_every_coverage(fixture):
+    # e_delay measures the ego's own timeline, not a cover.
+    corpus, ctx = fixture()
+    expected = delay_efficiency(ctx, corpus)
+    for coverage in (0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0):
+        assert evaluate_ego(corpus, ctx, "hashtag", coverage=coverage).e_delay == expected
+
+
+def test_evaluate_ego_runs_the_joint_cover_before_the_cross_efficiencies():
+    # User 1, who posted nothing, is both the link- and the in-flow-optimal
+    # set, so the cross-efficiencies are undefined; user 2's joint weight
+    # overflows at alpha 400. The joint cover runs first, so its error wins,
+    # as it does for optimize, which computes no cross-efficiencies.
+    corpus = make_corpus({1: [0], 2: [0], 3: [0]}, inflow={1: 0, 2: 10, 3: 1})
+    ctx = make_ctx(corpus, 0, [1, 3])
+    with pytest.raises(UndefinedMeasure, match="^joint weight of user 2 overflows"):
+        evaluate_ego(corpus, ctx, "hashtag", alpha=400.0)
+    with pytest.raises(UndefinedMeasure, match="^a cover set posted nothing"):
+        evaluate_ego(corpus, ctx, "hashtag", alpha=1.0)
+
+
 def test_evaluate_ego_pure():
     corpus, ctx = fig2_fixture()
     assert evaluate_ego(corpus, ctx, "hashtag") == evaluate_ego(corpus, ctx, "hashtag")
