@@ -235,7 +235,8 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
     n_bins = round(1.0 / HIST_BIN_WIDTH)
     counts = [0] * n_bins
     for v in values:
-        counts[min(int(v / HIST_BIN_WIDTH), n_bins - 1)] += 1
+        # round(v * n_bins, 9) puts 0.58 in bin 29, where 0.58 / 0.02 = 28.999999999999996
+        counts[min(int(round(v * n_bins, 9)), n_bins - 1)] += 1
     return [{**keys, "stat": mean_stat, "x": "", "value": sum(values) / len(values)}] + [
         {**keys, "stat": "hist", "x": i * HIST_BIN_WIDTH, "value": c}
         for i, c in enumerate(counts)

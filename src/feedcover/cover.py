@@ -22,8 +22,7 @@ raises InfeasibleCover. The corpus's private ``_memo``, filled on first
 use, keeps each meme's earliest ``(time, user id)`` poster for the
 corpus's lifetime, and the pool, its bitmasks and each engine's full
 order (keyed by engine, plus ``alpha``/``beta`` for the joint one) only
-for the latest universe and candidate set, so memory does not grow with
-the number of egos.
+for the latest universe, so memory does not grow with the number of egos.
 """
 from __future__ import annotations
 
@@ -37,14 +36,13 @@ from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
 
 class _CoverSpecFields(NamedTuple):
     universe: frozenset[MemeId]
-    candidates: frozenset[int] | None = None
     coverage: float = 1.0
     alpha: float = 1.0
     beta: float = 0.5
 
 
 class CoverSpec(_CoverSpecFields):
-    """What to cover, from whom, and how greedily to weigh candidates.
+    """What to cover, how much of it, and how to weigh candidates.
     A ``_replace`` copy is checked like a new spec."""
 
     __slots__ = ()
@@ -64,25 +62,23 @@ class CoverSpec(_CoverSpecFields):
 
 
 def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
-    """Candidates posting at least one universe meme, sorted by id."""
+    """Users posting at least one universe meme, sorted by id."""
     pool = set()
     for meme in spec.universe:
         pool.update(corpus.posters_by_meme.get(meme, ()))
-    if spec.candidates is not None:
-        pool &= spec.candidates
     return sorted(pool)
 
 
 def _masks(corpus: Corpus, universe, pool: list[int]) -> tuple[list[MemeId], list[int]]:
     """Universe memes in sorted order, and each pool candidate's memes as
-    a bitmask over them (bit i set when the candidate posts ``memes[i]``)."""
+    a bitmask over them (bit i set when the candidate posts ``memes[i]``).
+    ``pool`` holds every poster of a universe meme."""
     memes = sorted(universe)
     by_user = dict.fromkeys(pool, 0)
     for i, meme in enumerate(memes):
         bit = 1 << i
         for v in corpus.posters_by_meme.get(meme, ()):
-            if v in by_user:
-                by_user[v] |= bit
+            by_user[v] |= bit
     return memes, [by_user[v] for v in pool]
 
 
@@ -129,11 +125,12 @@ def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> l
 def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
     """The shortest prefix of ``engine``'s memoised full order that covers
     ``ceil(coverage * |universe|)`` memes."""
-    key = (spec.universe, spec.candidates)
+    universe = spec.universe
     slot = corpus._memo.get("universe")
-    if slot is None or slot[0] != key:
+    # ``is`` first: ``!=`` on two frozensets scans their elements.
+    if slot is None or (slot[0] is not universe and slot[0] != universe):
         pool = candidate_pool(corpus, spec)
-        slot = corpus._memo["universe"] = (key, pool, *_masks(corpus, spec.universe, pool), {})
+        slot = corpus._memo["universe"] = (universe, pool, *_masks(corpus, universe, pool), {})
     _, pool, memes, masks, orders = slot
     if engine not in orders:
         orders[engine] = _greedy_order(pool, masks, map(weight, pool), len(memes))
@@ -191,24 +188,21 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
 
 
 def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
-    """For each universe meme, pick its earliest poster among the candidates.
+    """For each universe meme, pick its earliest poster.
 
-    Full coverage only. Without a candidate restriction every meme
-    arrives at its window-wide first mention, so the mean delay is 0.
-    Ties on time go to the smallest user id.
+    Full coverage only. Every meme arrives at its window-wide first
+    mention, so the mean delay is 0. Ties on time go to the smallest
+    user id.
     """
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
-    earliest = (corpus._memo.setdefault("earliest_poster", {})
-                if spec.candidates is None else {})
+    earliest = corpus._memo.setdefault("earliest_poster", {})
     chosen: dict[int, int] = {}
     for meme in sorted(spec.universe):
         if meme not in earliest:
             posters = corpus.posters_by_meme.get(meme, ())
-            if spec.candidates is not None:
-                posters = spec.candidates.intersection(posters)
             if not posters:
-                raise InfeasibleCover(f"meme {meme} has no candidate poster")
+                raise InfeasibleCover(f"meme {meme} has no poster")
             earliest[meme] = min((corpus.first_post_by_user[v][meme], v) for v in posters)
         best = earliest[meme][1]
         chosen[best] = chosen.get(best, 0) + 1

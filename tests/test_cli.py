@@ -817,3 +817,19 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, cls):
                 tmp_path / "follows.tsv", *WINDOW, "--out", tmp_path / "cache"])
     assert code == EXIT_CODES[cls.__name__] == cls.exit_code
     assert "error:" in capsys.readouterr().err
+
+
+def test_distribution_bins_each_fraction_like_exact_arithmetic():
+    # Float division misplaces bin edges: 0.58 / 0.02 == 28.999999999999996,
+    # so 29/50 would land in the bin printed x = 0.56. The mean row comes
+    # first, then 50 bins, with 1.0 folded into the last.
+    rows = cli._distribution({"metric": "m"}, "mean", [0.0, 29 / 50, 47 / 50, 1.0])
+    assert rows[0] == {"metric": "m", "stat": "mean", "x": "", "value": 2.52 / 4}
+    assert [i for i, r in enumerate(rows[1:]) for _ in range(r["value"])] == [0, 29, 47, 49]
+    assert rows[30] == {"metric": "m", "stat": "hist", "x": 29 * cli.HIST_BIN_WIDTH, "value": 1}
+    fractions = [(d, n) for n in range(1, 101) for d in range(n + 1)]
+    counts = [0] * 50
+    for d, n in fractions:
+        counts[min(d * 50 // n, 49)] += 1
+    rows = cli._distribution({}, "mean", [d / n for d, n in fractions])
+    assert [r["value"] for r in rows[1:]] == counts

@@ -143,22 +143,11 @@ class TestDelayOptimalCover:
         result = delay_optimal_cover(corpus, spec_for(corpus))
         assert result.selected == (2,)
 
-    def test_honours_candidates(self):
-        # User 2 posts both memes first, but only user 1 may be picked.
-        corpus = make_corpus(
-            {1: [0, 1], 2: [0, 1]},
-            times={(1, 0): DAY, (1, 1): 3 * DAY, (2, 0): 0, (2, 1): 0},
-        )
-        spec = spec_for(corpus, candidates=frozenset({1}))
-        result = delay_optimal_cover(corpus, spec)
-        assert result.selected == (1,)
-        assert set_average_delay_days(corpus, result.selected, spec.universe) == 2.0
-        assert greedy_min_cover(corpus, spec).selected == (1,)
-
-    def test_candidates_missing_a_meme_infeasible(self):
+    def test_unposted_universe_meme_infeasible(self):
         corpus = make_corpus({1: [0], 2: [0, 1]})
-        with pytest.raises(InfeasibleCover):
-            delay_optimal_cover(corpus, spec_for(corpus, candidates=frozenset({1})))
+        spec = CoverSpec(universe=frozenset({M(0), M(2)}))
+        with pytest.raises(InfeasibleCover, match="key='m2'\\) has no poster$"):
+            delay_optimal_cover(corpus, spec)
 
 
 class TestJointCover:
@@ -182,21 +171,19 @@ class TestJointCover:
 
     def test_score_rule_hand_trace(self):
         # P: inflow 4, delay 4 days; Q: inflow 8, delay 1 day; same 2 memes.
-        # Scores 4*2/2 = 4 and 8*1/2 = 4 tie; smaller id (Q=1) wins.
+        # Scores 4*2/2 = 4 and 8*1/2 = 4 tie; smaller id (Q=1) wins. The
+        # origin of both memes posts meme 2, outside the universe, 3 days
+        # late: its mean delay of 1 day scores 100*1/2 = 50.
         times = {(2, 0): 4 * DAY, (2, 1): 4 * DAY,   # P
                  (1, 0): 1 * DAY, (1, 1): 1 * DAY,   # Q
-                 (9, 0): 0, (9, 1): 0}               # origin of both memes
+                 (9, 0): 0, (9, 1): 0, (9, 2): 3 * DAY,  # origin
+                 (8, 2): 0}
         corpus = make_corpus(
-            {2: [0, 1], 1: [0, 1], 9: [0, 1]},
+            {2: [0, 1], 1: [0, 1], 9: [0, 1, 2], 8: [2]},
             inflow={2: 4, 1: 8, 9: 100},
             times=times,
         )
-        spec = CoverSpec(
-            universe=frozenset({M(0), M(1)}),
-            candidates=frozenset({1, 2}),
-            alpha=1.0,
-            beta=0.5,
-        )
+        spec = CoverSpec(universe=frozenset({M(0), M(1)}), alpha=1.0, beta=0.5)
         result = joint_cover(corpus, spec)
         assert result.selected == (1,)
 
@@ -280,7 +267,7 @@ class TestCoverSpecValidation:
             spec._replace(coverage=0)
         with pytest.raises(InvalidSpec):
             spec._replace(beta=math.inf)
-        assert spec._replace(alpha=0.0) == CoverSpec(frozenset({M(1)}), None, 0.5, 0.0, 0.5)
+        assert spec._replace(alpha=0.0) == CoverSpec(frozenset({M(1)}), 0.5, 0.0, 0.5)
         assert type(spec._replace()) is CoverSpec
 
 

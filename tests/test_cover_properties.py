@@ -6,7 +6,7 @@ kernel must return exactly the same covers, step by step.
 ``rescan_order`` is the same plain greedy over bitmasks, and the kernel
 ``_greedy_order`` is also checked against it directly, on inputs drawn
 to put stale keys just below their fresh scores. The delay cover is
-checked against each meme's earliest candidate poster.
+checked against each meme's earliest poster.
 """
 import math
 from collections import Counter
@@ -105,7 +105,9 @@ def instances(draw, max_users=15, max_memes=12, shared=False):
     Post counts and posting days come from tiny ranges, so equal weights,
     equal gains and zero-delay posters are common. With ``shared``, each
     user posts one of at most three shared meme subsets, and 0 or 1
-    posts, so many candidates have equal bitmasks and equal weights.
+    posts, so many candidates have equal bitmasks and equal weights. The
+    universe may hold one meme that no user posts, so some full covers
+    are infeasible.
     """
     n_memes = draw(st.integers(1, max_memes))
     n_users = draw(st.integers(1, max_users))
@@ -121,11 +123,10 @@ def instances(draw, max_users=15, max_memes=12, shared=False):
     everything = sorted(corpus.first_mention)
     universe = frozenset(draw(st.one_of(
         st.just(everything), st.lists(st.sampled_from(everything), unique=True))))
-    candidates = draw(st.one_of(
-        st.none(), st.frozensets(st.integers(1, n_users + 2), max_size=n_users)))
+    if draw(st.booleans()):
+        universe |= {M(n_memes)}  # posted by nobody
     spec = CoverSpec(
         universe=universe,
-        candidates=candidates,
         coverage=draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.5, 0.9, 1.0]),
                                 st.floats(0.01, 1.0))),
         alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
@@ -242,8 +243,8 @@ def test_greedy_order_matches_a_full_rescan(inputs):
 @given(instances(), st.floats(0.01, 1.0))
 def test_partial_cover_is_prefix_of_full_order(instance, coverage):
     corpus, spec = instance
-    full = CoverSpec(spec.universe, spec.candidates, 1.0, spec.alpha, spec.beta)
-    partial = CoverSpec(spec.universe, spec.candidates, coverage, spec.alpha, spec.beta)
+    full = spec._replace(coverage=1.0)
+    partial = spec._replace(coverage=coverage)
     for engine, _ in ENGINES:
         whole = run(engine, corpus, full)
         part = run(engine, corpus, partial)
@@ -273,11 +274,10 @@ def test_set_average_delay_matches_per_meme_minimum(instance, data):
 @given(instances())
 def test_delay_cover_picks_each_memes_earliest_candidate(instance):
     corpus, spec = instance
-    spec = CoverSpec(spec.universe, spec.candidates)
+    spec = CoverSpec(spec.universe)
     earliest = {}
     for m in spec.universe:
-        posters = [v for v in corpus.posters_by_meme[m]
-                   if spec.candidates is None or v in spec.candidates]
+        posters = corpus.posters_by_meme.get(m, ())
         if posters:
             earliest[m] = min((corpus.first_post_by_user[v][m], v) for v in posters)
     if len(earliest) < len(spec.universe):
@@ -295,6 +295,17 @@ def test_delay_cover_picks_each_memes_earliest_candidate(instance):
     assert set_average_delay_days(corpus, result.selected, spec.universe) == mean
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_delay_cover_reaches_each_meme_at_its_first_mention(instance):
+    corpus, spec = instance
+    universe = spec.universe.intersection(corpus.first_mention)
+    cover = delay_optimal_cover(corpus, CoverSpec(universe))
+    assert cover.covered == universe
+    if universe:
+        assert set_average_delay_days(corpus, cover.selected, universe) == 0.0
+
+
 ALL_ENGINES = (greedy_min_cover, greedy_weighted_cover, joint_cover, delay_optimal_cover)
 
 
@@ -306,22 +317,24 @@ def test_memoised_calls_match_a_fresh_corpus(instance, data):
     # drawn coverage and at full coverage, in a drawn order; every result
     # must equal the same call on a fresh copy of the corpus.
     corpus, spec = instance
-    universes = st.sampled_from([spec.universe, frozenset(corpus.first_mention)])
+    # An equal copy of the universe is a distinct object, so a call with it
+    # finds the memo's slot by ``!=``, not by identity.
+    universes = st.sampled_from([spec.universe, frozenset(list(spec.universe)),
+                                 frozenset(corpus.first_mention)])
     calls = data.draw(st.lists(st.tuples(
         st.sampled_from(ALL_ENGINES),
         universes,
-        st.sampled_from([None, spec.candidates]),
         st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0)),
         st.sampled_from([0.0, 0.5, 1.0, 2.0]),
         st.sampled_from([0.0, 0.5, 1.0]),
         st.booleans(),
     ), min_size=1, max_size=8))
-    for engine, universe, candidates, coverage, alpha, beta, full_first in calls:
+    for engine, universe, coverage, alpha, beta, full_first in calls:
         levels = (1.0, coverage) if full_first else (coverage, 1.0)
         for level in levels:
             if engine is delay_optimal_cover and level < 1.0:
                 continue
-            call = CoverSpec(universe, candidates, level, alpha, beta)
+            call = CoverSpec(universe, level, alpha, beta)
             assert outcome(engine, corpus, call) == outcome(engine, corpus._replace(), call)
 
 
@@ -347,12 +360,12 @@ def test_covered_is_the_union_of_the_picks_universe_memes(instance):
 
 
 def test_memoised_partial_cover_whose_full_cover_is_infeasible():
-    # Candidates {1, 2} reach memes 0-2 of 0-3: the full cover is
-    # infeasible, a half cover is the first pick of the full order.
-    corpus = make_corpus({1: [0, 1], 2: [2], 3: [3]}, inflow={1: 3, 2: 1, 3: 1})
-    universe = frozenset(corpus.first_mention)
-    half = CoverSpec(universe, frozenset({1, 2}), coverage=0.5)
-    full = CoverSpec(universe, frozenset({1, 2}))
+    # Nobody posts meme 3 of memes 0-3: the full cover is infeasible, a
+    # half cover is the first pick of the full order.
+    corpus = make_corpus({1: [0, 1], 2: [2]}, inflow={1: 3, 2: 1})
+    universe = frozenset(corpus.first_mention) | {M(3)}
+    half = CoverSpec(universe, coverage=0.5)
+    full = CoverSpec(universe)
     for engine in (greedy_min_cover, greedy_weighted_cover, joint_cover):
         for first, then in ((full, half), (half, full)):
             fresh = [outcome(engine, corpus._replace(), s) for s in (first, then)]

@@ -145,11 +145,15 @@ def test_delay_sums_independent_of_iteration_order():
     # gives 0.6000000000000001 in some orders and 0.6 in others. Rival
     # user 2 posts the same memes 0.3, 0.2 and 0.1 days late, so under
     # alpha=0, beta=1 the joint cover ties them and picks user 1 with the
-    # mean delay computed in every order of user 1's first posts.
+    # mean delay computed in every order of user 1's first posts. Origin
+    # user 9 posts meme 3, which user 8 starts, 4 days late: a mean delay
+    # of 1 day keeps it out of the cover.
     times = {(9, i): 0 for i in range(3)}
+    times.update({(9, 3): 4 * DAY, (8, 3): 0})
     times.update({(1, i): (i + 1) * DAY // 10 for i in range(3)})
     times.update({(2, i): (3 - i) * DAY // 10 for i in range(3)})
-    corpus = make_corpus({9: [0, 1, 2], 1: [0, 1, 2], 2: [0, 1, 2]}, times=times)
+    corpus = make_corpus({9: [0, 1, 2, 3], 8: [3], 1: [0, 1, 2], 2: [0, 1, 2]},
+                         times=times)
     first = corpus.first_post_by_user[1]
     results = set()
     for order in permutations(M(i) for i in range(3)):
@@ -159,7 +163,7 @@ def test_delay_sums_independent_of_iteration_order():
             **corpus.mean_delay_days,
             1: _mean_delay_days(corpus, {m: first[m] for m in order}),
         })
-        spec = CoverSpec(universe=memes, candidates=frozenset({1, 2}), alpha=0.0, beta=1.0)
+        spec = CoverSpec(universe=memes, alpha=0.0, beta=1.0)
         results.add((
             delay_efficiency(ctx, corpus),
             set_average_delay_days(corpus, (1,), memes),
@@ -258,10 +262,12 @@ def test_joint_efficiencies_identities():
 
 
 def test_joint_delay_efficiency_one_day():
-    times = {(9, 0): 0, (1, 0): DAY}
-    corpus = make_corpus({9: [0], 1: [0]}, times=times, inflow={9: 100, 1: 1})
+    # Origin user 9 also posts meme 1, which user 8 starts, 2 days late:
+    # its joint weight 100 * 1**0.5 loses to user 1's 1 * 1**0.5.
+    times = {(9, 0): 0, (9, 1): 2 * DAY, (8, 1): 0, (1, 0): DAY}
+    corpus = make_corpus({9: [0, 1], 8: [1], 1: [0]}, times=times, inflow={9: 100, 1: 1})
     ctx = make_ctx(corpus, EGO, [1])
-    spec = CoverSpec(universe=ctx.memes, candidates=frozenset({1}))
+    spec = CoverSpec(universe=ctx.memes)
     joint = joint_cover(corpus, spec)
     link = greedy_min_cover(corpus, spec)
     inflow = greedy_weighted_cover(corpus, spec)

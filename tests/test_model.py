@@ -80,15 +80,16 @@ def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
     # mean delay of 1 day over all its memes, though meme 2 is outside
     # the universe. Rival user 2 posts memes 0 and 1 rival_delay_days
     # late. With alpha=0 and beta=1 the joint weight is the mean delay,
-    # and a tie goes to the smaller id.
+    # and a tie goes to the smaller id. User 9 posts meme 3, which user 8
+    # starts, 9 days late: a mean delay of 3 days keeps it out of the cover.
     rival = round(rival_delay_days * DAY)
     corpus = make_corpus(
-        {9: [0, 2], 1: [0, 1, 2], 2: [0, 1]},
-        times={(9, 0): 0, (9, 2): 0, (1, 0): DAY, (1, 1): 5, (1, 2): 2 * DAY,
+        {9: [0, 2, 3], 8: [3], 1: [0, 1, 2], 2: [0, 1]},
+        times={(9, 0): 0, (9, 2): 0, (9, 3): 9 * DAY, (8, 3): 0,
+               (1, 0): DAY, (1, 1): 5, (1, 2): 2 * DAY,
                (2, 0): rival, (2, 1): 5 + rival},
     )
-    spec = CoverSpec(universe=frozenset({M(0), M(1)}), candidates=frozenset({1, 2}),
-                     alpha=0.0, beta=1.0)
+    spec = CoverSpec(universe=frozenset({M(0), M(1)}), alpha=0.0, beta=1.0)
     assert joint_cover(corpus, spec).selected == (picked,)
 
 
