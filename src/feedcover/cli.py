@@ -286,19 +286,15 @@ def _cover_rows(corpus, ctx, args) -> list[dict]:
 def _optimize_rows(corpus, ctx, args) -> list[dict]:
     spec = cover_mod.CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
     link_cov, inflow_cov, originals = eff_mod.original_efficiencies(corpus, ctx, spec)
-    joint_cov, measured = eff_mod.optimized_efficiencies(
-        corpus, ctx, spec, link_cov, inflow_cov, originals
-    )
+    joint_cov = cover_mod.joint_cover(corpus, spec)
+    measured = eff_mod.joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus)
+    ratios = eff_mod.efficiency_ratios(measured, originals)
     return [{
         "meme_kind": args.meme_kind,
         "n_followees": len(ctx.followees),
         "selected": ",".join(corpus.label(v) for v in joint_cov.selected),
-        "el_ua": measured["el_ua"],
-        "ef_ua": measured["ef_ua"],
-        "et_ua": measured["et_ua"],
-        "ratio_link": measured["ratio_link_by_joint_opt"],
-        "ratio_inflow": measured["ratio_inflow_by_joint_opt"],
-        "ratio_delay": measured["ratio_delay_by_joint_opt"],
+        **measured,
+        **{name.removesuffix("_by_joint_opt"): value for name, value in ratios.items()},
     }]
 
 
@@ -315,23 +311,25 @@ def _optimize_summaries(rows, args) -> dict[str, list[dict]]:
     ]}
 
 
-def _lcc(net) -> float | None:
+def _lcc(corpus, ego, members) -> float | None:
+    """The LCC of ``members``' ego network; None under two members besides the ego."""
     try:
-        return egonet_mod.local_clustering_coefficient(net)
+        return egonet_mod.local_clustering_coefficient(
+            egonet_mod.build_ego_network(corpus, ego, members))
     except UndefinedMeasure:
         return None
 
 
 def _egonet_rows(corpus, ctx, args) -> list[dict]:
     spec = cover_mod.CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
-    lcc_original = _lcc(egonet_mod.build_ego_network(corpus, ctx.ego, ctx.followees))
+    lcc_original = _lcc(corpus, ctx.ego, ctx.followees)
     rows = []
     for method, engine in _METHODS.items():
         selected = engine(corpus, spec).selected
         rows.append({
             "optimization": method,
             "lcc_original": lcc_original,
-            "lcc_optimized": _lcc(egonet_mod.build_ego_network(corpus, ctx.ego, selected)),
+            "lcc_optimized": _lcc(corpus, ctx.ego, selected),
             "overlap": egonet_mod.overlap(selected, ctx.followees),
         })
     return rows

@@ -1,5 +1,11 @@
 """Efficiency metrics: link, in-flow, delay, cross- and joint-efficiencies.
 
+Every efficiency is one set of sources under one metric, measured against
+the set optimal for that metric, so the three formulas live in one place,
+``_efficiency``: the ego's own measures, the cross-efficiencies and the
+joint ones only choose the sets. ``efficiency_ratios`` names and computes
+each measure's ratio to the ego's own efficiency under the same metric.
+
 Reported efficiencies come from the greedy covers, not exact optima.
 A greedy cover can in principle be worse than the user's own followee
 set, making a ratio exceed 1; such values are clamped to 1 and logged.
@@ -25,31 +31,42 @@ def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[
     return effective
 
 
-def _clamp(value: float, metric: str, ego: int) -> float:
+def _clamp(value: float, metric: str, label: str) -> float:
     if value > 1.0:
         import logging  # loaded on the first clamp, not at startup
-        logging.getLogger(__name__).warning("clamping %s=%g > 1 for ego %d", metric, value, ego)
+        logging.getLogger(__name__).warning("clamping %s=%g > 1 for ego %s", metric, value, label)
         return 1.0
     return value
+
+
+def _efficiency(metric: str, corpus: Corpus, ctx: EgoContext, selected, optimal,
+                posters: str = "a cover set") -> float:
+    """The ``metric`` (``_LEGEND`` letter) efficiency of the users ``selected``
+    against ``optimal``, a set optimal for that metric; delay efficiency is
+    absolute and ignores ``optimal``. ``posters`` names ``selected`` in the
+    error raised when its in-flow is 0."""
+    if metric == "l":
+        return len(optimal) / len(selected)
+    if metric == "f":
+        denominator = corpus.inflow(selected)
+        if denominator == 0:
+            raise UndefinedMeasure(f"{posters} posted nothing in the window")
+        return corpus.inflow(optimal) / denominator
+    return 1.0 / (1.0 + cover_mod.set_average_delay_days(corpus, selected, ctx.memes))
 
 
 def link_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """Size of the covering set over the (effective) followee count."""
     effective = _effective_followees(ctx, cov.covered, corpus)
-    return _clamp(len(cov.selected) / len(effective), "link efficiency", ctx.ego)
+    return _clamp(_efficiency("l", corpus, ctx, effective, cov.selected),
+                  "link efficiency", corpus.label(ctx.ego))
 
 
 def inflow_efficiency(ctx: EgoContext, cov: CoverResult, corpus: Corpus) -> float:
     """In-flow of the covering set over the (effective) followees' in-flow."""
     effective = _effective_followees(ctx, cov.covered, corpus)
-    original = corpus.inflow(effective)
-    if original == 0:
-        raise UndefinedMeasure("followees posted nothing in the window")
-    return _clamp(corpus.inflow(cov.selected) / original, "in-flow efficiency", ctx.ego)
-
-
-def _set_delay_efficiency(corpus: Corpus, selected, universe) -> float:
-    return 1.0 / (1.0 + cover_mod.set_average_delay_days(corpus, selected, universe))
+    return _clamp(_efficiency("f", corpus, ctx, effective, cov.selected, "followees"),
+                  "in-flow efficiency", corpus.label(ctx.ego))
 
 
 def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
@@ -59,15 +76,7 @@ def delay_efficiency(ctx: EgoContext, corpus: Corpus) -> float:
     value is the same at every coverage level."""
     if not ctx.memes:
         raise UndefinedMeasure("received no memes")
-    return _set_delay_efficiency(corpus, ctx.followees, ctx.memes)
-
-
-def _inflow_ratio(corpus: Corpus, users, baseline) -> float:
-    """In-flow of ``users`` over the in-flow of ``baseline``."""
-    denominator = corpus.inflow(baseline)
-    if denominator == 0:
-        raise UndefinedMeasure("a cover set posted nothing in the window")
-    return corpus.inflow(users) / denominator
+    return _efficiency("t", corpus, ctx, ctx.followees, None)
 
 
 def cross_efficiencies(
@@ -83,14 +92,9 @@ def cross_efficiencies(
     efficiency of the in-flow-optimal set, measured against the
     link-optimal set.
     """
-    return {
-        "el_uf": len(link_cov.selected) / len(inflow_cov.selected),
-        "el_ut": len(link_cov.selected) / len(delay_cov.selected),
-        "ef_ul": _inflow_ratio(corpus, inflow_cov.selected, link_cov.selected),
-        "ef_ut": _inflow_ratio(corpus, inflow_cov.selected, delay_cov.selected),
-        "et_ul": _set_delay_efficiency(corpus, link_cov.selected, ctx.memes),
-        "et_uf": _set_delay_efficiency(corpus, inflow_cov.selected, ctx.memes),
-    }
+    sets = {"l": link_cov.selected, "f": inflow_cov.selected, "t": delay_cov.selected}
+    return {f"e{metric}_u{s}": _efficiency(metric, corpus, ctx, sets[s], sets[metric])
+            for metric, s in ("lf", "lt", "fl", "ft", "tl", "tf")}
 
 
 def joint_efficiencies(
@@ -101,11 +105,9 @@ def joint_efficiencies(
     corpus: Corpus,
 ) -> dict[str, float]:
     """The joint-heuristic set under each single metric, keyed ``e<metric>_ua``."""
-    return {
-        "el_ua": len(link_cov.selected) / len(joint_cov.selected),
-        "ef_ua": _inflow_ratio(corpus, inflow_cov.selected, joint_cov.selected),
-        "et_ua": _set_delay_efficiency(corpus, joint_cov.selected, ctx.memes),
-    }
+    optimal = {"l": link_cov.selected, "f": inflow_cov.selected, "t": None}
+    return {f"e{metric}_ua": _efficiency(metric, corpus, ctx, joint_cov.selected, optimal[metric])
+            for metric in "lft"}
 
 
 def efficiency_ratio(optimized_value: float, original_value: float) -> float:
@@ -121,6 +123,18 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
 _LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
 
 
+def efficiency_ratios(measured: dict[str, float], originals: dict[str, float]) -> dict[str, float]:
+    """Each ``e<metric>_u<set>`` of ``measured`` over the ego's own <metric>
+    efficiency in ``originals`` (keyed by letter), named
+    ``ratio_<metric>_by_<set>_opt`` with the letters spelled out (``_LEGEND``),
+    in the order of ``measured``."""
+    return {
+        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
+            efficiency_ratio(value, originals[name[1]])
+        for name, value in measured.items()
+    }
+
+
 def original_efficiencies(
     corpus: Corpus, ctx: EgoContext, spec: cover_mod.CoverSpec
 ) -> tuple[CoverResult, CoverResult, dict[str, float]]:
@@ -133,25 +147,6 @@ def original_efficiencies(
         "f": inflow_efficiency(ctx, inflow_cov, corpus),
         "t": delay_efficiency(ctx, corpus),
     }
-
-
-def optimized_efficiencies(
-    corpus: Corpus, ctx: EgoContext, spec: cover_mod.CoverSpec, link_cov: CoverResult,
-    inflow_cov: CoverResult, originals: dict[str, float], delay_cov: CoverResult | None = None,
-) -> tuple[CoverResult, dict[str, float]]:
-    """The joint cover of ``spec``, and the joint set's ``e<metric>_ua`` and
-    their ratios to ``originals`` (named by ``_LEGEND``); with ``delay_cov``,
-    the cross-efficiencies and their ratios too. Measures are computed in
-    report-column order, so the error raised is the first undefined column's."""
-    joint_cov = cover_mod.joint_cover(corpus, spec)
-    optimized = {} if delay_cov is None else cross_efficiencies(
-        ctx, link_cov, inflow_cov, delay_cov, corpus)
-    optimized.update(joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus))
-    return joint_cov, {**optimized, **{
-        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
-            efficiency_ratio(value, originals[name[1]])
-        for name, value in optimized.items()
-    }}
 
 
 class EfficiencyReport(NamedTuple):
@@ -211,7 +206,10 @@ def evaluate_ego(
     At coverage < 1 the delay and joint covers and the cross- and
     joint-metrics are left empty; they need full coverage. ``e_delay``
     measures the ego's own timeline, not a cover, so it is the same at
-    every coverage level. ``optimize`` shares its two helpers.
+    every coverage level. The joint cover runs before any cross- or
+    joint-measure and the measures run in report-column order, so the
+    error raised is the first undefined column's; ``optimize`` keeps the
+    same order.
     """
     spec = cover_mod.CoverSpec(universe=ctx.memes, coverage=coverage, alpha=alpha, beta=beta)
     link_cov, inflow_cov, originals = original_efficiencies(corpus, ctx, spec)
@@ -233,14 +231,17 @@ def evaluate_ego(
     if coverage != 1.0:
         return EfficiencyReport(**base, delay_set_size=None, joint_set_size=None)
     delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
-    joint_cov, optimized = optimized_efficiencies(
-        corpus, ctx, spec, link_cov, inflow_cov, originals, delay_cov
-    )
+    joint_cov = cover_mod.joint_cover(corpus, spec)
+    measured = {
+        **cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus),
+        **joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus),
+    }
     return EfficiencyReport(
         delay_set_size=len(delay_cov.selected),
         joint_set_size=len(joint_cov.selected),
         delay_set_inflow=corpus.inflow(delay_cov.selected),
         joint_set_inflow=corpus.inflow(joint_cov.selected),
         **base,
-        **optimized,
+        **measured,
+        **efficiency_ratios(measured, originals),
     )

@@ -274,6 +274,30 @@ def test_egonet_star_fixture(redundant_dir, tmp_path):
         assert 0.0 <= float(row["overlap"]) <= 1.0
 
 
+def test_egonet_keeps_an_ego_whose_cover_is_the_ego_alone(tmp_path, capsys):
+    # Ego e posts memes a and b first, so every cover of its universe is e
+    # alone: no member besides the ego, so no LCC, but the ego keeps its rows.
+    posts, follows = tmp_path / "posts.tsv", tmp_path / "follows.tsv"
+    posts.write_text("".join(
+        f"{user}\t{t}\thashtag\t{key}\n"
+        for user, t, key in [("e", -10, "w"), ("e", 1, "a"), ("e", 1, "b"),
+                             ("A", -10, "w"), ("A", 2, "a"),
+                             ("B", -10, "w"), ("B", 2, "b")]
+    ))
+    follows.write_text("e\tA\ne\tB\nA\tB\n")
+    assert run(["ingest", "--posts", posts, "--follows", follows, "--window-start", "0",
+                "--window-end", "100", "--pre-extracted", "--out", tmp_path / "cache"]) == 0
+    out = tmp_path / "ego"
+    capsys.readouterr()
+    assert run(["egonet", "--corpus", tmp_path / "cache" / "corpus.pkl", "--egos", "e",
+                "--min-followees", "1", "--out", out, "--no-header-timestamp"]) == 0
+    assert capsys.readouterr().out == "rows: 4  egos skipped: 0\n"
+    rows = read_tsv(out / "egonet.tsv")
+    assert [(r["optimization"], r["lcc_original"], r["lcc_optimized"], r["overlap"])
+            for r in rows] == [(method, "1", "", "0")
+                               for method in ("link", "inflow", "delay", "joint")]
+
+
 def test_reports_byte_identical_across_reruns(redundant_dir, tmp_path):
     outputs = {}
     for tag in ("one", "two"):

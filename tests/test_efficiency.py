@@ -1,6 +1,9 @@
+import math
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedcover.cover import (
     CoverSpec,
@@ -21,7 +24,9 @@ from feedcover.efficiency import (
     link_efficiency,
 )
 from feedcover.errors import InfeasibleCover, UndefinedMeasure
-from feedcover.model import EgoContext
+from feedcover.ingest import ego_context
+from feedcover.model import ARCHETYPES, EgoContext
+from feedcover.synth import SynthSpec, generate
 
 from conftest import DAY, M, make_corpus, make_ctx
 
@@ -201,13 +206,17 @@ def test_link_efficiency_empty_followees():
 
 def test_greedy_overshoot_is_clamped(caplog):
     # Decoy 1 makes greedy pick three users although followees {2, 3} suffice.
+    # Labels differ from the ids, as in an ingested corpus: the warning names
+    # the ego as every skip line does, by its label.
     corpus = make_corpus({1: [1, 3], 2: [1, 2], 3: [3, 4]})
+    corpus = corpus._replace(user_labels={v: f"u{v}" for v in (1, 2, 3, EGO)})
     ctx = make_ctx(corpus, EGO, [2, 3])
     cov = greedy_min_cover(corpus, CoverSpec(universe=ctx.memes))
     assert len(cov.selected) == 3
     with caplog.at_level("WARNING"):
         assert link_efficiency(ctx, cov, corpus) == 1.0
-    assert "clamping" in caplog.text
+    assert [r.getMessage() for r in caplog.records] == [
+        "clamping link efficiency=1.5 > 1 for ego u100"]
     assert [r.name for r in caplog.records] == ["feedcover.efficiency"]
 
 
@@ -335,3 +344,81 @@ def test_evaluate_ego_runs_the_joint_cover_before_the_cross_efficiencies():
 def test_evaluate_ego_pure():
     corpus, ctx = fig2_fixture()
     assert evaluate_ego(corpus, ctx, "hashtag") == evaluate_ego(corpus, ctx, "hashtag")
+
+
+# Each ratio column: (measure, the ego's own efficiency under the same metric).
+_ORACLE_RATIOS = {
+    "ratio_link_by_inflow_opt": ("el_uf", "e_link"),
+    "ratio_link_by_delay_opt": ("el_ut", "e_link"),
+    "ratio_inflow_by_link_opt": ("ef_ul", "e_inflow"),
+    "ratio_inflow_by_delay_opt": ("ef_ut", "e_inflow"),
+    "ratio_delay_by_link_opt": ("et_ul", "e_delay"),
+    "ratio_delay_by_inflow_opt": ("et_uf", "e_delay"),
+    "ratio_link_by_joint_opt": ("el_ua", "e_link"),
+    "ratio_inflow_by_joint_opt": ("ef_ua", "e_inflow"),
+    "ratio_delay_by_joint_opt": ("et_ua", "e_delay"),
+}
+
+
+def _oracle_columns(corpus, ctx, link, inflow, delay, joint):
+    """Every full-coverage efficiency column, from the paper's definitions
+    and the raw indices alone: e_l(U) = |U_l| / |U|, e_f(U) = f(U_f) / f(U)
+    and e_t(U) = 1 / (1 + mean delay at which U first posts each meme)."""
+    def flow(users):
+        return sum(corpus.post_count[v] for v in users)
+
+    def delay_eff(users):
+        firsts = [corpus.first_post_by_user[v] for v in users]
+        days = [
+            (min(first[m] for first in firsts if m in first) - corpus.first_mention[m]) / DAY
+            for m in ctx.memes
+        ]
+        return 1.0 / (1.0 + math.fsum(days) / len(days))
+
+    # At full coverage every followee posts a covered meme, so the
+    # effective followees are all of them.
+    columns = {
+        "e_link": min(1.0, len(link) / len(ctx.followees)),
+        "e_inflow": min(1.0, flow(inflow) / flow(ctx.followees)),
+        "e_delay": delay_eff(ctx.followees),
+        "el_uf": len(link) / len(inflow),
+        "el_ut": len(link) / len(delay),
+        "ef_ul": flow(inflow) / flow(link),
+        "ef_ut": flow(inflow) / flow(delay),
+        "et_ul": delay_eff(link),
+        "et_uf": delay_eff(inflow),
+        "el_ua": len(link) / len(joint),
+        "ef_ua": flow(inflow) / flow(joint),
+        "et_ua": delay_eff(joint),
+    }
+    for ratio, (measure, own) in _ORACLE_RATIOS.items():
+        columns[ratio] = columns[measure] / columns[own]
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(SynthSpec, seed=st.integers(0, 10**6), n_users=st.integers(2, 16),
+              n_memes=st.integers(3, 14), window_days=st.just(7),
+              archetype=st.sampled_from(ARCHETYPES), pareto_exponent=st.just(1.5),
+              ego_followee_count=st.integers(1, 3)),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta):
+    # The oracle sums the same integers and, through math.fsum, the same
+    # delays exactly rounded, so every column must match bit for bit.
+    corpus, _ = generate(spec)
+    for ego in corpus.follows:
+        try:
+            ctx = ego_context(corpus, ego, "hashtag")
+        except UndefinedMeasure:
+            continue
+        cover_spec = CoverSpec(universe=ctx.memes, alpha=alpha, beta=beta)
+        covers = [engine(corpus, cover_spec).selected for engine in (
+            greedy_min_cover, greedy_weighted_cover, delay_optimal_cover, joint_cover)]
+        expected = _oracle_columns(corpus, ctx, *covers)
+        report = evaluate_ego(corpus, ctx, "hashtag", alpha=alpha, beta=beta)._asdict()
+        assert {name: report[name] for name in expected} == expected
+        assert [name for name in report if name.startswith(("ratio_", "el_", "ef_", "et_"))] \
+            == [name for name in expected if not name.startswith("e_")]
