@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import repeat
+from operator import sub, truediv
 from typing import NamedTuple
 
 from .errors import InfeasibleCover, InvalidSpec, UndefinedMeasure
@@ -84,8 +86,9 @@ def _masks(corpus: Corpus, universe, pool: list[int]) -> tuple[list[MemeId], lis
 
 def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
     """Mean days from each meme's first mention to its time in ``first``."""
+    born = map(corpus.first_mention.__getitem__, first)
     return math.fsum(
-        (t - corpus.first_mention[m]) / SECONDS_PER_DAY for m, t in first.items()
+        map(truediv, map(sub, first.values(), born), repeat(SECONDS_PER_DAY))
     ) / len(first)
 
 
@@ -145,10 +148,14 @@ def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
         n_covered += gain
     if n_covered < target:
         raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
-    bits = reversed(f"{covered:0{len(memes)}b}")
+    if n_covered == len(memes):
+        covered = frozenset(universe)  # ``universe`` itself when it is a frozenset
+    else:
+        bits = reversed(f"{covered:0{len(memes)}b}")
+        covered = frozenset(m for m, bit in zip(memes, bits) if bit == "1")
     return CoverResult(
         selected=tuple(v for v, _ in per_step),
-        covered=frozenset(m for m, bit in zip(memes, bits) if bit == "1"),
+        covered=covered,
         per_step=tuple(per_step),
     )
 
@@ -222,8 +229,9 @@ def set_average_delay_days(corpus, selected, universe) -> float | None:
     for v in selected:
         first = corpus.first_post_by_user.get(v, {})
         for meme in universe.intersection(first):
-            if meme not in reached or first[meme] < reached[meme]:
-                reached[meme] = first[meme]
+            t = first[meme]
+            if reached.setdefault(meme, t) > t:
+                reached[meme] = t
     if len(reached) < len(universe):
         raise InfeasibleCover(
             f"selected users post {len(reached)} of {len(universe)} memes"

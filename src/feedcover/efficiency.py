@@ -7,11 +7,16 @@ joint ones only choose the sets. ``efficiency_ratios`` names and computes
 each measure's ratio to the ego's own efficiency under the same metric.
 
 Reported efficiencies come from the greedy covers, not exact optima.
-A greedy cover can in principle be worse than the user's own followee
-set, making a ratio exceed 1; such values are clamped to 1 and logged.
+A greedy cover can be worse than the user's own followee set, making a
+ratio exceed 1: on perfbench's deep_cover and many_small_egos workloads
+that happens to 33 % and 30 % of the link and in-flow ratios. Such
+values are clamped to 1, and each clamp prints
+``clamping <measure>=<value> > 1 for ego <label>`` to stderr, or, once
+``logging`` is loaded, logs it as a WARNING on this module's logger.
 """
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from . import cover as cover_mod
@@ -31,10 +36,26 @@ def _effective_followees(ctx: EgoContext, covered, corpus: Corpus) -> frozenset[
     return effective
 
 
+_CLAMPING = "clamping %s=%g > 1 for ego %s"
+
+
 def _clamp(value: float, metric: str, label: str) -> float:
+    """``value``, or 1 with a warning when it is above 1.
+
+    Once ``logging`` is loaded the warning goes to this module's logger.
+    Before that no handler can exist, so the line that logging's
+    last-resort handler would print goes straight to stderr, and the
+    run does not pay the 5-9 ms of importing ``logging`` for it."""
     if value > 1.0:
-        import logging  # loaded on the first clamp, not at startup
-        logging.getLogger(__name__).warning("clamping %s=%g > 1 for ego %s", metric, value, label)
+        if "logging" in sys.modules:
+            import logging
+            logging.getLogger(__name__).warning(_CLAMPING, metric, value, label)
+        elif sys.stderr is not None:
+            try:
+                sys.stderr.write(_CLAMPING % (metric, value, label) + "\n")
+                sys.stderr.flush()
+            except Exception:  # as in logging's handlers, a lost line does not stop the run
+                pass
         return 1.0
     return value
 

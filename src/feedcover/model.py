@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from collections.abc import KeysView
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EmptyCorpus
@@ -139,7 +140,7 @@ class Corpus(_CorpusFields):
 
     def inflow(self, users) -> int:
         """Posts in the window by ``users``: the in-flow they send a follower."""
-        return sum(self.post_count.get(v, 0) for v in users)
+        return sum(map(self.post_count.get, users, repeat(0)))
 
     @classmethod
     def from_events(

@@ -1,16 +1,25 @@
-"""What importing the package loads. Each check runs in a fresh interpreter,
-because pytest's own process has already imported every module named here."""
+"""What importing and running the package loads. Each check runs in a fresh
+interpreter, because pytest's own process has already imported every module
+named here, ``logging`` included."""
 import json
 import subprocess
 import sys
 
+import pytest
+
 import feedcover
+
+from test_golden import EGOS, GOLDEN, WINDOW, _run, _tree
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def python(code: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return run_python(code).stdout
 
 
 def test_cli_import_leaves_out_what_no_analysis_runs():
@@ -26,6 +35,80 @@ def test_cli_import_leaves_out_what_no_analysis_runs():
     assert not {
         "feedcover.synth", "statistics", "json", "logging", "dataclasses", "inspect",
     } & set(loaded)
+
+
+# What one ``efficiency`` or ``optimize`` run of ``test_golden.produce``
+# prints to stderr: two in-flow ratios above 1 are clamped, then ego 3 is
+# skipped.
+CLAMPS = [
+    "clamping in-flow efficiency=1.16667 > 1 for ego 1",
+    "clamping in-flow efficiency=1.27273 > 1 for ego 2",
+]
+SKIP = "skip ego 3: 1 followees posting hashtag (need 3)\n"
+
+
+@pytest.fixture
+def golden_runs(tmp_path):
+    """The golden random-bipartite corpus ingested under ``tmp_path``, and
+    ``(argv, out dir, golden dir)`` for the ``efficiency`` (TSV) and
+    ``optimize`` runs of ``test_golden.produce`` on it."""
+    data = GOLDEN / "synth_random_bipartite"
+    _run(["ingest", "--posts", data / "posts.tsv", "--follows", data / "follows.tsv",
+          *WINDOW, "--pre-extracted", "--out", tmp_path / "cache"], tmp_path)
+    common = ["--corpus", str(tmp_path / "cache" / "corpus.pkl"), *EGOS]
+    return [
+        (["efficiency", *common, "--coverage", "0.5", "--coverage", "1.0",
+          "--format", "tsv", "--out", str(tmp_path / "efficiency")],
+         tmp_path / "efficiency", GOLDEN / "efficiency_tsv"),
+        (["optimize", *common, "--out", str(tmp_path / "optimize")],
+         tmp_path / "optimize", GOLDEN / "optimize"),
+    ]
+
+
+def console(argv, before: str = "", after: str = "") -> subprocess.CompletedProcess:
+    """``console_main(argv)`` in a fresh interpreter, with ``before`` run
+    first and ``after`` run once it returns; the process must exit 0."""
+    return run_python(
+        f"import sys\n{before}"
+        f"from feedcover.cli import console_main\n"
+        f"code = console_main({argv!r})\n{after}"
+        f"sys.exit(code)\n"
+    )
+
+
+def test_clamps_reach_stderr_without_importing_logging(golden_runs):
+    for argv, out, golden in golden_runs:
+        proc = console(argv, after="print('logging' in sys.modules)\n")
+        assert proc.stderr == "".join(line + "\n" for line in CLAMPS) + SKIP
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert _tree(out) == _tree(golden)
+
+
+def test_clamps_go_to_the_efficiency_logger_once_logging_is_loaded(golden_runs):
+    # The logger has a handler, so logging's last-resort handler prints nothing.
+    keep = (
+        "import json, logging\n"
+        "records = []\n"
+        "class Keep(logging.Handler):\n"
+        "    def emit(self, record):\n"
+        "        records.append([record.levelname, record.getMessage()])\n"
+        "logging.getLogger('feedcover.efficiency').addHandler(Keep())\n"
+    )
+    for argv, out, golden in golden_runs:
+        proc = console(argv, before=keep, after="print(json.dumps(records))\n")
+        assert proc.stderr == SKIP
+        assert json.loads(proc.stdout.splitlines()[-1]) == [["WARNING", m] for m in CLAMPS]
+        assert _tree(out) == _tree(golden)
+
+
+def test_clamping_run_without_stderr(golden_runs):
+    # As under pythonw: the clamp lines are lost, and print sends the skip
+    # line to stdout.
+    for argv, out, golden in golden_runs:
+        proc = console(argv, before="sys.stderr = None\n")
+        assert proc.stderr == ""
+        assert SKIP in proc.stdout
+        assert _tree(out) == _tree(golden)
 
 
 def test_package_root_exports_resolve():
