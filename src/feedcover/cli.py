@@ -30,7 +30,8 @@ from . import __version__
 from . import cover as cover_mod
 from . import efficiency as eff_mod
 from . import egonet as egonet_mod
-from .errors import EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord, UndefinedMeasure
+from .errors import (EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord,
+                     UndefinedMeasure, warn)
 from .ingest import IngestConfig, ego_context, load_corpus
 from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex, MemeId
 
@@ -390,7 +391,7 @@ def cmd_analysis(args) -> int:
             ctx = ego_context(corpus, ego, args.meme_kind, args.min_followees)
             ego_rows = row_fn(corpus, ctx, args)
         except FeedcoverError as exc:
-            print(f"skip ego {corpus.label(ego)}: {exc}", file=sys.stderr)
+            warn(f"skip ego {corpus.label(ego)}: {exc}")
             skipped += 1
             continue
         rows += [{"ego": ego, "ego_label": corpus.label(ego), **r} for r in ego_rows]
@@ -509,10 +510,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except OSError as exc:
-        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        warn(f"error: cannot write {exc.filename or args.out}: {exc.strerror}")
         return 2
     except FeedcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        warn(f"error: {exc}")
         return exc.exit_code
 
 

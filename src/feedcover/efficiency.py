@@ -3,8 +3,10 @@
 Every efficiency is one set of sources under one metric, measured against
 the set optimal for that metric, so the three formulas live in one place,
 ``_efficiency``: the ego's own measures, the cross-efficiencies and the
-joint ones only choose the sets. ``efficiency_ratios`` names and computes
-each measure's ratio to the ego's own efficiency under the same metric.
+joint ones only choose the sets. One ordered table of (metric, set)
+letter pairs, ``_MEASURES``, names the nine full-coverage measures and
+their ratios; the cross- and joint-efficiencies, ``efficiency_ratios``
+and the columns of ``EfficiencyReport`` all iterate it.
 
 Reported efficiencies come from the greedy covers, not exact optima.
 A greedy cover can be worse than the user's own followee set, making a
@@ -20,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 from . import cover as cover_mod
-from .errors import UndefinedMeasure
+from .errors import UndefinedMeasure, warn
 from .model import Corpus, CoverResult, EgoContext
 
 
@@ -43,21 +45,31 @@ def _clamp(value: float, metric: str, label: str) -> float:
     """``value``, or 1 with a warning when it is above 1.
 
     Once ``logging`` is loaded the warning goes to this module's logger.
-    Before that no handler can exist, so the line that logging's
-    last-resort handler would print goes straight to stderr, and the
-    run does not pay the 5-9 ms of importing ``logging`` for it."""
+    Before that no handler can exist, so ``warn`` writes the line that
+    logging's last-resort handler would print, and the run does not pay
+    the 5-9 ms of importing ``logging`` for it."""
     if value > 1.0:
         if "logging" in sys.modules:
             import logging
             logging.getLogger(__name__).warning(_CLAMPING, metric, value, label)
-        elif sys.stderr is not None:
-            try:
-                sys.stderr.write(_CLAMPING % (metric, value, label) + "\n")
-                sys.stderr.flush()
-            except Exception:  # as in logging's handlers, a lost line does not stop the run
-                pass
+        else:
+            warn(_CLAMPING % (metric, value, label))
         return 1.0
     return value
+
+
+# The paper's letters for metrics and optimal sets: e<metric>_u<set> is
+# the <metric> efficiency of the <set>-optimal set U_<set>, and its ratio
+# to the ego's own <metric> efficiency is ratio_<metric>_by_<set>_opt.
+_LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
+# The nine full-coverage measures in report-column order, name -> (metric,
+# set): the cross pairs, then the joint set under each metric; _RATIOS
+# names each one's ratio, and _FULL_COVERAGE lists the 18 columns.
+_MEASURES = {f"e{metric}_u{s}": (metric, s)
+             for metric, s in ("lf", "lt", "fl", "ft", "tl", "tf", "la", "fa", "ta")}
+_RATIOS = {name: f"ratio_{_LEGEND[metric]}_by_{_LEGEND[s]}_opt"
+           for name, (metric, s) in _MEASURES.items()}
+_FULL_COVERAGE = (*_MEASURES, *_RATIOS.values())
 
 
 def _efficiency(metric: str, corpus: Corpus, ctx: EgoContext, selected, optimal,
@@ -109,13 +121,13 @@ def cross_efficiencies(
 ) -> dict[str, float]:
     """Each optimal set under the other two metrics (full coverage).
 
-    Keys are the paper's names (see ``_LEGEND``): ``el_uf`` is the link
+    Keys are the paper's names (see ``_MEASURES``): ``el_uf`` is the link
     efficiency of the in-flow-optimal set, measured against the
     link-optimal set.
     """
     sets = {"l": link_cov.selected, "f": inflow_cov.selected, "t": delay_cov.selected}
-    return {f"e{metric}_u{s}": _efficiency(metric, corpus, ctx, sets[s], sets[metric])
-            for metric, s in ("lf", "lt", "fl", "ft", "tl", "tf")}
+    return {name: _efficiency(metric, corpus, ctx, sets[s], sets[metric])
+            for name, (metric, s) in _MEASURES.items() if s != "a"}
 
 
 def joint_efficiencies(
@@ -127,8 +139,8 @@ def joint_efficiencies(
 ) -> dict[str, float]:
     """The joint-heuristic set under each single metric, keyed ``e<metric>_ua``."""
     optimal = {"l": link_cov.selected, "f": inflow_cov.selected, "t": None}
-    return {f"e{metric}_ua": _efficiency(metric, corpus, ctx, joint_cov.selected, optimal[metric])
-            for metric in "lft"}
+    return {name: _efficiency(metric, corpus, ctx, joint_cov.selected, optimal[metric])
+            for name, (metric, s) in _MEASURES.items() if s == "a"}
 
 
 def efficiency_ratio(optimized_value: float, original_value: float) -> float:
@@ -138,22 +150,12 @@ def efficiency_ratio(optimized_value: float, original_value: float) -> float:
     return optimized_value / original_value
 
 
-# The paper's letters for metrics and optimal sets: e<metric>_u<set> is
-# the <metric> efficiency of the <set>-optimal set U_<set>, and its ratio
-# to the ego's own <metric> efficiency is ratio_<metric>_by_<set>_opt.
-_LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
-
-
 def efficiency_ratios(measured: dict[str, float], originals: dict[str, float]) -> dict[str, float]:
     """Each ``e<metric>_u<set>`` of ``measured`` over the ego's own <metric>
-    efficiency in ``originals`` (keyed by letter), named
-    ``ratio_<metric>_by_<set>_opt`` with the letters spelled out (``_LEGEND``),
+    efficiency in ``originals`` (keyed by letter), named by ``_RATIOS``,
     in the order of ``measured``."""
-    return {
-        f"ratio_{_LEGEND[name[1]]}_by_{_LEGEND[name[4]]}_opt":
-            efficiency_ratio(value, originals[name[1]])
-        for name, value in measured.items()
-    }
+    return {_RATIOS[name]: efficiency_ratio(value, originals[_MEASURES[name][0]])
+            for name, value in measured.items()}
 
 
 def original_efficiencies(
@@ -170,48 +172,22 @@ def original_efficiencies(
     }
 
 
-class EfficiencyReport(NamedTuple):
-    """Everything measured for one ego at one meme kind and coverage level.
+# Types are strings, as this module's postponed annotations would make them.
+EfficiencyReport = NamedTuple("EfficiencyReport", [
+    ("ego", "int"), ("meme_kind", "str"), ("coverage", "float"),
+    ("n_followees", "int"), ("n_memes", "int"),
+    ("e_link", "float"), ("e_inflow", "float"), ("e_delay", "float"),
+    ("link_set_size", "int"), ("inflow_set_size", "int"),
+    ("delay_set_size", "int | None"), ("joint_set_size", "int | None"),
+    ("followee_inflow", "int"), ("link_set_inflow", "int"), ("inflow_set_inflow", "int"),
+    ("delay_set_inflow", "int | None"), ("joint_set_inflow", "int | None"),
+    *((name, "float | None") for name in _FULL_COVERAGE),
+])
+EfficiencyReport.__doc__ = """Everything measured for one ego at one meme kind and coverage level.
 
     Fields are the report columns, in order; the full-coverage ones are
     None at partial coverage.
     """
-
-    ego: int
-    meme_kind: str
-    coverage: float
-    n_followees: int
-    n_memes: int
-    e_link: float
-    e_inflow: float
-    e_delay: float
-    link_set_size: int
-    inflow_set_size: int
-    delay_set_size: int | None
-    joint_set_size: int | None
-    followee_inflow: int
-    link_set_inflow: int
-    inflow_set_inflow: int
-    delay_set_inflow: int | None = None
-    joint_set_inflow: int | None = None
-    el_uf: float | None = None
-    el_ut: float | None = None
-    ef_ul: float | None = None
-    ef_ut: float | None = None
-    et_ul: float | None = None
-    et_uf: float | None = None
-    el_ua: float | None = None
-    ef_ua: float | None = None
-    et_ua: float | None = None
-    ratio_link_by_inflow_opt: float | None = None
-    ratio_link_by_delay_opt: float | None = None
-    ratio_inflow_by_link_opt: float | None = None
-    ratio_inflow_by_delay_opt: float | None = None
-    ratio_delay_by_link_opt: float | None = None
-    ratio_delay_by_inflow_opt: float | None = None
-    ratio_link_by_joint_opt: float | None = None
-    ratio_inflow_by_joint_opt: float | None = None
-    ratio_delay_by_joint_opt: float | None = None
 
 
 def evaluate_ego(
@@ -228,9 +204,9 @@ def evaluate_ego(
     joint-metrics are left empty; they need full coverage. ``e_delay``
     measures the ego's own timeline, not a cover, so it is the same at
     every coverage level. The joint cover runs before any cross- or
-    joint-measure and the measures run in report-column order, so the
-    error raised is the first undefined column's; ``optimize`` keeps the
-    same order.
+    joint-measure and the measures run in report-column order (that of
+    ``_MEASURES``), so the error raised is the first undefined column's;
+    ``optimize`` keeps the same order.
     """
     spec = cover_mod.CoverSpec(universe=ctx.memes, coverage=coverage, alpha=alpha, beta=beta)
     link_cov, inflow_cov, originals = original_efficiencies(corpus, ctx, spec)
@@ -250,7 +226,9 @@ def evaluate_ego(
         inflow_set_inflow=corpus.inflow(inflow_cov.selected),
     )
     if coverage != 1.0:
-        return EfficiencyReport(**base, delay_set_size=None, joint_set_size=None)
+        return EfficiencyReport(
+            **base, delay_set_size=None, joint_set_size=None, delay_set_inflow=None,
+            joint_set_inflow=None, **dict.fromkeys(_FULL_COVERAGE))
     delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
     joint_cov = cover_mod.joint_cover(corpus, spec)
     measured = {

@@ -1,5 +1,7 @@
-"""Exception types shared across the package. Each class's ``exit_code``
-is what ``feedcover`` exits with when that error stops a command."""
+"""Exception types shared across the package, and ``warn``, the writer of
+its stderr lines. Each class's ``exit_code`` is what ``feedcover`` exits
+with when that error stops a command."""
+import sys
 
 
 class FeedcoverError(Exception):
@@ -37,3 +39,15 @@ class UndefinedMeasure(FeedcoverError):
     """A measure that is undefined for this ego or set: too few followees
     posting the meme kind, zero in-flow, no memes, too few members, or a
     joint cover weight past the float range."""
+
+
+def warn(line: str) -> None:
+    """Write ``line`` and a newline to stderr and flush. Without a stderr
+    (``sys.stderr`` None) the line is dropped, not sent to stdout as by
+    ``print``, and a failed write is lost rather than raised."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except Exception:
+            pass

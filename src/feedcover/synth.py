@@ -17,6 +17,7 @@ from .errors import InvalidSpec
 from .model import ARCHETYPES, Corpus, MemeId, PostEvent
 
 _DAY = 86400
+_MEMES_PER_COMMUNITY = 30
 
 
 class SynthSpec(NamedTuple):
@@ -106,7 +107,6 @@ def generate_triadic_events(
     seed: int = 0,
     n_communities: int = 20,
     community_size: int = 12,
-    memes_per_community: int = 30,
     window_days: int = 7,
 ) -> tuple[list[PostEvent], dict[int, set[int]], list[int]]:
     """Communities of mutually following, redundant posters.
@@ -135,9 +135,9 @@ def generate_triadic_events(
         uid += 2
         pool = [
             MemeId("hashtag", f"c{c:03d}_m{i:03d}")
-            for i in range(memes_per_community)
+            for i in range(_MEMES_PER_COMMUNITY)
         ]
-        half = memes_per_community // 2
+        half = _MEMES_PER_COMMUNITY // 2
         # Outsiders post the whole pool between them, once each, early on.
         for out, chunk in zip(outsiders, (pool[:half], pool[half:])):
             for meme in chunk:

@@ -843,6 +843,19 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, cls):
     assert "error:" in capsys.readouterr().err
 
 
+class _BrokenStream:
+    def write(self, text):
+        raise OSError("stream closed")
+
+
+@pytest.mark.parametrize("stream", [None, _BrokenStream()], ids=["none", "broken"])
+def test_warn_drops_the_line_without_a_working_stderr(monkeypatch, capsys, stream):
+    monkeypatch.setattr(sys, "stderr", stream)
+    errors.warn("skip ego 0: lost")
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_distribution_bins_each_fraction_like_exact_arithmetic():
     # Float division misplaces bin edges: 0.58 / 0.02 == 28.999999999999996,
     # so 29/50 would land in the bin printed x = 0.56. The mean row comes

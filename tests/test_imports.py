@@ -12,9 +12,9 @@ import feedcover
 from test_golden import EGOS, GOLDEN, WINDOW, _run, _tree
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, returncode: int = 0) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -65,14 +65,17 @@ def golden_runs(tmp_path):
     ]
 
 
-def console(argv, before: str = "", after: str = "") -> subprocess.CompletedProcess:
+def console(argv, before: str = "", after: str = "",
+            returncode: int = 0) -> subprocess.CompletedProcess:
     """``console_main(argv)`` in a fresh interpreter, with ``before`` run
-    first and ``after`` run once it returns; the process must exit 0."""
+    first and ``after`` run once it returns; the process must exit
+    ``returncode``."""
     return run_python(
         f"import sys\n{before}"
         f"from feedcover.cli import console_main\n"
         f"code = console_main({argv!r})\n{after}"
-        f"sys.exit(code)\n"
+        f"sys.exit(code)\n",
+        returncode,
     )
 
 
@@ -102,13 +105,23 @@ def test_clamps_go_to_the_efficiency_logger_once_logging_is_loaded(golden_runs):
 
 
 def test_clamping_run_without_stderr(golden_runs):
-    # As under pythonw: the clamp lines are lost, and print sends the skip
-    # line to stdout.
+    # As under pythonw: the clamp and skip lines are lost, and stdout holds
+    # the rows line alone, as in the golden run.
     for argv, out, golden in golden_runs:
         proc = console(argv, before="sys.stderr = None\n")
         assert proc.stderr == ""
-        assert SKIP in proc.stdout
+        assert proc.stdout == golden.with_suffix(".out").read_text()
         assert _tree(out) == _tree(golden)
+
+
+def test_failing_run_without_stderr_prints_nothing(golden_runs):
+    # Every ego is skipped, so the command exits 3; its skip lines and its
+    # error line are lost, not sent to stdout.
+    for argv, out, golden in golden_runs:
+        proc = console([*argv, "--min-followees", "1000"], before="sys.stderr = None\n",
+                       returncode=3)
+        assert proc.stdout == proc.stderr == ""
+        assert not out.exists()
 
 
 def test_package_root_exports_resolve():
