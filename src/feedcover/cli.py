@@ -10,6 +10,15 @@ FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes the main
 report (columns from its first row) and the summaries, and prints
 ``rows: N  egos skipped: K``.
 
+Beside the cache, one order store per meme kind (``corpus.<kind>.orders``
+for ``corpus.pkl``) keeps each ego's full greedy orders, keyed by ego id.
+The runner hands an ego's stored orders to the cover memo before its rows
+are built, and after the reports rewrites the store if it computed an
+order the store lacked. A store serves only the cache file it was written
+for and the code that wrote it (``_store_identity``); one that is missing,
+corrupt, foreign or unwritable is skipped silently, and ``ingest``
+deletes the stores of the cache it replaces.
+
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
 sorted by user id. Exit codes: 0 success, 2 bad input (an unreadable
@@ -21,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import pickle
 import sys
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -102,16 +113,44 @@ class _CacheUnpickler(pickle.Unpickler):
             raise pickle.UnpicklingError(f"refusing global {module}.{name}") from None
 
 
+class _StoreUnpickler(_CacheUnpickler):
+    """Resolves no class: an order store holds only ints, floats, strs,
+    tuples and dicts."""
+
+    _classes = {}
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Call ``write`` on a new file beside ``path``, then move that file over
+    ``path``, so a reader finds the old file or the whole new one. On error
+    the new file is removed and the error raised, naming ``path``."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = str(path)
+        raise
+
+
 def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
     """Write ``corpus.pkl``: one pickle holding an envelope (the cache format,
     the feedcover version and the kinds present, in order) and the shared
     fields, then each kind's ``KindIndex`` as its own pickle, preceded by
-    its size in bytes so that a reader can seek past it."""
+    its size in bytes so that a reader can seek past it. The file replaces
+    the old one whole, and the old one's order stores are deleted."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.pkl"
     envelope = {"format": CACHE_FORMAT, "version": __version__, "kinds": tuple(corpus.kinds),
                 **{name: getattr(corpus, name) for name in _SHARED}}
-    with open(path, "wb") as fh:
+
+    def write(fh):
         pickle.dump(envelope, fh)
         for part in corpus.kinds.values():
             start = fh.tell()
@@ -121,7 +160,69 @@ def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
             fh.seek(start)
             fh.write((end - start - _PART_SIZE_BYTES).to_bytes(_PART_SIZE_BYTES, "little"))
             fh.seek(end)
+
+    _write_replacing(path, write)
+    for kind in MEME_KINDS:
+        try:
+            os.unlink(_store_path(path, kind))
+        except OSError:
+            pass
     return path
+
+
+def _store_path(corpus_path, meme_kind: str) -> Path:
+    """The order store of ``meme_kind`` beside a corpus cache:
+    ``cache/corpus.hashtag.orders`` for ``cache/corpus.pkl``."""
+    path = Path(corpus_path)
+    return path.with_name(f"{path.stem}.{meme_kind}.orders")
+
+
+def _store_identity(corpus_path) -> tuple | None:
+    """What a store must have recorded to serve the cache at ``corpus_path``:
+    the cache's inode, size and modification time in ns, and a crc32 of the
+    code that derives and stores the orders; None if either is unreadable.
+    Taken before the cache is read: a cache replaced in between is a new
+    inode, so the identity taken names a file that no cache will match."""
+    try:
+        stat = os.stat(corpus_path)
+        code = zlib.crc32(Path(__file__).read_bytes(),
+                          zlib.crc32(Path(cover_mod.__file__).read_bytes()))
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns, code
+
+
+def _load_store(path: Path, identity: tuple) -> dict:
+    """The orders ``{ego: {engine key: full order}}`` that ``_save_store``
+    wrote for ``identity``; {} for a missing, unreadable, corrupt or
+    foreign store."""
+    try:
+        with open(path, "rb") as fh:
+            header = _StoreUnpickler(fh).load()
+            payload = fh.read()
+        if header == (identity, zlib.crc32(payload)):
+            orders = _StoreUnpickler(io.BytesIO(payload)).load()
+            if type(orders) is dict:
+                return orders
+    except (OSError, *_UNPICKLE_ERRORS):
+        pass
+    return {}
+
+
+def _save_store(path: Path, identity: tuple, orders: dict) -> None:
+    """Write ``orders`` as the store of ``identity``: a header pickle of the
+    identity and the payload's crc32, then the payload, the orders pickled.
+    A store that cannot be written is skipped."""
+    payload = pickle.dumps(orders, pickle.HIGHEST_PROTOCOL)
+
+    def write(fh):
+        pickle.dump((identity, zlib.crc32(payload)), fh, pickle.HIGHEST_PROTOCOL)
+        fh.write(payload)
+
+    try:
+        _write_replacing(path, write)
+    except OSError:
+        pass
 
 
 def _load_cached(path, meme_kind: str | None = None) -> Corpus:
@@ -384,16 +485,28 @@ _ANALYSES = {
 def cmd_analysis(args) -> int:
     """Run one analysis subcommand over the selected egos; write its reports."""
     _, row_fn, summarize, _ = _ANALYSES[args.command]
+    identity = _store_identity(args.corpus)
     corpus = _load_cached(args.corpus, args.meme_kind)
+    store = _store_path(args.corpus, args.meme_kind)
+    stored = _load_store(store, identity) if identity else {}
+    computed = False
     rows, skipped = [], 0
     for ego in _select_egos(corpus, args):
+        orders = None
         try:
             ctx = ego_context(corpus, ego, args.meme_kind, args.min_followees)
+            orders = cover_mod._slot(corpus, ctx.memes)[4]
+            orders.update(stored.get(ego, {}))
             ego_rows = row_fn(corpus, ctx, args)
         except FeedcoverError as exc:
             warn(f"skip ego {corpus.label(ego)}: {exc}")
             skipped += 1
             continue
+        finally:
+            # An order that raised is not in the memo, so it raises again next time.
+            if orders is not None and len(orders) > len(stored.get(ego, {})):
+                stored[ego] = {key: tuple(order) for key, order in orders.items()}
+                computed = True
         rows += [{"ego": ego, "ego_label": corpus.label(ego), **r} for r in ego_rows]
     if not rows:
         raise EmptyCorpus(f"no {args.command} rows produced")
@@ -403,6 +516,8 @@ def cmd_analysis(args) -> int:
     reports = {args.command: rows, **(summarize(rows, args) if summarize else {})}
     for name, report in reports.items():
         writer.write(name, list(report[0]), report)
+    if computed and identity:
+        _save_store(store, identity, stored)
     print(f"rows: {len(rows)}  egos skipped: {skipped}")
     return 0
 

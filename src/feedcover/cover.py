@@ -20,9 +20,12 @@ meme. A cover at coverage ``p`` is the shortest prefix of that order
 covering ``ceil(p * |universe|)`` memes; a prefix that falls short
 raises InfeasibleCover. The corpus's private ``_memo``, filled on first
 use, keeps each meme's earliest ``(time, user id)`` poster for the
-corpus's lifetime, and the pool, its bitmasks and each engine's full
-order (keyed by engine, plus ``alpha``/``beta`` for the joint one) only
-for the latest universe, so memory does not grow with the number of egos.
+corpus's lifetime, and each engine's full order (keyed by engine, plus
+``alpha``/``beta`` for the joint one) only for the latest universe, so
+memory does not grow with the number of egos. That universe's pool and
+bitmasks are built only when one of its orders is missing: the analysis
+commands hand the slot the orders that an earlier analysis of the same
+corpus cache stored (see ``feedcover.cli``).
 """
 from __future__ import annotations
 
@@ -125,19 +128,32 @@ def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> l
     return order
 
 
+def _slot(corpus: Corpus, universe) -> list:
+    """The memo slot of ``universe``, which replaces the slot of any other
+    universe: ``[universe, pool, memes, masks, orders]``. ``orders`` maps
+    each engine key to its full order; pool, memes and masks (as from
+    ``candidate_pool`` and ``_masks``) stay None until an order is missing."""
+    slot = corpus._memo.get("universe")
+    # ``is`` first: ``!=`` on two frozensets scans their elements.
+    if slot is None or (slot[0] is not universe and slot[0] != universe):
+        slot = corpus._memo["universe"] = [universe, None, None, None, {}]
+    return slot
+
+
 def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
     """The shortest prefix of ``engine``'s memoised full order that covers
     ``ceil(coverage * |universe|)`` memes."""
     universe = spec.universe
-    slot = corpus._memo.get("universe")
-    # ``is`` first: ``!=`` on two frozensets scans their elements.
-    if slot is None or (slot[0] is not universe and slot[0] != universe):
-        pool = candidate_pool(corpus, spec)
-        slot = corpus._memo["universe"] = (universe, pool, *_masks(corpus, universe, pool), {})
-    _, pool, memes, masks, orders = slot
+    n_memes = len(universe)
+    slot = _slot(corpus, universe)
+    orders = slot[4]
     if engine not in orders:
-        orders[engine] = _greedy_order(pool, masks, map(weight, pool), len(memes))
-    target = math.ceil(spec.coverage * len(memes))
+        if slot[1] is None:
+            pool = candidate_pool(corpus, spec)
+            slot[1:4] = pool, *_masks(corpus, universe, pool)
+        _, pool, _, masks, _ = slot
+        orders[engine] = _greedy_order(pool, masks, map(weight, pool), n_memes)
+    target = math.ceil(spec.coverage * n_memes)
     per_step: list[tuple[int, int]] = []
     covered = n_covered = 0
     for v, gain, mask in orders[engine]:
@@ -148,11 +164,13 @@ def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
         n_covered += gain
     if n_covered < target:
         raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
-    if n_covered == len(memes):
+    if n_covered == n_memes:
         covered = frozenset(universe)  # ``universe`` itself when it is a frozenset
     else:
-        bits = reversed(f"{covered:0{len(memes)}b}")
-        covered = frozenset(m for m, bit in zip(memes, bits) if bit == "1")
+        if slot[2] is None:
+            slot[2] = sorted(universe)
+        bits = reversed(f"{covered:0{n_memes}b}")
+        covered = frozenset(m for m, bit in zip(slot[2], bits) if bit == "1")
     return CoverResult(
         selected=tuple(v for v, _ in per_step),
         covered=covered,

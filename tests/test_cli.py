@@ -508,6 +508,33 @@ def test_format_6_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys, monkeyp
     assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
 
 
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["envelope", "kind_part"])
+def test_failed_cache_write_keeps_the_previous_cache(redundant_dir, tmp_path, capsys,
+                                                      monkeypatch, fail_at):
+    # The cache is written beside corpus.pkl and moved over it once whole,
+    # so a write that fails leaves the previous cache and no other file.
+    cache = redundant_dir.parent
+    previous = redundant_dir.read_bytes()
+    calls = []
+    dump = pickle.dump
+
+    def fail(obj, fh, *args, **kwargs):
+        calls.append(obj)
+        dump(obj, fh, *args, **kwargs)
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pickle, "dump", fail)
+    data = tmp_path / "data"
+    code = run(["ingest", "--posts", data / "posts.tsv", "--follows", data / "follows.tsv",
+                *WINDOW, "--pre-extracted", "--out", cache])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {cache}: No space left on device\n"
+    assert redundant_dir.read_bytes() == previous
+    assert [p.name for p in cache.iterdir()] == ["corpus.pkl"]
+
+
 @pytest.fixture
 def mixed_cache(tmp_path):
     """A cache of three meme kinds, in which ego e follows posters of each."""

@@ -4,6 +4,7 @@ named here, ``logging`` included."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,8 @@ import feedcover
 from test_golden import EGOS, GOLDEN, WINDOW, _run, _tree
 
 
-def run_python(code: str, returncode: int = 0) -> subprocess.CompletedProcess:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def run_python(code: str, returncode: int = 0, flags=()) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
     assert proc.returncode == returncode, proc.stderr
     return proc
 
@@ -122,6 +123,30 @@ def test_failing_run_without_stderr_prints_nothing(golden_runs):
                        returncode=3)
         assert proc.stdout == proc.stderr == ""
         assert not out.exists()
+
+
+def test_reading_and_writing_the_order_store_imports_nothing(golden_runs):
+    # efficiency writes the order store and optimize reads it; the store
+    # must not buy its saving back in import time. Without ``site`` (-S),
+    # which on some hosts imports tempfile, the interpreter starts with
+    # none of the four modules, so none can hide in the "before" set.
+    (efficiency, _, _), (optimize, _, _) = golden_runs
+    loaded = run_python(
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(feedcover.__file__).parent.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "from feedcover.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main({efficiency!r}), main({optimize!r})]\n"
+        "assert codes == [0, 0], codes\n"
+        "print(*sorted(set(sys.modules) - before), sep='\\n')\n",
+        flags=("-S",),
+    ).stdout.split()
+    assert "feedcover.cli" in loaded
+    assert not {"hashlib", "json", "logging", "tempfile"} & set(loaded)
+    cache = Path(efficiency[efficiency.index("--corpus") + 1]).parent
+    assert sorted(p.name for p in cache.iterdir()) == ["corpus.hashtag.orders", "corpus.pkl"]
 
 
 def test_package_root_exports_resolve():
