@@ -7,8 +7,9 @@ function and extra options. The runner loads the corpus cache (its
 shared part and the part of ``--meme-kind`` only), builds each selected
 ego's context and rows, skips and counts an ego that raises a
 FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes the main
-report (columns from its first row) and the summaries, and prints
-``rows: N  egos skipped: K``.
+report (columns from its first row) and the summaries, and returns
+``rows: N  egos skipped: K``: each command returns its stdout lines for
+``main`` to print. ``cover --method`` and ``egonet`` read ``cover.ENGINES``.
 
 Beside the cache, one order store per meme kind (``corpus.<kind>.orders``
 for ``corpus.pkl``) keeps each ego's full greedy orders, keyed by ego id.
@@ -23,8 +24,9 @@ Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
 sorted by user id. Exit codes: 0 success, 2 bad input (an unreadable
 or malformed input file, an invalid parameter, an unwritable ``--out``,
-or a missing, corrupt or stale corpus cache), 3 empty or infeasible
-data, 4 internal error; a FeedcoverError exits with its ``exit_code``.
+a missing, corrupt or stale corpus cache, or a standard output that
+cannot be written), 3 empty or infeasible data, 4 internal error; a
+FeedcoverError exits with its ``exit_code``.
 """
 from __future__ import annotations
 
@@ -309,7 +311,7 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
     return pool
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> list[str]:
     config = IngestConfig(
         window_start=args.window_start,
         window_end=args.window_end,
@@ -321,14 +323,15 @@ def cmd_ingest(args) -> int:
     corpus = load_corpus(args.posts, args.follows, config)
     path = _save_corpus(corpus, Path(args.out))
     parts = corpus.kinds
-    print(f"corpus: {path}")
-    print(f"users: {len(corpus.post_count)}")
-    print(f"posts: {corpus.inflow(corpus.post_count)}")
-    print("user-meme pairs: "
-          f"{sum(len(f) for part in parts.values() for f in part.first_post_by_user.values())}")
-    for kind in MEME_KINDS:
-        print(f"unique {kind}: {len(parts[kind].first_mention) if kind in parts else 0}")
-    return 0
+    return [
+        f"corpus: {path}",
+        f"users: {len(corpus.post_count)}",
+        f"posts: {corpus.inflow(corpus.post_count)}",
+        "user-meme pairs: "
+        f"{sum(len(f) for part in parts.values() for f in part.first_post_by_user.values())}",
+        *(f"unique {kind}: {len(parts[kind].first_mention) if kind in parts else 0}"
+          for kind in MEME_KINDS),
+    ]
 
 
 def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
@@ -364,20 +367,12 @@ def _efficiency_summaries(rows, args) -> dict[str, list[dict]]:
     return {"efficiency_aggregate": aggregate}
 
 
-_METHODS = {
-    "link": cover_mod.greedy_min_cover,
-    "inflow": cover_mod.greedy_weighted_cover,
-    "delay": cover_mod.delay_optimal_cover,
-    "joint": cover_mod.joint_cover,
-}
-
-
 def _cover_rows(corpus, ctx, args) -> list[dict]:
     spec = cover_mod.CoverSpec(
         universe=ctx.memes, coverage=args.coverage[0],
         alpha=args.alpha, beta=args.beta,
     )
-    result = _METHODS[args.method](corpus, spec)
+    result = cover_mod.ENGINES[args.method](corpus, spec)
     return [
         {"method": args.method, "step": step, "user": v, "user_label": corpus.label(v),
          "newly_covered": gain, "followed": int(v in ctx.followees)}
@@ -405,10 +400,10 @@ def _optimize_summaries(rows, args) -> dict[str, list[dict]]:
     bins: dict[int, list[dict]] = {}
     for row in rows:
         bins.setdefault(row["n_followees"].bit_length(), []).append(row)
+    ratios = [key for key in rows[0] if key.startswith("ratio_")]
     return {"optimize_bins": [
         {"followees_min": 2 ** (b - 1), "followees_max": 2 ** b - 1, "count": len(members),
-         **{key: sum(r[key] for r in members) / len(members)
-            for key in ("ratio_link", "ratio_inflow", "ratio_delay")}}
+         **{key: sum(r[key] for r in members) / len(members) for key in ratios}}
         for b, members in sorted(bins.items())
     ]}
 
@@ -426,7 +421,7 @@ def _egonet_rows(corpus, ctx, args) -> list[dict]:
     spec = cover_mod.CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
     lcc_original = _lcc(corpus, ctx.ego, ctx.followees)
     rows = []
-    for method, engine in _METHODS.items():
+    for method, engine in cover_mod.ENGINES.items():
         selected = engine(corpus, spec).selected
         rows.append({
             "optimization": method,
@@ -441,7 +436,7 @@ def _egonet_summaries(rows, args) -> dict[str, list[dict]]:
     """LCC mean and histogram per optimization, with its LCC/overlap
     correlation, then LCC mean and histogram of the original networks."""
     summary = []
-    for method in _METHODS:
+    for method in cover_mod.ENGINES:
         points = [
             (r["lcc_optimized"], r["overlap"]) for r in rows
             if r["optimization"] == method and r["lcc_optimized"] is not None
@@ -472,7 +467,7 @@ _ANALYSES = {
                    {"--coverage": {"type": float, "action": "append",
                                    "help": "coverage fraction in (0,1]; repeatable"}}),
     "cover": ("per-ego cover membership", _cover_rows, None,
-              {"--method": {"default": "link", "choices": sorted(_METHODS)},
+              {"--method": {"default": "link", "choices": sorted(cover_mod.ENGINES)},
                "--coverage": {"type": float, "action": "append",
                               "help": "coverage fraction in (0,1]"}}),
     "optimize": ("joint in-flow/delay rewiring report", _optimize_rows,
@@ -482,7 +477,7 @@ _ANALYSES = {
 }
 
 
-def cmd_analysis(args) -> int:
+def cmd_analysis(args) -> list[str]:
     """Run one analysis subcommand over the selected egos; write its reports."""
     _, row_fn, summarize, _ = _ANALYSES[args.command]
     identity = _store_identity(args.corpus)
@@ -518,11 +513,10 @@ def cmd_analysis(args) -> int:
         writer.write(name, list(report[0]), report)
     if computed and identity:
         _save_store(store, identity, stored)
-    print(f"rows: {len(rows)}  egos skipped: {skipped}")
-    return 0
+    return [f"rows: {len(rows)}  egos skipped: {skipped}"]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list[str]:
     from . import synth as synth_mod
     out = Path(args.out)
     if args.archetype == "triadic_communities":
@@ -544,10 +538,9 @@ def cmd_synth(args) -> int:
         ego_note = f"ego {ego}"
     out.mkdir(parents=True, exist_ok=True)
     synth_mod.write_corpus_files(events, follows, out / "posts.tsv", out / "follows.tsv")
-    print(f"wrote {out / 'posts.tsv'} and {out / 'follows.tsv'} ({ego_note})")
     n_users, n_memes = len({ev.user for ev in events}), len({ev.meme for ev in events})
-    print(f"users: {n_users}  memes: {n_memes}")
-    return 0
+    return [f"wrote {out / 'posts.tsv'} and {out / 'follows.tsv'} ({ego_note})",
+            f"users: {n_users}  memes: {n_memes}"]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -623,13 +616,19 @@ def main(argv=None) -> int:
         if len(set(args.coverage)) < len(args.coverage):
             parser.error("--coverage repeats a value")
     try:
-        return args.fn(args)
+        lines = args.fn(args)
     except OSError as exc:
         warn(f"error: cannot write {exc.filename or args.out}: {exc.strerror}")
         return 2
     except FeedcoverError as exc:
         warn(f"error: {exc}")
         return exc.exit_code
+    try:
+        print(*lines, sep="\n", flush=True)  # a failed write raises here under any buffering
+    except OSError as exc:
+        warn(f"error: cannot write standard output: {exc.strerror}")
+        return 2
+    return 0
 
 
 def console_main(argv=None) -> int:
@@ -648,6 +647,12 @@ def console_main(argv=None) -> int:
         gc.freeze()
         if enabled:
             gc.enable()
+        # Unwritable stdout bytes stay buffered, and the exit's flush would fail
+        # again (exit 120): send them to os.devnull ("Note on SIGPIPE", signal docs).
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

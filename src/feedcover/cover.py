@@ -1,5 +1,9 @@
 """Set-cover engines behind the three efficiency notions.
 
+``ENGINES``, the one table of the four optimal sets, maps their names in
+report order to the engines that find them; ``cover --method``, ``egonet``
+and the efficiency report's ``<set>_set_*`` columns all read it.
+
 The three greedy engines share one lazy kernel (Minoux's accelerated
 greedy, as in CELF). Each pick minimizes ``w / gain``: a fixed,
 non-negative weight per candidate (1, the in-flow, or ``inflow**alpha *
@@ -237,6 +241,11 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
         covered=frozenset(spec.universe),
         per_step=tuple((v, chosen[v]) for v in selected),
     )
+
+
+# Bare functions: perfbench's tracer traces an engine by rebinding dict values.
+ENGINES = {"link": greedy_min_cover, "inflow": greedy_weighted_cover,
+           "delay": delay_optimal_cover, "joint": joint_cover}
 
 
 def set_average_delay_days(corpus, selected, universe) -> float | None:

@@ -6,7 +6,8 @@ the set optimal for that metric, so the three formulas live in one place,
 joint ones only choose the sets. One ordered table of (metric, set)
 letter pairs, ``_MEASURES``, names the nine full-coverage measures and
 their ratios; the cross- and joint-efficiencies, ``efficiency_ratios``
-and the columns of ``EfficiencyReport`` all iterate it.
+and the columns of ``EfficiencyReport`` all iterate it. The set names
+of ``cover.ENGINES`` spell out the letters and name the set columns.
 
 Reported efficiencies come from the greedy covers, not exact optima.
 A greedy cover can be worse than the user's own followee set, making a
@@ -58,10 +59,10 @@ def _clamp(value: float, metric: str, label: str) -> float:
     return value
 
 
-# The paper's letters for metrics and optimal sets: e<metric>_u<set> is
-# the <metric> efficiency of the <set>-optimal set U_<set>, and its ratio
-# to the ego's own <metric> efficiency is ratio_<metric>_by_<set>_opt.
-_LEGEND = {"l": "link", "f": "inflow", "t": "delay", "a": "joint"}
+# The paper's letters for metrics and optimal sets, named as in cover.ENGINES:
+# e<metric>_u<set> is the <metric> efficiency of the <set>-optimal set U_<set>,
+# and its ratio to the ego's own <metric> efficiency is ratio_<metric>_by_<set>_opt.
+_LEGEND = dict(zip("lfta", cover_mod.ENGINES))
 # The nine full-coverage measures in report-column order, name -> (metric,
 # set): the cross pairs, then the joint set under each metric; _RATIOS
 # names each one's ratio, and _FULL_COVERAGE lists the 18 columns.
@@ -177,16 +178,15 @@ EfficiencyReport = NamedTuple("EfficiencyReport", [
     ("ego", "int"), ("meme_kind", "str"), ("coverage", "float"),
     ("n_followees", "int"), ("n_memes", "int"),
     ("e_link", "float"), ("e_inflow", "float"), ("e_delay", "float"),
-    ("link_set_size", "int"), ("inflow_set_size", "int"),
-    ("delay_set_size", "int | None"), ("joint_set_size", "int | None"),
-    ("followee_inflow", "int"), ("link_set_inflow", "int"), ("inflow_set_inflow", "int"),
-    ("delay_set_inflow", "int | None"), ("joint_set_inflow", "int | None"),
+    *((f"{name}_set_size", "int | None") for name in cover_mod.ENGINES),
+    ("followee_inflow", "int"),
+    *((f"{name}_set_inflow", "int | None") for name in cover_mod.ENGINES),
     *((name, "float | None") for name in _FULL_COVERAGE),
 ])
 EfficiencyReport.__doc__ = """Everything measured for one ego at one meme kind and coverage level.
 
-    Fields are the report columns, in order; the full-coverage ones are
-    None at partial coverage.
+    Fields are the report columns, in order; the delay and joint set
+    columns and the full-coverage measures are None at partial coverage.
     """
 
 
@@ -198,49 +198,34 @@ def evaluate_ego(
     alpha: float = 1.0,
     beta: float = 0.5,
 ) -> EfficiencyReport:
-    """Run the covers for one ego and assemble the full report row.
+    """Run the covers for one ego and assemble its report row.
 
-    At coverage < 1 the delay and joint covers and the cross- and
-    joint-metrics are left empty; they need full coverage. ``e_delay``
-    measures the ego's own timeline, not a cover, so it is the same at
-    every coverage level. The joint cover runs before any cross- or
-    joint-measure and the measures run in report-column order (that of
-    ``_MEASURES``), so the error raised is the first undefined column's;
-    ``optimize`` keeps the same order.
+    Below full coverage the delay and joint sets and the 18 measure
+    columns are None. ``e_delay`` measures the ego's own timeline, not a
+    cover, so it is the same at every coverage level. The joint cover runs
+    before any cross- or joint-measure, and those run in column order
+    (``_MEASURES``), so the error raised is the first undefined column's,
+    as in ``optimize``.
     """
     spec = cover_mod.CoverSpec(universe=ctx.memes, coverage=coverage, alpha=alpha, beta=beta)
     link_cov, inflow_cov, originals = original_efficiencies(corpus, ctx, spec)
-    base = dict(
-        ego=ctx.ego,
-        meme_kind=meme_kind,
-        coverage=coverage,
-        n_followees=len(ctx.followees),
-        n_memes=len(ctx.memes),
-        e_link=originals["l"],
-        e_inflow=originals["f"],
-        e_delay=originals["t"],
-        link_set_size=len(link_cov.selected),
-        inflow_set_size=len(inflow_cov.selected),
-        followee_inflow=corpus.inflow(ctx.followees),
-        link_set_inflow=corpus.inflow(link_cov.selected),
-        inflow_set_inflow=corpus.inflow(inflow_cov.selected),
-    )
-    if coverage != 1.0:
-        return EfficiencyReport(
-            **base, delay_set_size=None, joint_set_size=None, delay_set_inflow=None,
-            joint_set_inflow=None, **dict.fromkeys(_FULL_COVERAGE))
-    delay_cov = cover_mod.delay_optimal_cover(corpus, spec)
-    joint_cov = cover_mod.joint_cover(corpus, spec)
-    measured = {
-        **cross_efficiencies(ctx, link_cov, inflow_cov, delay_cov, corpus),
-        **joint_efficiencies(ctx, joint_cov, link_cov, inflow_cov, corpus),
-    }
+    covers = {"l": link_cov, "f": inflow_cov}
+    measured = dict.fromkeys(_FULL_COVERAGE)
+    if coverage == 1.0:
+        covers["t"] = cover_mod.delay_optimal_cover(corpus, spec)
+        covers["a"] = cover_mod.joint_cover(corpus, spec)
+        measured = {**cross_efficiencies(ctx, link_cov, inflow_cov, covers["t"], corpus),
+                    **joint_efficiencies(ctx, covers["a"], link_cov, inflow_cov, corpus)}
+        measured.update(efficiency_ratios(measured, originals))
+    sets = {name: covers[s].selected if s in covers else None for s, name in _LEGEND.items()}
     return EfficiencyReport(
-        delay_set_size=len(delay_cov.selected),
-        joint_set_size=len(joint_cov.selected),
-        delay_set_inflow=corpus.inflow(delay_cov.selected),
-        joint_set_inflow=corpus.inflow(joint_cov.selected),
-        **base,
+        ego=ctx.ego, meme_kind=meme_kind, coverage=coverage,
+        n_followees=len(ctx.followees), n_memes=len(ctx.memes),
+        e_link=originals["l"], e_inflow=originals["f"], e_delay=originals["t"],
+        **{f"{name}_set_size": None if selected is None else len(selected)
+           for name, selected in sets.items()},
+        followee_inflow=corpus.inflow(ctx.followees),
+        **{f"{name}_set_inflow": None if selected is None else corpus.inflow(selected)
+           for name, selected in sets.items()},
         **measured,
-        **efficiency_ratios(measured, originals),
     )

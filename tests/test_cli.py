@@ -1,5 +1,6 @@
 import argparse
 import gc
+import os
 import pickle
 import subprocess
 import sys
@@ -533,6 +534,30 @@ def test_failed_cache_write_keeps_the_previous_cache(redundant_dir, tmp_path, ca
     assert capsys.readouterr().err == f"error: cannot write {cache}: No space left on device\n"
     assert redundant_dir.read_bytes() == previous
     assert [p.name for p in cache.iterdir()] == ["corpus.pkl"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exit_2_naming_standard_output(redundant_dir, tmp_path, unbuffered):
+    # Standard output is a pipe whose read end is closed. Buffered, the
+    # write fails only at a flush; unbuffered, in print. Either way the
+    # error names standard output, not --out, and the interpreter's own
+    # last flush adds no "Exception ignored" line and no exit code 120.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "feedcover.cli", "efficiency", "--corpus", str(redundant_dir),
+             "--egos", "0", "--min-followees", "1", "--out", str(tmp_path / "rep")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+    assert (tmp_path / "rep" / "efficiency.tsv").exists()
 
 
 @pytest.fixture

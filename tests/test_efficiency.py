@@ -396,6 +396,37 @@ def _oracle_columns(corpus, ctx, link, inflow, delay, joint):
     return columns
 
 
+def _oracle_set_columns(corpus, ctx, link, inflow, delay, joint):
+    """The shape and set columns, from the raw indices: the ego's followee
+    and meme counts, the followees' in-flow, and each cover set's size and
+    in-flow (None for a set that is not computed)."""
+    def flow(users):
+        return sum(corpus.post_count[v] for v in users)
+
+    sets = {"link": link, "inflow": inflow, "delay": delay, "joint": joint}
+    return {
+        "n_followees": len(ctx.followees),
+        "n_memes": len(ctx.memes),
+        "followee_inflow": flow(ctx.followees),
+        **{f"{name}_set_size": None if users is None else len(users)
+           for name, users in sets.items()},
+        **{f"{name}_set_inflow": None if users is None else flow(users)
+           for name, users in sets.items()},
+    }
+
+
+def _oracle_prefix(corpus, ctx, order, coverage):
+    """The shortest prefix of the full-coverage ``order`` whose users post
+    at least ceil(coverage * |memes|) of the ego's memes."""
+    target = math.ceil(coverage * len(ctx.memes))
+    covered = set()
+    for i, v in enumerate(order):
+        if len(covered) >= target:
+            return order[:i]
+        covered |= ctx.memes & set(corpus.first_post_by_user[v])
+    return order
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.builds(SynthSpec, seed=st.integers(0, 10**6), n_users=st.integers(2, 16),
@@ -404,8 +435,9 @@ def _oracle_columns(corpus, ctx, link, inflow, delay, joint):
               ego_followee_count=st.integers(1, 3)),
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.1, 0.5, 0.9]),
 )
-def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta):
+def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta, coverage):
     # The oracle sums the same integers and, through math.fsum, the same
     # delays exactly rounded, so every column must match bit for bit.
     corpus, _ = generate(spec)
@@ -417,8 +449,19 @@ def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta
         cover_spec = CoverSpec(universe=ctx.memes, alpha=alpha, beta=beta)
         covers = [engine(corpus, cover_spec).selected for engine in (
             greedy_min_cover, greedy_weighted_cover, delay_optimal_cover, joint_cover)]
-        expected = _oracle_columns(corpus, ctx, *covers)
+        measures = _oracle_columns(corpus, ctx, *covers)
+        full_coverage = [name for name in measures if not name.startswith("e_")]
+        expected = {**_oracle_set_columns(corpus, ctx, *covers), **measures}
         report = evaluate_ego(corpus, ctx, "hashtag", alpha=alpha, beta=beta)._asdict()
         assert {name: report[name] for name in expected} == expected
         assert [name for name in report if name.startswith(("ratio_", "el_", "ef_", "et_"))] \
-            == [name for name in expected if not name.startswith("e_")]
+            == full_coverage
+        # Below full coverage the link and in-flow sets are prefixes of the
+        # full orders, and the delay and joint sets and every column that
+        # compares sets are not computed.
+        partial = evaluate_ego(corpus, ctx, "hashtag", coverage=coverage,
+                               alpha=alpha, beta=beta)._asdict()
+        prefixes = [_oracle_prefix(corpus, ctx, order, coverage) for order in covers[:2]]
+        expected = _oracle_set_columns(corpus, ctx, *prefixes, None, None)
+        assert {name: partial[name] for name in expected} == expected
+        assert all(partial[name] is None for name in full_coverage)

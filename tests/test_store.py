@@ -74,7 +74,7 @@ def triadic_cache(seed: int, n_communities: int, community_size: int,
 _COVERAGES = st.sampled_from([0.25, 0.5, 1.0])
 _COMMANDS = st.one_of(
     st.tuples(st.just("efficiency"), st.sets(_COVERAGES, min_size=1)),
-    st.tuples(st.just("cover"), st.sampled_from(sorted(cli._METHODS)), _COVERAGES),
+    st.tuples(st.just("cover"), st.sampled_from(sorted(cover_mod.ENGINES)), _COVERAGES),
     st.tuples(st.just("optimize")),
     st.tuples(st.just("egonet")),
 )
