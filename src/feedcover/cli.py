@@ -13,12 +13,12 @@ report (columns from its first row) and the summaries, and returns
 
 Beside the cache, one order store per meme kind (``corpus.<kind>.orders``
 for ``corpus.pkl``) keeps each ego's full greedy orders, keyed by ego id.
-The runner hands an ego's stored orders to the cover memo before its rows
-are built, and after the reports rewrites the store if it computed an
-order the store lacked. A store serves only the cache file it was written
-for and the code that wrote it (``_store_identity``); one that is missing,
-corrupt, foreign or unwritable is skipped silently, and ``ingest``
-deletes the stores of the cache it replaces.
+An ego's entry is the cover memo's dict of its orders, with the stored
+ones added, and the store is rewritten after the reports if it grew. A
+store serves only the cache file it was written for and the code that
+wrote it (``_store_identity``); one that is missing, corrupt, foreign or
+unwritable is skipped silently, and ``ingest`` deletes the stores of the
+cache it replaces.
 
 Reports are tab-separated (or JSON-lines) with a comment header; the
 timestamp line can be suppressed for byte-identical reruns. Rows are
@@ -117,7 +117,7 @@ class _CacheUnpickler(pickle.Unpickler):
 
 class _StoreUnpickler(_CacheUnpickler):
     """Resolves no class: an order store holds only ints, floats, strs,
-    tuples and dicts."""
+    tuples, lists and dicts."""
 
     _classes = {}
 
@@ -181,14 +181,15 @@ def _store_path(corpus_path, meme_kind: str) -> Path:
 
 def _store_identity(corpus_path) -> tuple | None:
     """What a store must have recorded to serve the cache at ``corpus_path``:
-    the cache's inode, size and modification time in ns, and a crc32 of the
-    code that derives and stores the orders; None if either is unreadable.
+    the cache's inode, size and modification time in ns, and a crc32 of
+    every feedcover module, by name; None if either is unreadable.
     Taken before the cache is read: a cache replaced in between is a new
     inode, so the identity taken names a file that no cache will match."""
     try:
         stat = os.stat(corpus_path)
-        code = zlib.crc32(Path(__file__).read_bytes(),
-                          zlib.crc32(Path(cover_mod.__file__).read_bytes()))
+        code = 0
+        for module in sorted(Path(__file__).parent.glob("*.py")):
+            code = zlib.crc32(module.read_bytes(), code)
     except OSError:
         return None
     return stat.st_ino, stat.st_size, stat.st_mtime_ns, code
@@ -484,24 +485,19 @@ def cmd_analysis(args) -> list[str]:
     corpus = _load_cached(args.corpus, args.meme_kind)
     store = _store_path(args.corpus, args.meme_kind)
     stored = _load_store(store, identity) if identity else {}
-    computed = False
+    n_stored = sum(map(len, stored.values()))
     rows, skipped = [], 0
     for ego in _select_egos(corpus, args):
-        orders = None
         try:
             ctx = ego_context(corpus, ego, args.meme_kind, args.min_followees)
-            orders = cover_mod._slot(corpus, ctx.memes)[4]
+            orders = cover_mod._orders(corpus, ctx.memes)
             orders.update(stored.get(ego, {}))
+            stored[ego] = orders
             ego_rows = row_fn(corpus, ctx, args)
         except FeedcoverError as exc:
             warn(f"skip ego {corpus.label(ego)}: {exc}")
             skipped += 1
             continue
-        finally:
-            # An order that raised is not in the memo, so it raises again next time.
-            if orders is not None and len(orders) > len(stored.get(ego, {})):
-                stored[ego] = {key: tuple(order) for key, order in orders.items()}
-                computed = True
         rows += [{"ego": ego, "ego_label": corpus.label(ego), **r} for r in ego_rows]
     if not rows:
         raise EmptyCorpus(f"no {args.command} rows produced")
@@ -511,7 +507,8 @@ def cmd_analysis(args) -> list[str]:
     reports = {args.command: rows, **(summarize(rows, args) if summarize else {})}
     for name, report in reports.items():
         writer.write(name, list(report[0]), report)
-    if computed and identity:
+    # An order that raised is in neither, so it raises again next time.
+    if identity and sum(map(len, stored.values())) > n_stored:
         _save_store(store, identity, stored)
     return [f"rows: {len(rows)}  egos skipped: {skipped}"]
 

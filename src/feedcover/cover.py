@@ -9,8 +9,8 @@ greedy, as in CELF). Each pick minimizes ``w / gain``: a fixed,
 non-negative weight per candidate (1, the in-flow, or ``inflow**alpha *
 avg_delay**beta``) over the number of still uncovered universe memes the
 candidate posts. Ties go to the smallest user id; a zero-gain candidate
-is never picked. Each candidate's universe memes are a bitmask over the
-sorted universe. A heap holds ``(score, user id)`` keys as of each
+is never picked. Each candidate's universe memes are a bitmask, one bit
+per universe meme. A heap holds ``(score, user id)`` keys as of each
 entry's last refresh. Gains only shrink and rounded division is
 monotone, so a stale key is a lower bound on the current score. A top
 entry with a stale key goes back into the heap under its fresh one; a
@@ -20,22 +20,22 @@ tie-break included. Of candidates with the same bitmask, only those
 that can ever rank first enter the heap (see ``_greedy_order``).
 
 The kernel runs each order to exhaustion, until no candidate adds a
-meme. A cover at coverage ``p`` is the shortest prefix of that order
-covering ``ceil(p * |universe|)`` memes; a prefix that falls short
-raises InfeasibleCover. The corpus's private ``_memo``, filled on first
+meme, and returns its ``(user, gain)`` steps; no bitmask leaves it. A
+cover at coverage ``p`` is the shortest prefix whose gains reach
+``ceil(p * |universe|)``, else InfeasibleCover, and covers the universe
+memes its users post. The corpus's private ``_memo``, filled on first
 use, keeps each meme's earliest ``(time, user id)`` poster for the
 corpus's lifetime, and each engine's full order (keyed by engine, plus
 ``alpha``/``beta`` for the joint one) only for the latest universe, so
 memory does not grow with the number of egos. That universe's pool and
 bitmasks are built only when one of its orders is missing: the analysis
-commands hand the slot the orders that an earlier analysis of the same
-corpus cache stored (see ``feedcover.cli``).
+commands share the memo's orders with the order store (``_orders``).
 """
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import sub, truediv
 from typing import NamedTuple
 
@@ -78,17 +78,15 @@ def candidate_pool(corpus: Corpus, spec: CoverSpec) -> list[int]:
     return sorted(pool)
 
 
-def _masks(corpus: Corpus, universe, pool: list[int]) -> tuple[list[MemeId], list[int]]:
-    """Universe memes in sorted order, and each pool candidate's memes as
-    a bitmask over them (bit i set when the candidate posts ``memes[i]``).
-    ``pool`` holds every poster of a universe meme."""
-    memes = sorted(universe)
+def _masks(corpus: Corpus, universe, pool: list[int]) -> list[int]:
+    """Each pool candidate's universe memes as a bitmask, one bit per
+    universe meme. ``pool`` holds every poster of a universe meme."""
     by_user = dict.fromkeys(pool, 0)
-    for i, meme in enumerate(memes):
+    for i, meme in enumerate(universe):
         bit = 1 << i
         for v in corpus.posters_by_meme.get(meme, ()):
             by_user[v] |= bit
-    return memes, [by_user[v] for v in pool]
+    return [by_user[v] for v in pool]
 
 
 def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
@@ -100,8 +98,8 @@ def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
 
 
 def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> list:
-    """The lazy greedy's picks as ``(user, gain, mask)``, run until no
-    candidate adds a meme.
+    """The lazy greedy's picks as ``(user, gain)``, run until no candidate
+    adds a meme.
 
     Candidates with equal masks have equal gains at every step, and once
     one is picked the others gain nothing. A candidate whose weight is no
@@ -128,20 +126,20 @@ def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> l
         else:
             heapq.heappop(heap)
             remaining &= ~mask
-            order.append((v, gain, mask))
+            order.append((v, gain))
     return order
 
 
-def _slot(corpus: Corpus, universe) -> list:
-    """The memo slot of ``universe``, which replaces the slot of any other
-    universe: ``[universe, pool, memes, masks, orders]``. ``orders`` maps
-    each engine key to its full order; pool, memes and masks (as from
-    ``candidate_pool`` and ``_masks``) stay None until an order is missing."""
+def _orders(corpus: Corpus, universe) -> dict:
+    """The memo's full orders of ``universe`` by engine key. Its memo slot
+    ``[universe, orders, pool, masks]`` replaces the slot of any other
+    universe; pool and masks (as from ``candidate_pool`` and ``_masks``)
+    stay None until an order is missing."""
     slot = corpus._memo.get("universe")
     # ``is`` first: ``!=`` on two frozensets scans their elements.
     if slot is None or (slot[0] is not universe and slot[0] != universe):
-        slot = corpus._memo["universe"] = [universe, None, None, None, {}]
-    return slot
+        slot = corpus._memo["universe"] = [universe, {}, None, None]
+    return slot[1]
 
 
 def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
@@ -149,32 +147,30 @@ def _greedy(corpus: Corpus, spec: CoverSpec, engine, weight) -> CoverResult:
     ``ceil(coverage * |universe|)`` memes."""
     universe = spec.universe
     n_memes = len(universe)
-    slot = _slot(corpus, universe)
-    orders = slot[4]
+    orders = _orders(corpus, universe)
     if engine not in orders:
-        if slot[1] is None:
+        slot = corpus._memo["universe"]
+        if slot[2] is None:
             pool = candidate_pool(corpus, spec)
-            slot[1:4] = pool, *_masks(corpus, universe, pool)
-        _, pool, _, masks, _ = slot
+            slot[2:] = pool, _masks(corpus, universe, pool)
+        _, _, pool, masks = slot
         orders[engine] = _greedy_order(pool, masks, map(weight, pool), n_memes)
     target = math.ceil(spec.coverage * n_memes)
     per_step: list[tuple[int, int]] = []
-    covered = n_covered = 0
-    for v, gain, mask in orders[engine]:
+    n_covered = 0
+    for step in orders[engine]:
         if n_covered >= target:
             break
-        per_step.append((v, gain))
-        covered |= mask
-        n_covered += gain
+        per_step.append(step)
+        n_covered += step[1]
     if n_covered < target:
         raise InfeasibleCover(f"covered {n_covered} of required {target} memes")
     if n_covered == n_memes:
         covered = frozenset(universe)  # ``universe`` itself when it is a frozenset
-    else:
-        if slot[2] is None:
-            slot[2] = sorted(universe)
-        bits = reversed(f"{covered:0{n_memes}b}")
-        covered = frozenset(m for m, bit in zip(slot[2], bits) if bit == "1")
+    else:  # the universe memes that the picks post
+        first = corpus.first_post_by_user
+        covered = frozenset(universe).intersection(chain.from_iterable(
+            first[v] for v, _ in per_step))
     return CoverResult(
         selected=tuple(v for v, _ in per_step),
         covered=covered,

@@ -95,8 +95,8 @@ class Corpus(_CorpusFields):
     user's memes are stored once. Do not mutate them.
 
     ``_memo`` is a private cache of facts derived from the fields, which
-    the cover engines fill, lazily, and the analysis commands seed with
-    stored orders (see ``feedcover.cover``). It is
+    the cover engines fill, lazily; its dicts of greedy orders are the
+    order store's entries too (see ``feedcover.cover``). It is
     not compared by ``==`` and not shown by ``repr``; a ``_replace`` copy
     starts with an empty one, so replacing a field never serves facts
     derived from the old value. The fields are read-only; the class has

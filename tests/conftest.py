@@ -77,10 +77,10 @@ def brute_force_cover(corpus: Corpus, spec: CoverSpec, objective: str) -> CoverR
     n = len(pool)
     if n > BRUTE_FORCE_MAX_CANDIDATES:
         raise InvalidSpec(f"{n} candidates exceed bound {BRUTE_FORCE_MAX_CANDIDATES}")
-    memes, masks = _masks(corpus, spec.universe, pool)
-    if not memes:
+    masks = _masks(corpus, spec.universe, pool)
+    if not spec.universe:
         return CoverResult((), frozenset(), ())
-    full = (1 << len(memes)) - 1
+    full = (1 << len(spec.universe)) - 1
     weights = [1 if objective == "cardinality" else corpus.post_count[v] for v in pool]
     cover_of = [0] * (1 << n)
     best = None

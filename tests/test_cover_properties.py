@@ -171,11 +171,11 @@ HEAVIER_SEVEN = math.nextafter(7.0, 8.0)
 @pytest.mark.parametrize("masks, weights, picks", [
     # Equal masks and equal scores: the rescan takes the smaller id,
     # though it weighs more, so it must not be dropped for the lighter one.
-    ([0b111, 0b111], [HEAVIER_SEVEN, 7.0], [(1, 3, 0b111)]),
-    ([0b111, 0b111], [7.0, HEAVIER_SEVEN], [(1, 3, 0b111)]),
+    ([0b111, 0b111], [HEAVIER_SEVEN, 7.0], [(1, 3)]),
+    ([0b111, 0b111], [7.0, HEAVIER_SEVEN], [(1, 3)]),
     # After user 3's pick, user 1's key 0.5 is stale; its fresh score 1.0
     # loses to user 2's 0.6, so user 1 goes back into the heap.
-    ([0b011, 0b100, 0b001], [1.0, 0.6, 0.1], [(3, 1, 0b001), (2, 1, 0b100), (1, 1, 0b011)]),
+    ([0b011, 0b100, 0b001], [1.0, 0.6, 0.1], [(3, 1), (2, 1), (1, 1)]),
 ])
 def test_greedy_order_picks_like_a_full_rescan(masks, weights, picks):
     assert HEAVIER_SEVEN / 3 == 7.0 / 3
@@ -194,7 +194,7 @@ def rescan_order(pool, masks, weights, n_memes) -> list:
             return order
         _, v, gain, m = min(steps)
         remaining &= ~m
-        order.append((v, gain, m))
+        order.append((v, gain))
 
 
 @st.composite
@@ -341,9 +341,9 @@ def test_memoised_calls_match_a_fresh_corpus(instance, data):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(instances(), instances(shared=True)))
 def test_covered_is_the_union_of_the_picks_universe_memes(instance):
-    # ``covered`` is decoded from the prefix's bitmask. It must name exactly
-    # the universe memes that the selected users post: at full coverage,
-    # the whole universe.
+    # ``covered`` is derived from the prefix's users, not from its gains.
+    # It must name exactly the universe memes that the selected users
+    # post: at full coverage, the whole universe.
     corpus, spec = instance
     for coverage in (spec.coverage, 1.0):
         call = spec._replace(coverage=coverage)

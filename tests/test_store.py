@@ -124,12 +124,21 @@ def test_every_analysis_on_a_used_cache_matches_a_fresh_copy(
                                      tmp / f"fresh_out{i}")
 
 
-def test_optimize_and_egonet_after_efficiency_leave_the_store_alone(golden_cache, tmp_path):
+def test_optimize_and_egonet_after_efficiency_leave_the_store_alone(golden_cache, tmp_path,
+                                                                   monkeypatch):
+    # After efficiency, the store serves every order that optimize and
+    # egonet need: neither builds a pool, runs the kernel or rewrites it.
     common = ["--corpus", golden_cache, *EGOS]
     assert run(["efficiency", *common, "--out", tmp_path / "efficiency"])[0] == 0
     store = cli._store_path(golden_cache, "hashtag")
     assert stores(golden_cache.parent) == [store.name]
     before = store.read_bytes(), os.stat(store)
+
+    def rebuilt(*args):
+        raise AssertionError("an order was rebuilt")
+
+    monkeypatch.setattr(cover_mod, "candidate_pool", rebuilt)
+    monkeypatch.setattr(cover_mod, "_greedy_order", rebuilt)
     for name in ("optimize", "egonet"):
         assert run([name, *common, "--out", tmp_path / name])[0] == 0
         assert _tree(tmp_path / name) == _tree(GOLDEN / name)
@@ -223,11 +232,26 @@ def _copied_cache(corpus_pkl, tmp_path, monkeypatch):
     assert os.stat(corpus_pkl).st_mtime_ns == os.stat(original / "corpus.pkl").st_mtime_ns
 
 
-def _other_code(corpus_pkl, tmp_path, monkeypatch):
-    # The store was written by a cover.py with other bytes.
-    changed = tmp_path / "cover.py"
-    changed.write_bytes(Path(cover_mod.__file__).read_bytes() + b"# changed\n")
-    monkeypatch.setattr(cover_mod, "__file__", str(changed))
+def _other_code(corpus_pkl, tmp_path, monkeypatch, module="cover.py"):
+    # The store was written by a feedcover whose ``module`` had other bytes:
+    # the running cli.py sits in a copy of the package with that change.
+    package = tmp_path / "feedcover"
+    package.mkdir()
+    for source in Path(cli.__file__).parent.glob("*.py"):
+        shutil.copyfile(source, package / source.name)
+    with open(package / module, "ab") as fh:
+        fh.write(b"# changed\n")
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+
+
+def _other_ingest(corpus_pkl, tmp_path, monkeypatch):
+    # ``ingest.ego_context`` derives the universe that the orders cover.
+    _other_code(corpus_pkl, tmp_path, monkeypatch, "ingest.py")
+
+
+def _other_model(corpus_pkl, tmp_path, monkeypatch):
+    # ``Corpus``'s views give the candidate pool and each candidate's memes.
+    _other_code(corpus_pkl, tmp_path, monkeypatch, "model.py")
 
 
 def _store_is_a_directory(corpus_pkl, tmp_path, monkeypatch):
@@ -239,7 +263,7 @@ def _store_is_a_directory(corpus_pkl, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("spoil", [
     None, _truncated, _corrupt, _global_in_header, _global_in_payload, _other_corpus,
-    _copied_cache, _other_code, _store_is_a_directory,
+    _copied_cache, _other_code, _other_ingest, _other_model, _store_is_a_directory,
 ], ids=lambda spoil: spoil.__name__.strip("_") if spoil else "intact")
 def test_a_store_that_cannot_serve_is_skipped(golden_cache, tmp_path, monkeypatch, spoil):
     # A doctored store reverses each ego's link picks. Intact, the run
