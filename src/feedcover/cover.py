@@ -24,8 +24,7 @@ meme, and returns its ``(user, gain)`` steps; no bitmask leaves it. A
 cover at coverage ``p`` is the shortest prefix whose gains reach
 ``ceil(p * |universe|)``, else InfeasibleCover, and covers the universe
 memes its users post. The corpus's private ``_memo``, filled on first
-use, keeps each meme's earliest ``(time, user id)`` poster for the
-corpus's lifetime, and each engine's full order (keyed by engine, plus
+use, keeps each engine's full order (keyed by engine, plus
 ``alpha``/``beta`` for the joint one) only for the latest universe, so
 memory does not grow with the number of egos. That universe's pool and
 bitmasks are built only when one of its orders is missing: the analysis
@@ -221,15 +220,14 @@ def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
     """
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
-    earliest = corpus._memo.setdefault("earliest_poster", {})
+    first, born = corpus.first_post_by_user, corpus.first_mention
     chosen: dict[int, int] = {}
     for meme in sorted(spec.universe):
-        if meme not in earliest:
-            posters = corpus.posters_by_meme.get(meme, ())
-            if not posters:
-                raise InfeasibleCover(f"meme {meme} has no poster")
-            earliest[meme] = min((corpus.first_post_by_user[v][meme], v) for v in posters)
-        best = earliest[meme][1]
+        posters = corpus.posters_by_meme.get(meme, ())
+        if not posters:
+            raise InfeasibleCover(f"meme {meme} has no poster")
+        # posters are sorted by id, and the first mention is their earliest post
+        best = next(v for v in posters if first[v][meme] == born[meme])
         chosen[best] = chosen.get(best, 0) + 1
     selected = tuple(sorted(chosen))
     return CoverResult(

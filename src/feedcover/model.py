@@ -94,9 +94,9 @@ class Corpus(_CorpusFields):
     posting user to the keys of its ``first_post_by_user`` entry, so each
     user's memes are stored once. Do not mutate them.
 
-    ``_memo`` is a private cache of facts derived from the fields, which
-    the cover engines fill, lazily; its dicts of greedy orders are the
-    order store's entries too (see ``feedcover.cover``). It is
+    ``_memo`` is a private cache that the greedy cover engines fill,
+    lazily, with their latest instance; its dict of greedy orders is the
+    order store's entry too (see ``feedcover.cover``). It is
     not compared by ``==`` and not shown by ``repr``; a ``_replace`` copy
     starts with an empty one, so replacing a field never serves facts
     derived from the old value. The fields are read-only; the class has

@@ -788,9 +788,32 @@ def test_main_freezes_and_starts_no_collection(redundant_dir, tmp_path, enabled,
     assert "Traceback" not in proc.stderr
 
 
+def test_main_pauses_the_collector_while_a_command_runs(redundant_dir, tmp_path,
+                                                       monkeypatch):
+    # In-process callers, such as the tests and perfbench's tracer, run each
+    # command as the console script does; the collector is back on after.
+    help_text, row_fn, summarize, options = cli._ANALYSES["efficiency"]
+    seen = []
+
+    def rows(*args):
+        seen.append(gc.isenabled())
+        return row_fn(*args)
+
+    monkeypatch.setitem(cli._ANALYSES, "efficiency", (help_text, rows, summarize, options))
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert _efficiency_on(redundant_dir, tmp_path) == 0
+        assert seen == [False] and gc.isenabled()
+    finally:
+        if not was_enabled:
+            gc.disable()
+
+
 def test_main_leaves_its_garbage_collectable(redundant_dir, tmp_path):
     # The subparsers main builds hold reference cycles, so only a collection
-    # frees them; main neither freezes them nor switches the collector.
+    # frees them; main pauses the collector but restores it, and freezes
+    # nothing.
     was_enabled = gc.isenabled()
     gc.disable()
     try:

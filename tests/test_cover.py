@@ -143,6 +143,13 @@ class TestDelayOptimalCover:
         result = delay_optimal_cover(corpus, spec_for(corpus))
         assert result.selected == (2,)
 
+    def test_reads_only_corpus_fields(self):
+        # Each call finds the earliest posters again: the memo is never built.
+        corpus = make_corpus({3: [0, 1], 2: [1]}, times={(3, 0): 5, (3, 1): 9, (2, 1): 9})
+        for _ in range(2):
+            assert delay_optimal_cover(corpus, spec_for(corpus)).per_step == ((2, 1), (3, 1))
+        assert "_memo" not in vars(corpus)
+
     def test_unposted_universe_meme_infeasible(self):
         corpus = make_corpus({1: [0], 2: [0, 1]})
         spec = CoverSpec(universe=frozenset({M(0), M(2)}))

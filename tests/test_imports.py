@@ -115,6 +115,15 @@ def test_clamping_run_without_stderr(golden_runs):
         assert _tree(out) == _tree(golden)
 
 
+def test_run_without_stdout(golden_runs):
+    # As under pythonw, or with fd 1 closed: print writes nothing and the
+    # exit flush is skipped, so the run exits 0 with its reports written.
+    argv, out, golden = golden_runs[0]
+    proc = console(argv, before="sys.stdout = None\n")
+    assert proc.stderr == "".join(line + "\n" for line in CLAMPS) + SKIP
+    assert _tree(out) == _tree(golden)
+
+
 def test_failing_run_without_stderr_prints_nothing(golden_runs):
     # Every ego is skipped, so the command exits 3; its skip lines and its
     # error line are lost, not sent to stdout.
