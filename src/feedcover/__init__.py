@@ -15,7 +15,6 @@ from .cover import (
     joint_cover,
 )
 from .efficiency import (
-    EfficiencyReport,
     cross_efficiencies,
     delay_efficiency,
     efficiency_ratio,
@@ -38,7 +37,6 @@ __all__ = [
     "Corpus",
     "CoverResult",
     "CoverSpec",
-    "EfficiencyReport",
     "EgoContext",
     "EgoNetwork",
     "IngestConfig",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import math
 import os
 import pickle
 import sys
@@ -71,7 +72,8 @@ def _fmt(value) -> str:
 
 
 class ReportWriter:
-    """Writes one report file with a deterministic comment header."""
+    """Writes one report file with a deterministic comment header; its
+    columns are the keys of the first row, in order."""
 
     def __init__(self, out_dir: Path, fmt: str, timestamp: bool, seed: int):
         self.out_dir = out_dir
@@ -80,7 +82,8 @@ class ReportWriter:
         self.seed = seed
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, columns: list[str], rows: list[dict]) -> Path:
+    def write(self, name: str, rows: list[dict]) -> Path:
+        columns = list(rows[0])
         ext = "jsonl" if self.fmt == "jsonl" else "tsv"
         path = self.out_dir / f"{name}.{ext}"
         lines = [f"# feedcover {name}", f"# seed {self.seed}"]
@@ -264,8 +267,9 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
 def _iso_seconds(text: str) -> int:
     """argparse type: unix seconds, or an ISO-8601 datetime (UTC if naive).
 
-    Posts have integer times and the window is ``start <= t < end``, so a
-    fractional second rounds up at either end.
+    A trailing ``Z`` reads as ``+00:00``, which ``fromisoformat`` accepts
+    only from Python 3.11 on. Posts have integer times and the window is
+    ``start <= t < end``, so a fractional second rounds up at either end.
     """
     try:
         return int(text)
@@ -273,7 +277,7 @@ def _iso_seconds(text: str) -> int:
         pass
     from datetime import datetime, timedelta, timezone
     try:
-        dt = datetime.fromisoformat(text)
+        dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is neither unix seconds nor an ISO-8601 datetime"
@@ -343,7 +347,7 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
     for v in values:
         # round(v * n_bins, 9) puts 0.58 in bin 29, where 0.58 / 0.02 = 28.999999999999996
         counts[min(int(round(v * n_bins, 9)), n_bins - 1)] += 1
-    return [{**keys, "stat": mean_stat, "x": "", "value": sum(values) / len(values)}] + [
+    return [{**keys, "stat": mean_stat, "x": "", "value": math.fsum(values) / len(values)}] + [
         {**keys, "stat": "hist", "x": i * HIST_BIN_WIDTH, "value": c}
         for i, c in enumerate(counts)
     ]
@@ -351,9 +355,8 @@ def _distribution(keys: dict, mean_stat: str, values) -> list[dict]:
 
 def _efficiency_rows(corpus, ctx, args) -> list[dict]:
     return [
-        eff_mod.evaluate_ego(
-            corpus, ctx, args.meme_kind, coverage=p, alpha=args.alpha, beta=args.beta,
-        )._asdict()
+        eff_mod.evaluate_ego(corpus, ctx, args.meme_kind, coverage=p,
+                             alpha=args.alpha, beta=args.beta)
         for p in args.coverage
     ]
 
@@ -404,7 +407,7 @@ def _optimize_summaries(rows, args) -> dict[str, list[dict]]:
     ratios = [key for key in rows[0] if key.startswith("ratio_")]
     return {"optimize_bins": [
         {"followees_min": 2 ** (b - 1), "followees_max": 2 ** b - 1, "count": len(members),
-         **{key: sum(r[key] for r in members) / len(members) for key in ratios}}
+         **{key: math.fsum(r[key] for r in members) / len(members) for key in ratios}}
         for b, members in sorted(bins.items())
     ]}
 
@@ -506,7 +509,7 @@ def cmd_analysis(args) -> list[str]:
     )
     reports = {args.command: rows, **(summarize(rows, args) if summarize else {})}
     for name, report in reports.items():
-        writer.write(name, list(report[0]), report)
+        writer.write(name, report)
     # An order that raised is in neither, so it raises again next time.
     if identity and sum(map(len, stored.values())) > n_stored:
         _save_store(store, identity, stored)
@@ -616,6 +619,8 @@ def main(argv=None) -> int:
             parser.error("cover takes one --coverage")
         if len(set(args.coverage)) < len(args.coverage):
             parser.error("--coverage repeats a value")
+        if args.egos is not None and args.sample_n is not None:
+            parser.error("--egos and --sample-n exclude each other")
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -6,7 +6,7 @@ the set optimal for that metric, so the three formulas live in one place,
 joint ones only choose the sets. One ordered table of (metric, set)
 letter pairs, ``_MEASURES``, names the nine full-coverage measures and
 their ratios; the cross- and joint-efficiencies, ``efficiency_ratios``
-and the columns of ``EfficiencyReport`` all iterate it. The set names
+and the columns of ``evaluate_ego``'s row all iterate it. The set names
 of ``cover.ENGINES`` spell out the letters and name the set columns.
 
 Reported efficiencies come from the greedy covers, not exact optima.
@@ -20,7 +20,6 @@ values are clamped to 1, and each clamp prints
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 from . import cover as cover_mod
 from .errors import UndefinedMeasure, warn
@@ -173,23 +172,6 @@ def original_efficiencies(
     }
 
 
-# Types are strings, as this module's postponed annotations would make them.
-EfficiencyReport = NamedTuple("EfficiencyReport", [
-    ("ego", "int"), ("meme_kind", "str"), ("coverage", "float"),
-    ("n_followees", "int"), ("n_memes", "int"),
-    ("e_link", "float"), ("e_inflow", "float"), ("e_delay", "float"),
-    *((f"{name}_set_size", "int | None") for name in cover_mod.ENGINES),
-    ("followee_inflow", "int"),
-    *((f"{name}_set_inflow", "int | None") for name in cover_mod.ENGINES),
-    *((name, "float | None") for name in _FULL_COVERAGE),
-])
-EfficiencyReport.__doc__ = """Everything measured for one ego at one meme kind and coverage level.
-
-    Fields are the report columns, in order; the delay and joint set
-    columns and the full-coverage measures are None at partial coverage.
-    """
-
-
 def evaluate_ego(
     corpus: Corpus,
     ctx: EgoContext,
@@ -197,8 +179,9 @@ def evaluate_ego(
     coverage: float = 1.0,
     alpha: float = 1.0,
     beta: float = 0.5,
-) -> EfficiencyReport:
-    """Run the covers for one ego and assemble its report row.
+) -> dict:
+    """Run the covers for one ego and return its report row: a dict keyed
+    by the ``efficiency.tsv`` columns in order, less the CLI's ``ego_label``.
 
     Below full coverage the delay and joint sets and the 18 measure
     columns are None. ``e_delay`` measures the ego's own timeline, not a
@@ -218,14 +201,14 @@ def evaluate_ego(
                     **joint_efficiencies(ctx, covers["a"], link_cov, inflow_cov, corpus)}
         measured.update(efficiency_ratios(measured, originals))
     sets = {name: covers[s].selected if s in covers else None for s, name in _LEGEND.items()}
-    return EfficiencyReport(
-        ego=ctx.ego, meme_kind=meme_kind, coverage=coverage,
-        n_followees=len(ctx.followees), n_memes=len(ctx.memes),
-        e_link=originals["l"], e_inflow=originals["f"], e_delay=originals["t"],
+    return {
+        "ego": ctx.ego, "meme_kind": meme_kind, "coverage": coverage,
+        "n_followees": len(ctx.followees), "n_memes": len(ctx.memes),
+        "e_link": originals["l"], "e_inflow": originals["f"], "e_delay": originals["t"],
         **{f"{name}_set_size": None if selected is None else len(selected)
            for name, selected in sets.items()},
-        followee_inflow=corpus.inflow(ctx.followees),
+        "followee_inflow": corpus.inflow(ctx.followees),
         **{f"{name}_set_inflow": None if selected is None else corpus.inflow(selected)
            for name, selected in sets.items()},
         **measured,
-    )
+    }

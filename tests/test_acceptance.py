@@ -209,9 +209,9 @@ def test_08_partial_coverage_consistency():
         full = evaluate_ego(corpus._replace(), ctx, "hashtag", coverage=1.0)
         half = evaluate_ego(corpus, ctx, "hashtag", coverage=0.5)
         via_partial_path = evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)
-        assert full.e_link == via_partial_path.e_link
-        assert full.e_inflow == via_partial_path.e_inflow
-        assert full.e_delay == via_partial_path.e_delay == half.e_delay
+        assert full["e_link"] == via_partial_path["e_link"]
+        assert full["e_inflow"] == via_partial_path["e_inflow"]
+        assert full["e_delay"] == via_partial_path["e_delay"] == half["e_delay"]
         # filtered followee set at p = 1.0 is every meme-posting followee
         cov = greedy_min_cover(corpus, CoverSpec(universe=ctx.memes))
         assert cov.covered == ctx.memes

@@ -103,6 +103,7 @@ def test_ingest_iso_window_equals_unix_seconds(tmp_path):
         "unix": ("1600000000", "1600086400"),
         "naive": ("2020-09-13T12:26:40", "2020-09-14T12:26:40"),
         "offset": ("2020-09-13T14:26:40+02:00", "2020-09-14T07:26:40-05:00"),
+        "zulu": ("2020-09-13T12:26:40Z", "2020-09-14T12:26:40Z"),
     }
     caches = {}
     for name, (start, end) in windows.items():
@@ -110,7 +111,7 @@ def test_ingest_iso_window_equals_unix_seconds(tmp_path):
                     "--window-start", start, "--window-end", end,
                     "--out", tmp_path / name]) == 0
         caches[name] = (tmp_path / name / "corpus.pkl").read_bytes()
-    assert caches["naive"] == caches["unix"] == caches["offset"]
+    assert caches["naive"] == caches["unix"] == caches["offset"] == caches["zulu"]
     kept = cli._load_cached(tmp_path / "unix" / "corpus.pkl").first_mention
     assert sorted(m.key for m in kept) == ["first", "last"]
 
@@ -210,17 +211,17 @@ def _projected_report(corpus, ctx, args):
                           alpha=args.alpha, beta=args.beta)
     spec = CoverSpec(universe=ctx.memes, alpha=args.alpha, beta=args.beta)
     selected = joint_cover(corpus, spec).selected
-    assert len(selected) == report.joint_set_size
+    assert len(selected) == report["joint_set_size"]
     return [{
-        "meme_kind": report.meme_kind,
-        "n_followees": report.n_followees,
+        "meme_kind": report["meme_kind"],
+        "n_followees": report["n_followees"],
         "selected": ",".join(corpus.label(v) for v in selected),
-        "el_ua": report.el_ua,
-        "ef_ua": report.ef_ua,
-        "et_ua": report.et_ua,
-        "ratio_link": report.ratio_link_by_joint_opt,
-        "ratio_inflow": report.ratio_inflow_by_joint_opt,
-        "ratio_delay": report.ratio_delay_by_joint_opt,
+        "el_ua": report["el_ua"],
+        "ef_ua": report["ef_ua"],
+        "et_ua": report["et_ua"],
+        "ratio_link": report["ratio_link_by_joint_opt"],
+        "ratio_inflow": report["ratio_inflow_by_joint_opt"],
+        "ratio_delay": report["ratio_delay_by_joint_opt"],
     }]
 
 
@@ -654,6 +655,7 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("negative_sample_n", "--sample-n"),
     ("superscript_sample_n", "'\u00b2' is not an integer >= 1"),
     ("negative_min_followees", "--min-followees: '-1' is not an integer >= 0"),
+    ("egos_with_sample_n", "--egos and --sample-n exclude each other"),
     ("synth_zero_users", "all counts must be >= 1"),
     ("synth_shadow_few_memes", "superuser_shadow needs n_memes"),
     ("ingest_out_is_file", "follows.tsv: File exists"),
@@ -689,6 +691,9 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
         sample_n = "-1" if case == "negative_sample_n" else "\u00b2"
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--sample-n", sample_n,
                 "--out", tmp_path / "rep"]
+    elif case == "egos_with_sample_n":
+        argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--egos", "a",
+                "--sample-n", "1", "--seed", "5", "--out", tmp_path / "rep"]
     elif case == "negative_min_followees":
         argv = ["efficiency", "--corpus", tmp_path / "corpus.pkl", "--min-followees", "-1",
                 "--out", tmp_path / "rep"]
@@ -945,3 +950,10 @@ def test_distribution_bins_each_fraction_like_exact_arithmetic():
         counts[min(d * 50 // n, 49)] += 1
     rows = cli._distribution({}, "mean", [d / n for d, n in fractions])
     assert [r["value"] for r in rows[1:]] == counts
+
+
+def test_distribution_mean_is_the_same_on_every_python():
+    # Python 3.12 made sum() of floats compensated: a left-to-right sum of
+    # ten 0.1s is 0.9999999999999999 before 3.12 and 1.0 from it on. The
+    # mean rounds the exact sum once, so every version reports 0.1.
+    assert cli._distribution({}, "mean", [0.1] * 10)[0]["value"] == 0.1

@@ -1,5 +1,6 @@
 import math
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -296,16 +297,16 @@ def test_evaluate_ego_consistent_with_components():
     corpus, ctx = fig3_fixture()
     report = evaluate_ego(corpus, ctx, "hashtag")
     link, inflow, delay, joint = _all_covers(corpus, ctx)
-    assert report.e_link == link_efficiency(ctx, link, corpus)
-    assert report.e_inflow == 0.5
-    assert report.e_delay == delay_efficiency(ctx, corpus)
+    assert report["e_link"] == link_efficiency(ctx, link, corpus)
+    assert report["e_inflow"] == 0.5
+    assert report["e_delay"] == delay_efficiency(ctx, corpus)
     optimized = {
         **cross_efficiencies(ctx, link, inflow, delay, corpus),
         **joint_efficiencies(ctx, joint, link, inflow, corpus),
     }
-    assert {name: getattr(report, name) for name in optimized} == optimized
-    assert report.ratio_inflow_by_joint_opt == pytest.approx(
-        report.ef_ua / report.e_inflow
+    assert {name: report[name] for name in optimized} == optimized
+    assert report["ratio_inflow_by_joint_opt"] == pytest.approx(
+        report["ef_ua"] / report["e_inflow"]
     )
 
 
@@ -313,10 +314,10 @@ def test_evaluate_ego_partial_then_full_consistency():
     corpus, ctx = fig3_fixture()
     full = evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)
     partial = evaluate_ego(corpus, ctx, "hashtag", coverage=0.5)
-    assert full.el_uf is not None
-    assert partial.el_uf is None
+    assert full["el_uf"] is not None
+    assert partial["el_uf"] is None
     # p = 1.0 through the partial-coverage path is bit-identical to full
-    assert full.e_link == evaluate_ego(corpus, ctx, "hashtag", coverage=1.0).e_link
+    assert full["e_link"] == evaluate_ego(corpus, ctx, "hashtag", coverage=1.0)["e_link"]
 
 
 @pytest.mark.parametrize("fixture", [fig2_fixture, fig3_fixture, fig4_fixture])
@@ -325,7 +326,7 @@ def test_e_delay_equal_at_every_coverage(fixture):
     corpus, ctx = fixture()
     expected = delay_efficiency(ctx, corpus)
     for coverage in (0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0):
-        assert evaluate_ego(corpus, ctx, "hashtag", coverage=coverage).e_delay == expected
+        assert evaluate_ego(corpus, ctx, "hashtag", coverage=coverage)["e_delay"] == expected
 
 
 def test_evaluate_ego_runs_the_joint_cover_before_the_cross_efficiencies():
@@ -339,6 +340,16 @@ def test_evaluate_ego_runs_the_joint_cover_before_the_cross_efficiencies():
         evaluate_ego(corpus, ctx, "hashtag", alpha=400.0)
     with pytest.raises(UndefinedMeasure, match="^a cover set posted nothing"):
         evaluate_ego(corpus, ctx, "hashtag", alpha=1.0)
+
+
+@pytest.mark.parametrize("coverage", [0.5, 1.0])
+def test_evaluate_ego_keys_are_the_report_columns_in_order(coverage):
+    # The CLI adds ego_label after ego; every other column is a key of the row.
+    golden = Path(__file__).parent / "golden" / "efficiency_tsv" / "efficiency.tsv"
+    header = golden.read_text(encoding="utf-8").splitlines()[2].split("\t")
+    corpus, ctx = fig3_fixture()
+    row = evaluate_ego(corpus, ctx, "hashtag", coverage=coverage)
+    assert list(row) == [column for column in header if column != "ego_label"]
 
 
 def test_evaluate_ego_pure():
@@ -452,7 +463,7 @@ def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta
         measures = _oracle_columns(corpus, ctx, *covers)
         full_coverage = [name for name in measures if not name.startswith("e_")]
         expected = {**_oracle_set_columns(corpus, ctx, *covers), **measures}
-        report = evaluate_ego(corpus, ctx, "hashtag", alpha=alpha, beta=beta)._asdict()
+        report = evaluate_ego(corpus, ctx, "hashtag", alpha=alpha, beta=beta)
         assert {name: report[name] for name in expected} == expected
         assert [name for name in report if name.startswith(("ratio_", "el_", "ef_", "et_"))] \
             == full_coverage
@@ -460,7 +471,7 @@ def test_every_efficiency_column_matches_an_independent_oracle(spec, alpha, beta
         # full orders, and the delay and joint sets and every column that
         # compares sets are not computed.
         partial = evaluate_ego(corpus, ctx, "hashtag", coverage=coverage,
-                               alpha=alpha, beta=beta)._asdict()
+                               alpha=alpha, beta=beta)
         prefixes = [_oracle_prefix(corpus, ctx, order, coverage) for order in covers[:2]]
         expected = _oracle_set_columns(corpus, ctx, *prefixes, None, None)
         assert {name: partial[name] for name in expected} == expected
