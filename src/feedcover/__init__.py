@@ -31,7 +31,7 @@ from .egonet import (
     overlap,
 )
 from .ingest import IngestConfig, ego_context, extract_memes, load_corpus
-from .model import Corpus, CoverResult, EgoContext, MemeId, PostEvent
+from .model import Corpus, CoverResult, EgoContext, MemeId
 
 __all__ = [
     "Corpus",
@@ -41,7 +41,6 @@ __all__ = [
     "EgoNetwork",
     "IngestConfig",
     "MemeId",
-    "PostEvent",
     "build_ego_network",
     "cross_efficiencies",
     "delay_efficiency",

@@ -538,9 +538,9 @@ def cmd_synth(args) -> list[str]:
         ego_note = f"ego {ego}"
     out.mkdir(parents=True, exist_ok=True)
     synth_mod.write_corpus_files(events, follows, out / "posts.tsv", out / "follows.tsv")
-    n_users, n_memes = len({ev.user for ev in events}), len({ev.meme for ev in events})
+    users, memes, _ = zip(*events)
     return [f"wrote {out / 'posts.tsv'} and {out / 'follows.tsv'} ({ego_note})",
-            f"users: {n_users}  memes: {n_memes}"]
+            f"users: {len(set(users))}  memes: {len(set(memes))}"]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -22,7 +22,10 @@ from urllib.parse import parse_qs, urlsplit
 from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
 from .model import MEME_KINDS, Corpus, EgoContext, MemeId
 
-_HASHTAG_RE = re.compile(r"#(\w+)")
+# The literal ``#`` first keeps the regex engine's fast scan (rule: extract_memes).
+_HASHTAG_RE = re.compile(r"#(?<![\w&]#)(\w+)")
+# A URL's host: before the first "/", "?" or "#", after the last "@", before a ":".
+_HOST_RE = re.compile(r"(?:[^/?#@]*@)*([^/?#:]*)")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _TRAILING_PUNCT = ".,;:!?)\"'>]"
 
@@ -69,7 +72,9 @@ def normalize_url(token: str) -> str:
 
 
 def _registered_domain(url: str, news_domains) -> str | None:
-    host = url.split("/", 1)[0].split("?", 1)[0].lower()
+    """The listed news domain that ``url``'s host, lower-cased and without
+    a trailing ``.``, is or ends with."""
+    host = _HOST_RE.match(url)[1].lower().removesuffix(".")
     labels = host.split(".")
     for i in range(len(labels) - 1):
         suffix = ".".join(labels[i:])
@@ -113,6 +118,10 @@ def extract_memes(
 ) -> list[MemeId]:
     """Extract the memes of every kind from one post's text, each once, in
     first-seen order: the hashtags, then each URL's memes.
+
+    A hashtag is ``#`` and the word characters after it, lower-cased; a
+    ``#`` right after a word character or ``&`` (``page#section``,
+    ``abc#tag``, ``&#39;``) starts none.
 
     URLs are first rewritten through the alias map (offline stand-in
     for unshortening), then classified. A single URL can yield up to
@@ -238,6 +247,8 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             raise MalformedRecord(posts_path, no, f"bad timestamp {time_s!r}")
         user = ids.get(label)
         if user is None:
+            if not label:
+                raise MalformedRecord(posts_path, no, "empty user id")
             user = ids[label] = len(ids)
         if time < start:
             active.add(user)
@@ -264,9 +275,13 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             raise MalformedRecord(follows_path, no, "expected follower<TAB>followee")
         follower = ids.get(parts[0])
         if follower is None:
+            if not parts[0]:
+                raise MalformedRecord(follows_path, no, "empty user id")
             follower = ids[parts[0]] = len(ids)
         followee = ids.get(parts[1])
         if followee is None:
+            if not parts[1]:
+                raise MalformedRecord(follows_path, no, "empty user id")
             followee = ids[parts[1]] = len(ids)
         if follower != followee:  # a user is not its own source
             followees = follows.get(follower)

@@ -1,10 +1,11 @@
-"""Core domain types: posts, corpora, ego contexts, cover results.
+"""Core domain types: memes, corpora, ego contexts, cover results.
 
-Every record is a ``typing.NamedTuple``, and nothing in the package
-mutates their dict or set fields after construction, except the private
-cache ``Corpus._memo`` and the views a ``Corpus`` builds on first access
-(see ``Corpus``). User ids are integer surrogates
-assigned at ingestion in first-seen order, which every tie-break uses.
+A post event is a plain ``(user, meme, time)`` triple. Every record is
+a ``typing.NamedTuple``, and nothing in the package mutates their dict
+or set fields after construction, except the private cache
+``Corpus._memo`` and the views a ``Corpus`` builds on first access (see
+``Corpus``). User ids are integer surrogates assigned at ingestion in
+first-seen order, which every tie-break uses.
 Timestamps are integer unix seconds; delays are converted to
 real-valued days where averaged. Delays are summed with ``math.fsum``,
 which rounds once, so a mean does not depend on the iteration order of
@@ -37,16 +38,6 @@ class MemeId(NamedTuple):
 
     kind: str
     key: str
-
-
-class PostEvent(NamedTuple):
-    """One user posting one meme at one timestamp: a tuple, so
-    ``Corpus.from_events`` unpacks it like the plain ``(user, meme, time)``
-    triples that ingest builds."""
-
-    user: int
-    meme: MemeId
-    time: int
 
 
 class KindIndex(NamedTuple):
@@ -152,9 +143,9 @@ class Corpus(_CorpusFields):
         user_labels: dict[int, str] | None = None,
     ) -> "Corpus":
         """Build every index from ``events``, any sized iterable of
-        ``(user, meme, time)`` triples (such as a list of PostEvents), and
-        ``follows``, which maps each follower to any iterable of followee
-        ids, repeats allowed: each value is stored once, as
+        ``(user, meme, time)`` triples (a list of tuples, or ingest's column
+        view), and ``follows``, which maps each follower to any iterable of
+        followee ids, repeats allowed: each value is stored once, as
         ``tuple(sorted(set(ids)))``.
 
         The result is independent of the order of ``events``. When

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InvalidSpec
-from .model import ARCHETYPES, Corpus, MemeId, PostEvent
+from .model import ARCHETYPES, Corpus, MemeId
 
 _DAY = 86400
 _MEMES_PER_COMMUNITY = 30
@@ -49,37 +49,34 @@ def generate(spec: SynthSpec) -> tuple[Corpus, int]:
     return Corpus.from_events(events, follows), ego
 
 
-def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int]], int]:
-    """The post events, follow graph and ego user behind ``generate``."""
+def generate_events(spec: SynthSpec) -> tuple[list[tuple], dict[int, set[int]], int]:
+    """The ``(user, meme, time)`` post events, follow graph and ego of ``generate``."""
     _validate(spec)
     rng = random.Random(spec.seed)
     start, end = 0, spec.window_days * _DAY
     ego = 0
     k = spec.ego_followee_count
     followees = list(range(1, k + 1))
-    events: list[PostEvent] = []
+    events: list[tuple[int, MemeId, int]] = []
     follows: dict[int, set[int]] = {ego: set(followees)}
 
     def t() -> int:
         return rng.randrange(start, end)
 
     if spec.archetype == "redundant_followees":
-        for v in followees:
-            for i in range(spec.n_memes):
-                events.append(PostEvent(v, _meme(i), t()))
+        events = [(v, _meme(i), t()) for v in followees for i in range(spec.n_memes)]
     elif spec.archetype == "superuser_shadow":
         if spec.n_memes < k:
             raise InvalidSpec("superuser_shadow needs n_memes >= followee count")
         superuser = k + 1
         for i in range(spec.n_memes):
-            events.append(PostEvent(followees[i % k], _meme(i), t()))
-            events.append(PostEvent(superuser, _meme(i), t()))
+            events.append((followees[i % k], _meme(i), t()))
+            events.append((superuser, _meme(i), t()))
     elif spec.archetype == "random_bipartite":
         n = max(spec.n_users, k + 1)
         for v in range(1, n):
             size = rng.randint(1, max(1, spec.n_memes // 3))
-            for i in rng.sample(range(spec.n_memes), size):
-                events.append(PostEvent(v, _meme(i), t()))
+            events += [(v, _meme(i), t()) for i in rng.sample(range(spec.n_memes), size)]
         for v in range(1, n):
             for w in range(1, n):
                 if v != w and rng.random() < 0.1:
@@ -91,8 +88,7 @@ def generate_events(spec: SynthSpec) -> tuple[list[PostEvent], dict[int, set[int
                 n_posts = max(min(int(rng.paretovariate(spec.pareto_exponent)), 500), 1)
             except OverflowError:  # a draw past the float range is past the cap too
                 n_posts = 500
-            for _ in range(n_posts):
-                events.append(PostEvent(v, _meme(rng.randrange(spec.n_memes)), t()))
+            events += [(v, _meme(rng.randrange(spec.n_memes)), t()) for _ in range(n_posts)]
     return events, follows, ego
 
 
@@ -108,7 +104,7 @@ def generate_triadic_events(
     n_communities: int = 20,
     community_size: int = 12,
     window_days: int = 7,
-) -> tuple[list[PostEvent], dict[int, set[int]], list[int]]:
+) -> tuple[list[tuple], dict[int, set[int]], list[int]]:
     """Communities of mutually following, redundant posters.
 
     Every community member follows every other member (maximal triadic
@@ -116,15 +112,15 @@ def generate_triadic_events(
     many times, and two unconnected outsiders split the pool between
     them, posting each meme once, early. Optimizing any efficiency
     therefore pulls the ego away from the dense community and into the
-    sparse outsiders. Returns the post events, the follow graph and one
-    ego per member. Outsiders post on day 1 and members after it, so the
-    window needs at least 2 days.
+    sparse outsiders. Returns the ``(user, meme, time)`` post events, the
+    follow graph and one ego per member. Outsiders post on day 1 and
+    members after it, so the window needs at least 2 days.
     """
     if window_days < 2:
         raise InvalidSpec(f"triadic_communities needs window_days >= 2, got {window_days}")
     rng = random.Random(seed)
     start, end = 0, window_days * _DAY
-    events: list[PostEvent] = []
+    events: list[tuple[int, MemeId, int]] = []
     follows: dict[int, set[int]] = {}
     egos: list[int] = []
     uid = 0
@@ -140,16 +136,12 @@ def generate_triadic_events(
         half = _MEMES_PER_COMMUNITY // 2
         # Outsiders post the whole pool between them, once each, early on.
         for out, chunk in zip(outsiders, (pool[:half], pool[half:])):
-            for meme in chunk:
-                events.append(PostEvent(out, meme, rng.randrange(start, start + _DAY)))
+            events += [(out, meme, rng.randrange(start, start + _DAY)) for meme in chunk]
         for m in members:
             follows[m] = set(members) - {m}
             subset = rng.sample(pool, max(2, len(pool) // 4))
-            for meme in subset:
-                for _ in range(rng.randint(2, 4)):
-                    events.append(
-                        PostEvent(m, meme, rng.randrange(start + _DAY, end))
-                    )
+            events += [(m, meme, rng.randrange(start + _DAY, end))
+                       for meme in subset for _ in range(rng.randint(2, 4))]
         egos.extend(members)
     return events, follows, egos
 
@@ -162,8 +154,8 @@ def write_corpus_files(events, follows, posts_path, follows_path) -> None:
     generator, so the activity filter retains everyone on reload.
     """
     posts: dict[int, list[tuple[int, MemeId]]] = {}
-    for ev in events:
-        posts.setdefault(ev.user, []).append((ev.time, ev.meme))
+    for user, meme, time in events:
+        posts.setdefault(user, []).append((time, meme))
     lines = []
     for user in sorted(set(posts).union(follows, *follows.values())):
         lines.append(f"{user}\t{-_DAY}\thashtag\twarmup")

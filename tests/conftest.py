@@ -4,7 +4,7 @@ import pytest
 
 from feedcover.cover import CoverSpec, _masks, candidate_pool
 from feedcover.errors import InfeasibleCover, InvalidSpec
-from feedcover.model import Corpus, CoverResult, EgoContext, MemeId, PostEvent
+from feedcover.model import Corpus, CoverResult, EgoContext, MemeId
 
 DAY = 86400
 BRUTE_FORCE_MAX_CANDIDATES = 20
@@ -27,7 +27,7 @@ def make_corpus(
     """
     times = times or {}
     events = [
-        PostEvent(v, M(i), times.get((v, i), 0))
+        (v, M(i), times.get((v, i), 0))
         for v, memes in sets.items()
         for i in memes
     ]

@@ -666,6 +666,7 @@ def test_invalid_parameters_rejected_at_parse_time(redundant_dir, tmp_path, caps
     ("egonet_coverage", "unrecognized arguments: --coverage"),
     ("cover_repeated_coverage", "cover takes one --coverage"),
     ("empty_window", "window [0, 0) is empty"),
+    ("empty_user_id", "posts.tsv:2: empty user id"),
     ("inverted_window", "window [604800, 0) is empty"),
     ("synth_triadic_one_day", "triadic_communities needs window_days >= 2"),
     ("synth_unknown_archetype", "invalid choice: 'bogus' (choose from 'random_bipartite', "
@@ -707,6 +708,8 @@ def test_bad_input_exit_2_without_traceback(request, tmp_path, case, expect):
     elif case == "synth_shadow_few_memes":
         argv = ["synth", "--archetype", "superuser_shadow", "--n-memes", "2",
                 "--out", tmp_path / "synth"]
+    elif case == "empty_user_id":
+        posts.write_text("a\t-5\twarm up\n\t10\t#one\n")
     elif case == "ingest_out_is_file":
         posts.write_text("a\t-5\twarm up\na\t10\t#one\n")
         argv[-1] = follows

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -142,6 +143,49 @@ def test_extract_memes_matches_reference(text, news_domains, alias_keys):
     assert extract_memes(text, news_domains, aliases) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(texts)
+def test_hash_after_a_word_character_starts_no_hashtag(text):
+    memes = extract_memes(text.replace("#", "a#"))
+    assert [m for m in memes if m.kind == "hashtag"] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts)
+def test_hash_after_a_space_starts_every_plain_hashtag(text):
+    memes = extract_memes(text.replace("#", " #"))
+    plain = dict.fromkeys(tag.lower() for tag in re.findall(r"#(\w+)", text))
+    assert [m.key for m in memes if m.kind == "hashtag"] == list(plain)
+
+
+@pytest.mark.parametrize("text, hashtags", [
+    ("it&#39;s", []),
+    ("https://x.org/page#section", []),
+    ("abc#tag", []),
+    ("me@host#tag", []),
+    ("https://x.org/#frag", ["frag"]),  # "/" is no word character
+    ("#ok,#Ok;(#b) &#c #d#e", ["ok", "b", "d"]),
+    ("it&#39;s https://x.org/page#section abc#tag me@host#tag #ok", ["ok"]),
+])
+def test_hashtag_rule(text, hashtags):
+    assert [m.key for m in extract_memes(text) if m.kind == "hashtag"] == hashtags
+
+
+@pytest.mark.parametrize("url, domain", [
+    ("https://bbc.co.uk:443/news", "bbc.co.uk"),
+    ("https://bbc.co.uk#live", "bbc.co.uk"),
+    ("https://me@bbc.co.uk/x", "bbc.co.uk"),
+    ("https://user:pw@News.BBC.co.uk:8080?q=1", "bbc.co.uk"),
+    ("https://bbc.co.uk./x", "bbc.co.uk"),
+    ("http://cnn.com.evil.org/a", None),
+    ("https://evil.org/?u=bbc.co.uk", None),
+])
+def test_news_domain_host_rule(url, domain):
+    memes = extract_memes(url, news_domains=frozenset({"bbc.co.uk", "cnn.com"}))
+    assert memes[0] == MemeId("url", normalize_url(url))  # the url key is unchanged
+    assert [m.key for m in memes if m.kind == "news_domain"] == ([domain] if domain else [])
+
+
 @pytest.mark.parametrize("text", [
     "", "\n", "a", "a\n", "a\n\n", "a\n\nb", "a\r\nb\r\n", "a\rb\r", "\ta\t\n",
 ])
@@ -231,6 +275,19 @@ def test_load_corpus_malformed_line_aborts_with_line_number(tmp_path):
         with pytest.raises(MalformedRecord) as err:
             load_corpus(p, f, cfg)
         assert (Path(err.value.path).name, err.value.line_no) == (bad, line_no), posts
+
+
+@pytest.mark.parametrize("posts, follows, bad", [
+    ("a\t1\tx\n\t5\t#x\n", "a\tb\n", "posts.tsv"),
+    ("a\t1\tx\n", "a\tb\n\tb\n", "follows.tsv"),
+    ("a\t1\tx\n", "a\tb\na\t\n", "follows.tsv"),
+])
+def test_load_corpus_rejects_an_empty_user_id(tmp_path, posts, follows, bad):
+    p, f = _write(tmp_path, posts, follows)
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(p, f, CFG)
+    assert (Path(err.value.path).name, err.value.line_no, err.value.reason) == (
+        bad, 2, "empty user id")
 
 
 def test_load_corpus_reads_side_files(tmp_path):

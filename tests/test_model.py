@@ -18,7 +18,7 @@ from feedcover.cover import (
     joint_cover,
 )
 from feedcover.ingest import ego_context
-from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus, MemeId, PostEvent
+from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus, MemeId
 from feedcover.synth import generate_triadic_corpus
 
 from conftest import DAY, M, make_corpus
@@ -26,11 +26,11 @@ from conftest import DAY, M, make_corpus
 
 def _events():
     return [
-        PostEvent(1, M(0), 100),
-        PostEvent(1, M(1), 50),
-        PostEvent(2, M(0), 30),
-        PostEvent(2, M(2), 400),
-        PostEvent(3, M(1), 200),
+        (1, M(0), 100),
+        (1, M(1), 50),
+        (2, M(0), 30),
+        (2, M(2), 400),
+        (3, M(1), 200),
     ]
 
 
@@ -47,7 +47,7 @@ def test_first_mention_is_minimum_over_rescan():
     events = _events()
     corpus = Corpus.from_events(events, {})
     for meme, t0 in corpus.first_mention.items():
-        assert t0 == min(ev.time for ev in events if ev.meme == meme)
+        assert t0 == min(time for _, m, time in events if m == meme)
     assert corpus.first_mention[M(0)] == 30
 
 
@@ -125,7 +125,7 @@ def _assert_one_meme_id_per_meme(corpus):
 )
 def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
     # Every event gets its own (equal) MemeId object, as ingest makes them.
-    events = [PostEvent(u, MemeId("hashtag", f"m{i}"), t) for u, i, t in triples]
+    events = [(u, MemeId("hashtag", f"m{i}"), t) for u, i, t in triples]
     shuffled = events[:]
     rnd.shuffle(shuffled)
     a = Corpus.from_events(events, {})
@@ -137,8 +137,8 @@ def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
     assert reloaded == a
     assert "memes_by_user" not in vars(reloaded)  # a view, not a stored index
     memes: dict[int, set] = {}
-    for ev in events:
-        memes.setdefault(ev.user, set()).add(ev.meme)
+    for user, meme, _ in events:
+        memes.setdefault(user, set()).add(meme)
     for corpus in (a, b, reloaded):
         _assert_one_meme_id_per_meme(corpus)
         assert corpus.memes_by_user == {u: frozenset(s) for u, s in memes.items()}
@@ -190,9 +190,9 @@ def test_corpus_record_contract():
 # hashtag-only one.
 G1, G2 = MemeId("hashtag", "g1"), MemeId("hashtag", "g2")
 GADGET = [
-    PostEvent(10, G1, 0), PostEvent(10, G2, 0), PostEvent(11, G1, 0), PostEvent(11, G2, 0),
-    PostEvent(12, MemeId("url", "gu"), 0), PostEvent(10, MemeId("url", "gu"), DAY),
-    PostEvent(11, MemeId("url", "gv"), 0),
+    (10, G1, 0), (10, G2, 0), (11, G1, 0), (11, G2, 0),
+    (12, MemeId("url", "gu"), 0), (10, MemeId("url", "gu"), DAY),
+    (11, MemeId("url", "gv"), 0),
 ]
 ENGINES = (greedy_min_cover, greedy_weighted_cover, joint_cover, delay_optimal_cover)
 
@@ -217,7 +217,7 @@ def _selected(engine, corpus, spec):
                     max_size=6),
 )
 def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
-    events = GADGET + [PostEvent(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    events = GADGET + [(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
     corpus = Corpus.from_events(events, {**follows, 13: frozenset({10, 11})})
     for user, first in corpus.first_post_by_user.items():
         fsum = math.fsum((t - corpus.first_mention[m]) / SECONDS_PER_DAY
@@ -259,7 +259,7 @@ def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
                     max_size=8),
 )
 def test_user_id_sets_are_sorted_tuples(triples, follows):
-    events = [PostEvent(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    events = [(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
     corpus = Corpus.from_events(events, follows)
     with tempfile.TemporaryDirectory() as tmp:
         loaded = _load_cached(_save_corpus(corpus, Path(tmp)))

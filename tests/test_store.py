@@ -66,7 +66,7 @@ def triadic_cache(seed: int, n_communities: int, community_size: int,
     Egos of one community share their universe, and members post often
     enough for a joint weight to overflow at ``--alpha 400``."""
     events, follows, egos = generate_triadic_events(seed, n_communities, community_size)
-    users = {e.user for e in events} | set(follows)
+    users = {user for user, _, _ in events} | set(follows)
     corpus = Corpus.from_events(events, follows, user_labels={u: f"u{u}" for u in users})
     return cli._save_corpus(corpus, where), [f"u{u}" for u in egos]
 

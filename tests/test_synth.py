@@ -61,7 +61,7 @@ def test_generated_corpora_satisfy_model_invariants(archetype):
         for meme in memes:
             assert v in corpus.posters_by_meme[meme]
     for meme, t0 in corpus.first_mention.items():
-        rescan = min(ev.time for ev in events if ev.meme == meme)
+        rescan = min(time for _, m, time in events if m == meme)
         assert t0 == rescan
         assert 0 <= t0 < spec.window_days * DAY
 
@@ -82,7 +82,7 @@ def test_invalid_specs_rejected():
 def test_overflowing_pareto_draw_counts_as_the_cap():
     # A draw past the float range is past the 500-post cap too.
     events, _, _ = generate_events(SynthSpec(archetype="pareto_inflow", pareto_exponent=1e-9))
-    users = [ev.user for ev in events]
+    users = [user for user, _, _ in events]
     assert {users.count(v) for v in set(users)} == {500}
 
 
