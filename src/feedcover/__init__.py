@@ -31,7 +31,7 @@ from .egonet import (
     overlap,
 )
 from .ingest import IngestConfig, ego_context, extract_memes, load_corpus
-from .model import Corpus, CoverResult, EgoContext, MemeId
+from .model import Corpus, CoverResult, EgoContext
 
 __all__ = [
     "Corpus",
@@ -40,7 +40,6 @@ __all__ = [
     "EgoContext",
     "EgoNetwork",
     "IngestConfig",
-    "MemeId",
     "build_ego_network",
     "cross_efficiencies",
     "delay_efficiency",

@@ -47,11 +47,12 @@ from . import egonet as egonet_mod
 from .errors import (EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord,
                      UndefinedMeasure, warn)
 from .ingest import IngestConfig, ego_context, load_corpus
-from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex, MemeId
+from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex
 
 HIST_BIN_WIDTH = 0.02
-# Bump when the cache layout or the pickled layout of KindIndex or MemeId changes.
-CACHE_FORMAT = 7
+# Bump when the cache layout or the pickled layout of KindIndex changes (8: each
+# meme is a plain (kind, key) tuple, so KindIndex is the one class a cache names).
+CACHE_FORMAT = 8
 # The Corpus fields that the cache's first part holds, shared by every meme kind.
 _SHARED = tuple(name for name in Corpus._fields if name != "kinds")
 # Bytes of the little-endian size that precedes each kind's part.
@@ -108,8 +109,7 @@ class ReportWriter:
 class _CacheUnpickler(pickle.Unpickler):
     """Resolves only the classes a cache holds, so a foreign pickle cannot run code."""
 
-    _classes = {("feedcover.model", "KindIndex"): KindIndex,
-                ("feedcover.model", "MemeId"): MemeId}
+    _classes = {("feedcover.model", "KindIndex"): KindIndex}
 
     def find_class(self, module, name):
         try:

@@ -39,11 +39,11 @@ from operator import sub, truediv
 from typing import NamedTuple
 
 from .errors import InfeasibleCover, InvalidSpec, UndefinedMeasure
-from .model import SECONDS_PER_DAY, Corpus, CoverResult, MemeId
+from .model import SECONDS_PER_DAY, Corpus, CoverResult
 
 
 class _CoverSpecFields(NamedTuple):
-    universe: frozenset[MemeId]
+    universe: frozenset[tuple[str, str]]
     coverage: float = 1.0
     alpha: float = 1.0
     beta: float = 0.5
@@ -88,7 +88,7 @@ def _masks(corpus: Corpus, universe, pool: list[int]) -> list[int]:
     return [by_user[v] for v in pool]
 
 
-def _mean_delay_days(corpus: Corpus, first: dict[MemeId, int]) -> float:
+def _mean_delay_days(corpus: Corpus, first: dict[tuple[str, str], int]) -> float:
     """Mean days from each meme's first mention to its time in ``first``."""
     born = map(corpus.first_mention.__getitem__, first)
     return math.fsum(
@@ -246,7 +246,7 @@ def set_average_delay_days(corpus, selected, universe) -> float | None:
     """Mean delay (days) at which the selected set first posts each meme."""
     if not universe:
         return None
-    reached: dict[MemeId, int] = {}
+    reached: dict[tuple[str, str], int] = {}
     for v in selected:
         first = corpus.first_post_by_user.get(v, {})
         for meme in universe.intersection(first):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
-from .model import MEME_KINDS, Corpus, EgoContext, MemeId
+from .model import MEME_KINDS, Corpus, EgoContext
 
 # The literal ``#`` first keeps the regex engine's fast scan (rule: extract_memes).
 _HASHTAG_RE = re.compile(r"#(?<![\w&]#)(\w+)")
@@ -92,22 +92,22 @@ def _youtube_video_id(url: str) -> str | None:
 
 
 @lru_cache(maxsize=1 << 16)
-def _hashtag_meme(tag: str) -> MemeId:
-    return MemeId("hashtag", tag.lower())
+def _hashtag_meme(tag: str) -> tuple[str, str]:
+    return ("hashtag", tag.lower())
 
 
 @lru_cache(maxsize=1 << 16)
-def _url_memes(url: str, news_domains: frozenset[str]) -> tuple[MemeId, ...]:
+def _url_memes(url: str, news_domains: frozenset[str]) -> tuple[tuple[str, str], ...]:
     """The memes of one non-empty normalised URL: the url itself, then its
     YouTube video and its news domain, if any. URLs repeat across posts, so
     each distinct one is classified once."""
-    memes = [MemeId("url", url)]
+    memes = [("url", url)]
     video = _youtube_video_id(url)
     if video:
-        memes.append(MemeId("youtube_video", video))
+        memes.append(("youtube_video", video))
     domain = _registered_domain(url, news_domains)
     if domain:
-        memes.append(MemeId("news_domain", domain))
+        memes.append(("news_domain", domain))
     return tuple(memes)  # shared by every caller, so immutable
 
 
@@ -115,7 +115,7 @@ def extract_memes(
     raw_text: str,
     news_domains: frozenset[str] = frozenset(),
     url_aliases: dict[str, str] | None = None,
-) -> list[MemeId]:
+) -> list[tuple[str, str]]:
     """Extract the memes of every kind from one post's text, each once, in
     first-seen order: the hashtags, then each URL's memes.
 
@@ -164,8 +164,10 @@ def load_lines(path) -> list[str]:
 
 
 def load_news_domains(path) -> frozenset[str]:
+    """The listed domains, each normalised as ``_registered_domain``
+    normalises a host: lower-cased, without a trailing ``.``."""
     return frozenset(
-        line.strip().lower() for line in load_lines(path) if line.strip()
+        line.strip().lower().removesuffix(".") for line in load_lines(path) if line.strip()
     )
 
 
@@ -188,7 +190,7 @@ class _EventColumns:
 
     __slots__ = ("users", "memes", "times")
 
-    def __init__(self, users: list[int], memes: list[MemeId], times: list[int]):
+    def __init__(self, users: list[int], memes: list[tuple[str, str]], times: list[int]):
         self.users, self.memes, self.times = users, memes, times
 
     def __len__(self) -> int:
@@ -217,7 +219,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
     ids: dict[str, int] = {}  # label -> integer id, in first-seen order
     # The kept post events as three parallel columns, one entry per meme.
     users: list[int] = []
-    memes: list[MemeId] = []
+    memes: list[tuple[str, str]] = []
     times: list[int] = []
     post_counts: dict[int, int] = {}
     active: set[int] = set()
@@ -256,7 +258,7 @@ def load_corpus(posts_path, follows_path, config: IngestConfig) -> Corpus:
             post_counts[user] = post_counts.get(user, 0) + 1
             if config.pre_extracted:
                 users.append(user)
-                memes.append(MemeId(kind, key))
+                memes.append((kind, key))
                 times.append(time)
             else:
                 found = extract_memes(text, news_domains, url_aliases)

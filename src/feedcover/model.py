@@ -1,6 +1,9 @@
-"""Core domain types: memes, corpora, ego contexts, cover results.
+"""Core domain types: corpora, ego contexts, cover results.
 
-A post event is a plain ``(user, meme, time)`` triple. Every record is
+A meme, one unique piece of information, is a plain ``(kind, key)``
+tuple of two strings: its kind (one of ``MEME_KINDS``) and its
+normalized key, so equality, ordering, hashing and pickling all run in
+C. A post event is a plain ``(user, meme, time)`` triple. Every record is
 a ``typing.NamedTuple``, and nothing in the package mutates their dict
 or set fields after construction, except the private cache
 ``Corpus._memo`` and the views a ``Corpus`` builds on first access (see
@@ -29,17 +32,6 @@ MEME_KINDS = ("hashtag", "url", "news_domain", "youtube_video")
 ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pareto_inflow")
 
 
-class MemeId(NamedTuple):
-    """One unique piece of information: a kind plus a normalized key.
-
-    A tuple, so equality, ordering and hashing run in C, and the hash
-    equals ``hash((kind, key))``.
-    """
-
-    kind: str
-    key: str
-
-
 class KindIndex(NamedTuple):
     """The meme indices of one meme kind.
 
@@ -50,9 +42,9 @@ class KindIndex(NamedTuple):
     key order.
     """
 
-    posters_by_meme: dict[MemeId, tuple[int, ...]]
-    first_mention: dict[MemeId, int]
-    first_post_by_user: dict[int, dict[MemeId, int]]
+    posters_by_meme: dict[tuple[str, str], tuple[int, ...]]
+    first_mention: dict[tuple[str, str], int]
+    first_post_by_user: dict[int, dict[tuple[str, str], int]]
 
 
 class _CorpusFields(NamedTuple):
@@ -106,25 +98,25 @@ class Corpus(_CorpusFields):
         return {key: value for part in parts for key, value in part.items()}
 
     @cached_property
-    def posters_by_meme(self) -> dict[MemeId, tuple[int, ...]]:
+    def posters_by_meme(self) -> dict[tuple[str, str], tuple[int, ...]]:
         return self._merged("posters_by_meme")
 
     @cached_property
-    def first_mention(self) -> dict[MemeId, int]:
+    def first_mention(self) -> dict[tuple[str, str], int]:
         return self._merged("first_mention")
 
     @cached_property
-    def first_post_by_user(self) -> dict[int, dict[MemeId, int]]:
+    def first_post_by_user(self) -> dict[int, dict[tuple[str, str], int]]:
         if len(self.kinds) == 1:
             return self._merged("first_post_by_user")
-        merged: dict[int, dict[MemeId, int]] = {}
+        merged: dict[int, dict[tuple[str, str], int]] = {}
         for part in self.kinds.values():  # kinds in sorted order, so memes too
             for user, first in part.first_post_by_user.items():
                 merged.setdefault(user, {}).update(first)
         return dict(sorted(merged.items()))
 
     @cached_property
-    def memes_by_user(self) -> dict[int, KeysView[MemeId]]:
+    def memes_by_user(self) -> dict[int, KeysView[tuple[str, str]]]:
         return {u: first.keys() for u, first in self.first_post_by_user.items()}
 
     def label(self, user: int) -> str:
@@ -151,7 +143,7 @@ class Corpus(_CorpusFields):
         The result is independent of the order of ``events``. When
         ``post_counts`` is omitted, each event counts as one post, so
         ``events`` is read twice and must be re-iterable, not an iterator. All
-        indices share one ``MemeId`` object per meme (its first-seen one),
+        indices share one meme tuple per meme (its first-seen one),
         so a pickled corpus stores each meme once. Each user's mean delay
         sums the terms of ``feedcover.cover._mean_delay_days`` with
         ``math.fsum``, so it equals that function over all the user's memes.
@@ -161,7 +153,7 @@ class Corpus(_CorpusFields):
         if len(events) == 0:
             raise EmptyCorpus("no post events")
         # Each meme's posters, in first-seen order, with their first time.
-        times_by_meme: dict[MemeId, dict[int, int]] = {}
+        times_by_meme: dict[tuple[str, str], dict[int, int]] = {}
         for user, meme, time in events:
             times = times_by_meme.get(meme)
             if times is None:
@@ -174,8 +166,8 @@ class Corpus(_CorpusFields):
         delays: dict[int, array] = {}
         kind = None
         for meme in sorted(times_by_meme):  # each kind is one contiguous run
-            if meme.kind != kind:
-                kind = meme.kind
+            if meme[0] != kind:
+                kind = meme[0]
                 posters, first, first_by_user = kinds[kind] = KindIndex({}, {}, {})
             times = times_by_meme.pop(meme)  # freed once its indices are built
             posters[meme] = tuple(sorted(times))
@@ -216,12 +208,12 @@ class EgoContext(NamedTuple):
 
     ego: int
     followees: frozenset[int]
-    memes: frozenset[MemeId]
+    memes: frozenset[tuple[str, str]]
 
 
 class CoverResult(NamedTuple):
     """An ordered selection of posters with per-step coverage bookkeeping."""
 
     selected: tuple[int, ...]
-    covered: frozenset[MemeId]
+    covered: frozenset[tuple[str, str]]
     per_step: tuple[tuple[int, int], ...]

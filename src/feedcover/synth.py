@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InvalidSpec
-from .model import ARCHETYPES, Corpus, MemeId
+from .model import ARCHETYPES, Corpus
 
 _DAY = 86400
 _MEMES_PER_COMMUNITY = 30
@@ -30,8 +30,8 @@ class SynthSpec(NamedTuple):
     ego_followee_count: int = 5
 
 
-def _meme(i: int) -> MemeId:
-    return MemeId("hashtag", f"m{i:04d}")
+def _meme(i: int) -> tuple[str, str]:
+    return ("hashtag", f"m{i:04d}")
 
 
 def _validate(spec: SynthSpec) -> None:
@@ -57,7 +57,7 @@ def generate_events(spec: SynthSpec) -> tuple[list[tuple], dict[int, set[int]], 
     ego = 0
     k = spec.ego_followee_count
     followees = list(range(1, k + 1))
-    events: list[tuple[int, MemeId, int]] = []
+    events: list[tuple[int, tuple[str, str], int]] = []
     follows: dict[int, set[int]] = {ego: set(followees)}
 
     def t() -> int:
@@ -120,7 +120,7 @@ def generate_triadic_events(
         raise InvalidSpec(f"triadic_communities needs window_days >= 2, got {window_days}")
     rng = random.Random(seed)
     start, end = 0, window_days * _DAY
-    events: list[tuple[int, MemeId, int]] = []
+    events: list[tuple[int, tuple[str, str], int]] = []
     follows: dict[int, set[int]] = {}
     egos: list[int] = []
     uid = 0
@@ -130,7 +130,7 @@ def generate_triadic_events(
         outsiders = [uid, uid + 1]
         uid += 2
         pool = [
-            MemeId("hashtag", f"c{c:03d}_m{i:03d}")
+            ("hashtag", f"c{c:03d}_m{i:03d}")
             for i in range(_MEMES_PER_COMMUNITY)
         ]
         half = _MEMES_PER_COMMUNITY // 2
@@ -153,14 +153,14 @@ def write_corpus_files(events, follows, posts_path, follows_path) -> None:
     marker post a day before the window, which starts at 0 for every
     generator, so the activity filter retains everyone on reload.
     """
-    posts: dict[int, list[tuple[int, MemeId]]] = {}
+    posts: dict[int, list[tuple[int, tuple[str, str]]]] = {}
     for user, meme, time in events:
         posts.setdefault(user, []).append((time, meme))
     lines = []
     for user in sorted(set(posts).union(follows, *follows.values())):
         lines.append(f"{user}\t{-_DAY}\thashtag\twarmup")
         for time, meme in sorted(posts.get(user, ())):
-            lines.append(f"{user}\t{time}\t{meme.kind}\t{meme.key}")
+            lines.append(f"{user}\t{time}\t{meme[0]}\t{meme[1]}")
     Path(posts_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     edge_lines = [f"{u}\t{v}" for u in sorted(follows) for v in sorted(follows[u])]
     Path(follows_path).write_text("\n".join(edge_lines) + "\n", encoding="utf-8")

@@ -4,14 +4,14 @@ import pytest
 
 from feedcover.cover import CoverSpec, _masks, candidate_pool
 from feedcover.errors import InfeasibleCover, InvalidSpec
-from feedcover.model import Corpus, CoverResult, EgoContext, MemeId
+from feedcover.model import Corpus, CoverResult, EgoContext
 
 DAY = 86400
 BRUTE_FORCE_MAX_CANDIDATES = 20
 
 
-def M(i) -> MemeId:
-    return MemeId("hashtag", f"m{i}")
+def M(i) -> tuple[str, str]:
+    return ("hashtag", f"m{i}")
 
 
 def make_corpus(

@@ -1,7 +1,9 @@
 import argparse
+import collections
 import gc
 import os
 import pickle
+import pickletools
 import subprocess
 import sys
 
@@ -113,7 +115,7 @@ def test_ingest_iso_window_equals_unix_seconds(tmp_path):
         caches[name] = (tmp_path / name / "corpus.pkl").read_bytes()
     assert caches["naive"] == caches["unix"] == caches["offset"] == caches["zulu"]
     kept = cli._load_cached(tmp_path / "unix" / "corpus.pkl").first_mention
-    assert sorted(m.key for m in kept) == ["first", "last"]
+    assert sorted(m[1] for m in kept) == ["first", "last"]
 
 
 @pytest.mark.parametrize("start, end, kept", [
@@ -129,7 +131,7 @@ def test_iso_window_rounds_fractional_seconds_up(tmp_path, start, end, kept):
     assert run(["ingest", "--posts", posts, "--follows", follows, "--window-start", start,
                 "--window-end", end, "--out", tmp_path / "cache"]) == 0
     corpus = cli._load_cached(tmp_path / "cache" / "corpus.pkl")
-    assert sorted(m.key for m in corpus.first_mention) == kept
+    assert sorted(m[1] for m in corpus.first_mention) == kept
 
 
 def test_e_delay_same_at_every_coverage(bipartite_corpus, tmp_path):
@@ -510,6 +512,43 @@ def test_format_6_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys, monkeyp
     assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
 
 
+@pytest.mark.parametrize("cache_format", [7, None], ids=["format_7", "current_format"])
+def test_cache_of_meme_records_exit_2(redundant_dir, tmp_path, capsys, monkeypatch,
+                                      cache_format):
+    # Format 7 pickled each meme as a feedcover.model.MemeId record. A
+    # stand-in module of the same name length writes those bytes without
+    # the old class, in format 7 and, as a foreign cache would, in today's.
+    old_model = type(sys)("feedcover_model")
+    old_model.MemeId = collections.namedtuple("MemeId", "kind key",
+                                              module=old_model.__name__)
+    monkeypatch.setitem(sys.modules, old_model.__name__, old_model)
+
+    def as_records(by_meme):
+        return {old_model.MemeId(*meme): value for meme, value in by_meme.items()}
+
+    corpus = cli._load_cached(redundant_dir)
+    old = corpus._replace(kinds={
+        kind: part._replace(
+            posters_by_meme=as_records(part.posters_by_meme),
+            first_mention=as_records(part.first_mention),
+            first_post_by_user={u: as_records(first)
+                                for u, first in part.first_post_by_user.items()})
+        for kind, part in corpus.kinds.items()})
+    if cache_format is not None:
+        monkeypatch.setattr(cli, "CACHE_FORMAT", cache_format)
+    path = cli._save_corpus(old, tmp_path / "old")
+    monkeypatch.undo()
+    path.write_bytes(path.read_bytes().replace(b"feedcover_model", b"feedcover.model"))
+    assert _efficiency_on(path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("; re-run `feedcover ingest`\n")
+    assert "Traceback" not in err
+    if cache_format is None:
+        assert "(refusing global feedcover.model.MemeId)" in err
+    else:
+        assert f"cache format 7 from feedcover {feedcover.__version__}" in err
+
+
 @pytest.mark.parametrize("fail_at", [1, 2], ids=["envelope", "kind_part"])
 def test_failed_cache_write_keeps_the_previous_cache(redundant_dir, tmp_path, capsys,
                                                       monkeypatch, fail_at):
@@ -589,6 +628,37 @@ def _part_spans(path):
             spans[kind] = (fh.tell(), fh.tell() + size)
             fh.seek(size, 1)
     return spans
+
+
+def _globals_named(data: bytes) -> set[tuple[str, str]]:
+    """The ``(module, name)`` of every GLOBAL and STACK_GLOBAL opcode of one
+    pickle, read without unpickling it. ``pushed`` holds what each opcode
+    pushed: a string's value, a memo fetch's memoized value, else None."""
+    found, memo, pushed = set(), {}, []
+    for op, arg, _ in pickletools.genops(data):
+        if op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ")))
+        elif op.name == "STACK_GLOBAL":
+            found.add((pushed[-2], pushed[-1]))
+        elif op.name == "MEMOIZE":
+            memo[len(memo)] = pushed[-1]
+        elif op.name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = pushed[-1]
+        elif op.name in ("GET", "BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif op.name not in ("PROTO", "FRAME"):
+            pushed.append(arg if isinstance(arg, str) else None)
+    return found
+
+
+def test_cache_names_no_class_but_kind_index(mixed_cache):
+    # A meme is a plain (kind, key) tuple: unpickling a part calls no
+    # Python-level constructor but KindIndex's, once.
+    data = mixed_cache.read_bytes()
+    spans = _part_spans(mixed_cache)
+    assert _globals_named(data[:spans["hashtag"][0] - 8]) == set()  # the envelope
+    for start, end in spans.values():
+        assert _globals_named(data[start:end]) == {("feedcover.model", "KindIndex")}
 
 
 def _kind_efficiency(path, tmp_path, kind):

@@ -82,7 +82,7 @@ class TestGreedyWeightedCover:
         for _ in range(30):
             corpus, universe = random_instance(rng)
             uniform = make_corpus(
-                {v: [int(m.key[1:]) for m in s]
+                {v: [int(m[1][1:]) for m in s]
                  for v, s in corpus.memes_by_user.items()},
                 inflow={v: 1 for v in corpus.memes_by_user},
             )
@@ -153,7 +153,7 @@ class TestDelayOptimalCover:
     def test_unposted_universe_meme_infeasible(self):
         corpus = make_corpus({1: [0], 2: [0, 1]})
         spec = CoverSpec(universe=frozenset({M(0), M(2)}))
-        with pytest.raises(InfeasibleCover, match="key='m2'\\) has no poster$"):
+        with pytest.raises(InfeasibleCover, match="\\('hashtag', 'm2'\\) has no poster$"):
             delay_optimal_cover(corpus, spec)
 
 

@@ -19,22 +19,23 @@ from feedcover.ingest import (
     extract_memes,
     load_corpus,
     load_lines,
+    load_news_domains,
     normalize_url,
 )
-from feedcover.model import MEME_KINDS, Corpus, MemeId
+from feedcover.model import MEME_KINDS, Corpus
 
 CFG = IngestConfig(window_start=1000, window_end=2000)
 
 
 def test_single_hashtag():
-    assert extract_memes("check #OpenData now") == [MemeId("hashtag", "opendata")]
+    assert extract_memes("check #OpenData now") == [("hashtag", "opendata")]
 
 
 def test_youtube_url_emits_both_kinds():
     memes = extract_memes("watch https://www.youtube.com/watch?v=abc123")
     assert memes == [
-        MemeId("url", "www.youtube.com/watch?v=abc123"),
-        MemeId("youtube_video", "abc123"),
+        ("url", "www.youtube.com/watch?v=abc123"),
+        ("youtube_video", "abc123"),
     ]
 
 
@@ -45,8 +46,8 @@ def test_alias_rewrite_then_news_domain():
         url_aliases={"bit.ly/x1": "cnn.com/story"},
     )
     assert memes == [
-        MemeId("url", "cnn.com/story"),
-        MemeId("news_domain", "cnn.com"),
+        ("url", "cnn.com/story"),
+        ("news_domain", "cnn.com"),
     ]
 
 
@@ -55,7 +56,7 @@ def test_news_domain_matches_registered_suffix():
         "see http://edition.cnn.com/world/x",
         news_domains=frozenset({"cnn.com"}),
     )
-    assert MemeId("news_domain", "cnn.com") in memes
+    assert ("news_domain", "cnn.com") in memes
 
 
 def test_news_domain_never_outside_supplied_list():
@@ -66,12 +67,12 @@ def test_news_domain_never_outside_supplied_list():
         "www.bbc.co.uk",
     ):
         for meme in extract_memes(text, news_domains=domains):
-            assert meme.kind != "news_domain"
+            assert meme[0] != "news_domain"
 
 
 def test_duplicates_within_post_deduplicated():
     memes = extract_memes("#x and #X and #x again")
-    assert memes == [MemeId("hashtag", "x")]
+    assert memes == [("hashtag", "x")]
 
 
 def test_url_normalization_idempotent_and_keeps_www():
@@ -89,7 +90,7 @@ def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None
     def emit(kind, key):
         if not key:
             return
-        meme = MemeId(kind, key)
+        meme = (kind, key)
         if meme not in seen:
             seen.append(meme)
 
@@ -147,7 +148,7 @@ def test_extract_memes_matches_reference(text, news_domains, alias_keys):
 @given(texts)
 def test_hash_after_a_word_character_starts_no_hashtag(text):
     memes = extract_memes(text.replace("#", "a#"))
-    assert [m for m in memes if m.kind == "hashtag"] == []
+    assert [m for m in memes if m[0] == "hashtag"] == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,7 +156,7 @@ def test_hash_after_a_word_character_starts_no_hashtag(text):
 def test_hash_after_a_space_starts_every_plain_hashtag(text):
     memes = extract_memes(text.replace("#", " #"))
     plain = dict.fromkeys(tag.lower() for tag in re.findall(r"#(\w+)", text))
-    assert [m.key for m in memes if m.kind == "hashtag"] == list(plain)
+    assert [m[1] for m in memes if m[0] == "hashtag"] == list(plain)
 
 
 @pytest.mark.parametrize("text, hashtags", [
@@ -168,7 +169,7 @@ def test_hash_after_a_space_starts_every_plain_hashtag(text):
     ("it&#39;s https://x.org/page#section abc#tag me@host#tag #ok", ["ok"]),
 ])
 def test_hashtag_rule(text, hashtags):
-    assert [m.key for m in extract_memes(text) if m.kind == "hashtag"] == hashtags
+    assert [m[1] for m in extract_memes(text) if m[0] == "hashtag"] == hashtags
 
 
 @pytest.mark.parametrize("url, domain", [
@@ -177,13 +178,20 @@ def test_hashtag_rule(text, hashtags):
     ("https://me@bbc.co.uk/x", "bbc.co.uk"),
     ("https://user:pw@News.BBC.co.uk:8080?q=1", "bbc.co.uk"),
     ("https://bbc.co.uk./x", "bbc.co.uk"),
+    ("https://bbc.co.uk/x", "bbc.co.uk"),
+    ("https://edition.cnn.com/x", "cnn.com"),
     ("http://cnn.com.evil.org/a", None),
     ("https://evil.org/?u=bbc.co.uk", None),
 ])
-def test_news_domain_host_rule(url, domain):
-    memes = extract_memes(url, news_domains=frozenset({"bbc.co.uk", "cnn.com"}))
-    assert memes[0] == MemeId("url", normalize_url(url))  # the url key is unchanged
-    assert [m.key for m in memes if m.kind == "news_domain"] == ([domain] if domain else [])
+def test_news_domain_host_rule(tmp_path, url, domain):
+    # A list entry gets the host's normalisation: lower-cased, one trailing "." dropped.
+    listed = tmp_path / "news_domains.txt"
+    listed.write_text("bbc.co.uk.\nCNN.com\n", encoding="utf-8")
+    news_domains = load_news_domains(listed)
+    assert news_domains == {"bbc.co.uk", "cnn.com"}
+    memes = extract_memes(url, news_domains=news_domains)
+    assert memes[0] == ("url", normalize_url(url))  # the url key is unchanged
+    assert [m[1] for m in memes if m[0] == "news_domain"] == ([domain] if domain else [])
 
 
 @pytest.mark.parametrize("text", [
@@ -211,7 +219,7 @@ def test_posts_with_unicode_line_separators(tmp_path):
     corpus = load_corpus(p, f, CFG)
     assert corpus.post_count == {0: 2}
     assert sorted(corpus.first_mention) == [
-        MemeId("hashtag", "one"), MemeId("hashtag", "two"), MemeId("url", "www.x.org/"),
+        ("hashtag", "one"), ("hashtag", "two"), ("url", "www.x.org/"),
     ]
     p.write_text(posts + "a\t1300\n", encoding="utf-8")
     with pytest.raises(MalformedRecord) as err:
@@ -241,7 +249,7 @@ def test_load_corpus_window_and_activity_filter(tmp_path):
     alice = [u for u, lbl in corpus.user_labels.items() if lbl == "alice"][0]
     assert set(corpus.memes_by_user) == {alice}
     assert corpus.post_count[alice] == 2
-    assert MemeId("hashtag", "late") not in corpus.first_mention
+    assert ("hashtag", "late") not in corpus.first_mention
     # carol was inactive, so her follow edges are gone entirely
     assert corpus.follows == {}
 
@@ -250,7 +258,7 @@ def test_load_corpus_first_mention_minimum(tmp_path):
     posts = "a\t1\tx\na\t1500\t#m\nb\t2\tx\nb\t1100\t#m\n"
     p, f = _write(tmp_path, posts, "a\tb\n")
     corpus = load_corpus(p, f, CFG)
-    assert corpus.first_mention[MemeId("hashtag", "m")] == 1100
+    assert corpus.first_mention[("hashtag", "m")] == 1100
 
 
 # (posts, follows, url aliases or None, pre-extracted, bad file, line number)
@@ -305,10 +313,10 @@ def test_load_corpus_reads_side_files(tmp_path):
     cfg = CFG._replace(news_domain_list=str(domains), url_alias_map=str(aliases))
     corpus = load_corpus(p, f, cfg)
     assert sorted(corpus.first_mention) == [
-        MemeId("news_domain", "bbc.co.uk"),
-        MemeId("news_domain", "cnn.com"),
-        MemeId("url", "edition.cnn.com/story"),
-        MemeId("url", "www.BBC.co.uk/news"),
+        ("news_domain", "bbc.co.uk"),
+        ("news_domain", "cnn.com"),
+        ("url", "edition.cnn.com/story"),
+        ("url", "www.BBC.co.uk/news"),
     ]
 
 
@@ -335,8 +343,8 @@ def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
     assert sorted(plain.user_labels.values()) == ["a", "b"]
     assert plain.follows == {_uid(plain, "b"): (_uid(plain, "a"),)}
     assert sorted(plain.first_mention) == [
-        MemeId("hashtag", "x"), MemeId("news_domain", "cnn.com"),
-        MemeId("url", "edition.cnn.com/story"),
+        ("hashtag", "x"), ("news_domain", "cnn.com"),
+        ("url", "edition.cnn.com/story"),
     ]
     assert ingest(b"\xef\xbb\xbf") == plain
     (tmp_path / "posts.tsv").write_bytes(b"\xef\xbb\xbfa\t1\tx\na\t1100\t#one \xff\n")
@@ -387,7 +395,7 @@ def test_load_corpus_pre_extracted(tmp_path):
     corpus = load_corpus(p, f, cfg)
     a = [u for u, lbl in corpus.user_labels.items() if lbl == "a"][0]
     assert corpus.memes_by_user[a] == frozenset(
-        {MemeId("hashtag", "foo"), MemeId("url", "x.com/1")}
+        {("hashtag", "foo"), ("url", "x.com/1")}
     )
 
 
@@ -409,7 +417,7 @@ def test_pre_extracted_memes_share_one_kind_string(tmp_path):
     assert loaded == corpus
     for one in (corpus, loaded):
         assert len(one.first_mention) == 12
-        assert len({id(meme.kind) for meme in one.first_mention}) == len(MEME_KINDS)
+        assert len({id(meme[0]) for meme in one.first_mention}) == len(MEME_KINDS)
     p.write_text(posts + "u0\t5\tgif\tk\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match="posts.tsv:13: unknown meme kind 'gif'"):
         load_corpus(p, f, cfg)
@@ -431,7 +439,7 @@ def _reference_corpus(posts_path, follows_path, config):
         elif time < config.window_end:
             counts[user] = counts.get(user, 0) + 1
             if config.pre_extracted:
-                memes = [MemeId(MEME_KINDS[MEME_KINDS.index(rest[0])], rest[1])]
+                memes = [(MEME_KINDS[MEME_KINDS.index(rest[0])], rest[1])]
             else:
                 memes = extract_memes(rest[0])
             events += [(user, meme, time) for meme in memes]
@@ -520,7 +528,7 @@ def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
     # 200 s; a receipt of m1 at B's 1150 would give 225 s.
     ego = _uid(kind_corpus, "ego")
     ctx = ego_context(kind_corpus, ego, "hashtag")
-    m1, m2 = MemeId("hashtag", "m1"), MemeId("hashtag", "m2")
+    m1, m2 = ("hashtag", "m1"), ("hashtag", "m2")
     assert ctx.memes == {m1, m2}
     hashtags = kind_corpus.kinds["hashtag"]
     born = kind_corpus._replace(kinds={
@@ -557,4 +565,4 @@ def test_load_corpus_drops_self_follow(tmp_path):
     assert corpus.follows == {a: (b,)}
     ctx = ego_context(corpus, a, "hashtag")
     assert ctx.followees == {b}
-    assert ctx.memes == {MemeId("hashtag", "y")}
+    assert ctx.memes == {("hashtag", "y")}

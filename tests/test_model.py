@@ -18,7 +18,7 @@ from feedcover.cover import (
     joint_cover,
 )
 from feedcover.ingest import ego_context
-from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus, MemeId
+from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus
 from feedcover.synth import generate_triadic_corpus
 
 from conftest import DAY, M, make_corpus
@@ -94,8 +94,8 @@ def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
 
 
 def test_meme_id_ordering_and_identity():
-    assert MemeId("hashtag", "a") < MemeId("hashtag", "b")
-    assert MemeId("url", "x") != MemeId("hashtag", "x")
+    assert ("hashtag", "a") < ("hashtag", "b")
+    assert ("url", "x") != ("hashtag", "x")
 
 
 def _index_orders(corpus):
@@ -124,8 +124,8 @@ def _assert_one_meme_id_per_meme(corpus):
     st.randoms(use_true_random=False),
 )
 def test_from_events_order_independent_and_shares_meme_ids(triples, rnd):
-    # Every event gets its own (equal) MemeId object, as ingest makes them.
-    events = [(u, MemeId("hashtag", f"m{i}"), t) for u, i, t in triples]
+    # Every event gets its own (equal) meme tuple, as ingest makes them.
+    events = [(u, ("hashtag", f"m{i}"), t) for u, i, t in triples]
     shuffled = events[:]
     rnd.shuffle(shuffled)
     a = Corpus.from_events(events, {})
@@ -188,11 +188,11 @@ def test_corpus_record_contract():
 # hashtags alone both are 0. Ego 13 follows both: its hashtag joint cover
 # is (11,) under the all-kind weight and (10,), the smaller id, under the
 # hashtag-only one.
-G1, G2 = MemeId("hashtag", "g1"), MemeId("hashtag", "g2")
+G1, G2 = ("hashtag", "g1"), ("hashtag", "g2")
 GADGET = [
     (10, G1, 0), (10, G2, 0), (11, G1, 0), (11, G2, 0),
-    (12, MemeId("url", "gu"), 0), (10, MemeId("url", "gu"), DAY),
-    (11, MemeId("url", "gv"), 0),
+    (12, ("url", "gu"), 0), (10, ("url", "gu"), DAY),
+    (11, ("url", "gv"), 0),
 ]
 ENGINES = (greedy_min_cover, greedy_weighted_cover, joint_cover, delay_optimal_cover)
 
@@ -217,7 +217,7 @@ def _selected(engine, corpus, spec):
                     max_size=6),
 )
 def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
-    events = GADGET + [(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    events = GADGET + [(u, (kind, f"k{i}"), t) for u, kind, i, t in triples]
     corpus = Corpus.from_events(events, {**follows, 13: frozenset({10, 11})})
     for user, first in corpus.first_post_by_user.items():
         fsum = math.fsum((t - corpus.first_mention[m]) / SECONDS_PER_DAY
@@ -259,11 +259,11 @@ def test_one_kind_cache_matches_all_kind_corpus(triples, follows):
                     max_size=8),
 )
 def test_user_id_sets_are_sorted_tuples(triples, follows):
-    events = [(u, MemeId(kind, f"k{i}"), t) for u, kind, i, t in triples]
+    events = [(u, (kind, f"k{i}"), t) for u, kind, i, t in triples]
     corpus = Corpus.from_events(events, follows)
     with tempfile.TemporaryDirectory() as tmp:
         loaded = _load_cached(_save_corpus(corpus, Path(tmp)))
-    posters: dict[MemeId, set[int]] = {}
+    posters: dict[tuple[str, str], set[int]] = {}
     for user, meme, _ in events:
         posters.setdefault(meme, set()).add(user)
     for one in (corpus, loaded):
