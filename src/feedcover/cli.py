@@ -47,12 +47,12 @@ from . import egonet as egonet_mod
 from .errors import (EmptyCorpus, FeedcoverError, InvalidSpec, MalformedRecord,
                      UndefinedMeasure, warn)
 from .ingest import IngestConfig, ego_context, load_corpus
-from .model import ARCHETYPES, MEME_KINDS, Corpus, KindIndex
+from .model import ARCHETYPES, KIND_INDICES, MEME_KINDS, Corpus
 
 HIST_BIN_WIDTH = 0.02
-# Bump when the cache layout or the pickled layout of KindIndex changes (8: each
-# meme is a plain (kind, key) tuple, so KindIndex is the one class a cache names).
-CACHE_FORMAT = 8
+# Bump when the cache layout changes (9: each kind's part is a plain dict keyed
+# by KIND_INDICES, so a cache names no class).
+CACHE_FORMAT = 9
 # The Corpus fields that the cache's first part holds, shared by every meme kind.
 _SHARED = tuple(name for name in Corpus._fields if name != "kinds")
 # Bytes of the little-endian size that precedes each kind's part.
@@ -106,23 +106,12 @@ class ReportWriter:
         return path
 
 
-class _CacheUnpickler(pickle.Unpickler):
-    """Resolves only the classes a cache holds, so a foreign pickle cannot run code."""
-
-    _classes = {("feedcover.model", "KindIndex"): KindIndex}
+class _Unpickler(pickle.Unpickler):
+    """Resolves no class, so a foreign pickle cannot run code: a corpus cache
+    and an order store hold only ints, floats, strs, tuples, lists and dicts."""
 
     def find_class(self, module, name):
-        try:
-            return self._classes[module, name]
-        except KeyError:
-            raise pickle.UnpicklingError(f"refusing global {module}.{name}") from None
-
-
-class _StoreUnpickler(_CacheUnpickler):
-    """Resolves no class: an order store holds only ints, floats, strs,
-    tuples, lists and dicts."""
-
-    _classes = {}
+        raise pickle.UnpicklingError(f"refusing global {module}.{name}")
 
 
 def _write_replacing(path: Path, write) -> None:
@@ -147,9 +136,10 @@ def _write_replacing(path: Path, write) -> None:
 def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
     """Write ``corpus.pkl``: one pickle holding an envelope (the cache format,
     the feedcover version and the kinds present, in order) and the shared
-    fields, then each kind's ``KindIndex`` as its own pickle, preceded by
-    its size in bytes so that a reader can seek past it. The file replaces
-    the old one whole, and the old one's order stores are deleted."""
+    fields, then each kind's part, the plain dict of its indices, as its own
+    pickle, preceded by its size in bytes so that a reader can seek past it.
+    No pickle names a class. The file replaces the old one whole, and the
+    old one's order stores are deleted."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.pkl"
     envelope = {"format": CACHE_FORMAT, "version": __version__, "kinds": tuple(corpus.kinds),
@@ -204,10 +194,10 @@ def _load_store(path: Path, identity: tuple) -> dict:
     foreign store."""
     try:
         with open(path, "rb") as fh:
-            header = _StoreUnpickler(fh).load()
+            header = _Unpickler(fh).load()
             payload = fh.read()
         if header == (identity, zlib.crc32(payload)):
-            orders = _StoreUnpickler(io.BytesIO(payload)).load()
+            orders = _Unpickler(io.BytesIO(payload)).load()
             if type(orders) is dict:
                 return orders
     except (OSError, *_UNPICKLE_ERRORS):
@@ -241,7 +231,7 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
         return MalformedRecord(path, None, f"{reason}; re-run `feedcover ingest`")
     try:
         with open(path, "rb") as fh:
-            envelope = _CacheUnpickler(fh).load()
+            envelope = _Unpickler(fh).load()
             if not isinstance(envelope, dict) or "format" not in envelope:
                 raise unusable("not a feedcover corpus cache")
             found = (envelope["format"], envelope.get("version"))
@@ -254,8 +244,8 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
                 if meme_kind not in (None, kind):
                     fh.seek(size, os.SEEK_CUR)
                     continue
-                kinds[kind] = _CacheUnpickler(fh).load()
-                if not isinstance(kinds[kind], KindIndex):
+                part = kinds[kind] = _Unpickler(fh).load()
+                if type(part) is not dict or tuple(part) != KIND_INDICES:
                     raise unusable("not a feedcover corpus cache")
             return Corpus(kinds=kinds, **{name: envelope[name] for name in _SHARED})
     except OSError as exc:
@@ -333,8 +323,8 @@ def cmd_ingest(args) -> list[str]:
         f"users: {len(corpus.post_count)}",
         f"posts: {corpus.inflow(corpus.post_count)}",
         "user-meme pairs: "
-        f"{sum(len(f) for part in parts.values() for f in part.first_post_by_user.values())}",
-        *(f"unique {kind}: {len(parts[kind].first_mention) if kind in parts else 0}"
+        f"{sum(len(f) for part in parts.values() for f in part['first_post_by_user'].values())}",
+        *(f"unique {kind}: {len(parts[kind]['first_mention']) if kind in parts else 0}"
           for kind in MEME_KINDS),
     ]
 

@@ -29,7 +29,10 @@ _HOST_RE = re.compile(r"(?:[^/?#@]*@)*([^/?#:]*)")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _TRAILING_PUNCT = ".,;:!?)\"'>]"
 
-_YOUTUBE_PREFIX = "www.youtube.com/watch"
+# Normalised-URL prefixes of a YouTube video: a watch page (its id is the
+# "v" query value) and a short link (its id is the first path segment).
+_YOUTUBE_WATCH = ("www.youtube.com/watch", "youtube.com/watch", "m.youtube.com/watch")
+_YOUTUBE_SHORT = "youtu.be/"
 
 # Each meme kind's one shared string, so that pre-extracted memes do not
 # each hold the kind split from their own line.
@@ -84,11 +87,13 @@ def _registered_domain(url: str, news_domains) -> str | None:
 
 
 def _youtube_video_id(url: str) -> str | None:
-    if not url.lower().startswith(_YOUTUBE_PREFIX):
-        return None
-    query = urlsplit("//" + url).query
-    ids = parse_qs(query).get("v")
-    return ids[0] if ids else None
+    lowered = url.lower()
+    if lowered.startswith(_YOUTUBE_WATCH):
+        ids = parse_qs(urlsplit("//" + url).query).get("v")
+        return ids[0] if ids else None
+    if lowered.startswith(_YOUTUBE_SHORT):
+        return urlsplit("//" + url).path.split("/")[1] or None
+    return None
 
 
 @lru_cache(maxsize=1 << 16)
@@ -121,16 +126,26 @@ def extract_memes(
 
     A hashtag is ``#`` and the word characters after it, lower-cased; a
     ``#`` right after a word character or ``&`` (``page#section``,
-    ``abc#tag``, ``&#39;``) starts none.
+    ``abc#tag``, ``&#39;``) starts none, nor does a ``#`` inside a URL
+    (``https://x.org/#frag``).
 
     URLs are first rewritten through the alias map (offline stand-in
     for unshortening), then classified. A single URL can yield up to
-    three memes: url, plus youtube_video or news_domain.
+    three memes: url, plus youtube_video or news_domain. A YouTube video
+    is the ``v`` of a ``youtube.com``, ``www.youtube.com`` or
+    ``m.youtube.com`` watch URL, or the first path segment of a ``youtu.be``
+    link.
     """
-    memes = list(map(_hashtag_meme, _HASHTAG_RE.findall(raw_text)))
+    tags = _HASHTAG_RE.findall(raw_text)
     # Every URL match holds "://" or "www."; many posts have neither.
     has_url = "://" in raw_text or "www." in raw_text
-    for token in _URL_RE.findall(raw_text) if has_url else ():
+    tokens = _URL_RE.findall(raw_text) if has_url else ()
+    if tags and "#" in "".join(tokens):  # drop the tags that start inside a URL
+        spans = [url.span() for url in _URL_RE.finditer(raw_text)]
+        tags = [tag[1] for tag in _HASHTAG_RE.finditer(raw_text)
+                if not any(start <= tag.start() < end for start, end in spans)]
+    memes = list(map(_hashtag_meme, tags))
+    for token in tokens:
         url = normalize_url(token)
         if url_aliases:
             url = url_aliases.get(url, url)
@@ -317,7 +332,7 @@ def ego_context(
 ) -> EgoContext:
     """Timeline view for one ego, restricted to followees posting the kind."""
     part = corpus.kinds.get(meme_kind)
-    first_by_user = part.first_post_by_user if part else {}
+    first_by_user = part["first_post_by_user"] if part else {}
     followees = frozenset(v for v in corpus.follows.get(ego, ()) if v in first_by_user)
     if len(followees) < max(min_followees, 1):
         raise UndefinedMeasure(

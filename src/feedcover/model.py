@@ -3,12 +3,14 @@
 A meme, one unique piece of information, is a plain ``(kind, key)``
 tuple of two strings: its kind (one of ``MEME_KINDS``) and its
 normalized key, so equality, ordering, hashing and pickling all run in
-C. A post event is a plain ``(user, meme, time)`` triple. Every record is
-a ``typing.NamedTuple``, and nothing in the package mutates their dict
-or set fields after construction, except the private cache
-``Corpus._memo`` and the views a ``Corpus`` builds on first access (see
-``Corpus``). User ids are integer surrogates assigned at ingestion in
-first-seen order, which every tie-break uses.
+C. A post event is a plain ``(user, meme, time)`` triple, and the
+indices of one meme kind are a plain dict keyed by ``KIND_INDICES``.
+Every other record is a ``typing.NamedTuple``. Nothing in the package
+mutates a record's dict or set fields, or a kind's indices, after
+construction, except the private cache ``Corpus._memo`` and the views a
+``Corpus`` builds on first access (see ``Corpus``). User ids are integer
+surrogates assigned at ingestion in first-seen order, which every
+tie-break uses.
 Timestamps are integer unix seconds; delays are converted to
 real-valued days where averaged. Delays are summed with ``math.fsum``,
 which rounds once, so a mean does not depend on the iteration order of
@@ -32,23 +34,16 @@ MEME_KINDS = ("hashtag", "url", "news_domain", "youtube_video")
 ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pareto_inflow")
 
 
-class KindIndex(NamedTuple):
-    """The meme indices of one meme kind.
-
-    ``posters_by_meme`` maps each meme to the ids of the users posting it,
-    as a sorted tuple without repeats, ``first_mention`` to its earliest
-    post time, and ``first_post_by_user`` maps each user posting the kind
-    to ``{meme: time of the user's first post}``. Every dict is in sorted
-    key order.
-    """
-
-    posters_by_meme: dict[tuple[str, str], tuple[int, ...]]
-    first_mention: dict[tuple[str, str], int]
-    first_post_by_user: dict[int, dict[tuple[str, str], int]]
+# The keys of one kind's part of ``Corpus.kinds``, each naming the Corpus view
+# it feeds: ``posters_by_meme`` maps each meme to the ids of the users posting
+# it, as a sorted tuple without repeats, ``first_mention`` to its earliest post
+# time, and ``first_post_by_user`` maps each user posting the kind to
+# ``{meme: time of the user's first post}``. Every dict is in sorted key order.
+KIND_INDICES = ("posters_by_meme", "first_mention", "first_post_by_user")
 
 
 class _CorpusFields(NamedTuple):
-    kinds: dict[str, KindIndex]
+    kinds: dict[str, dict[str, dict]]
     post_count: dict[int, int]
     follows: dict[int, tuple[int, ...]]
     mean_delay_days: dict[int, float]
@@ -58,10 +53,11 @@ class _CorpusFields(NamedTuple):
 class Corpus(_CorpusFields):
     """Immutable indexed view over the post events kept by ingest and a follow graph.
 
-    ``kinds`` holds the meme indices of each meme kind present, in sorted
-    order, so that the corpus cache can load one kind alone; the analysis
-    commands run on such a one-kind corpus. The other fields cover every
-    kind: ``post_count`` counts ALL kept posts (meme-bearing or not),
+    ``kinds`` maps each meme kind present, in sorted order, to a plain
+    dict of its three indices, keyed by ``KIND_INDICES``, so that the
+    corpus cache can load one kind alone; the analysis commands run on
+    such a one-kind corpus. The other fields cover every kind:
+    ``post_count`` counts ALL kept posts (meme-bearing or not),
     ``follows`` maps each follower to its followees' ids as a sorted tuple
     without repeats, and ``mean_delay_days`` is each posting user's mean
     delay in days over all of its memes, the joint cover's weight, computed
@@ -92,7 +88,7 @@ class Corpus(_CorpusFields):
         return {}
 
     def _merged(self, name: str) -> dict:
-        parts = [getattr(part, name) for part in self.kinds.values()]
+        parts = [part[name] for part in self.kinds.values()]
         if len(parts) == 1:
             return parts[0]
         return {key: value for part in parts for key, value in part.items()}
@@ -111,7 +107,7 @@ class Corpus(_CorpusFields):
             return self._merged("first_post_by_user")
         merged: dict[int, dict[tuple[str, str], int]] = {}
         for part in self.kinds.values():  # kinds in sorted order, so memes too
-            for user, first in part.first_post_by_user.items():
+            for user, first in part["first_post_by_user"].items():
                 merged.setdefault(user, {}).update(first)
         return dict(sorted(merged.items()))
 
@@ -160,7 +156,7 @@ class Corpus(_CorpusFields):
                 times_by_meme[meme] = {user: time}
             elif time < times.get(user, time + 1):
                 times[user] = time
-        kinds: dict[str, KindIndex] = {}
+        kinds: dict[str, tuple[dict, dict, dict]] = {}
         # Each user's delay in days to each meme it posts, of any kind, as
         # C doubles: the terms of its mean delay.
         delays: dict[int, array] = {}
@@ -168,7 +164,7 @@ class Corpus(_CorpusFields):
         for meme in sorted(times_by_meme):  # each kind is one contiguous run
             if meme[0] != kind:
                 kind = meme[0]
-                posters, first, first_by_user = kinds[kind] = KindIndex({}, {}, {})
+                posters, first, first_by_user = kinds[kind] = ({}, {}, {})
             times = times_by_meme.pop(meme)  # freed once its indices are built
             posters[meme] = tuple(sorted(times))
             born = first[meme] = min(times.values())
@@ -185,8 +181,8 @@ class Corpus(_CorpusFields):
                 else:
                     user_delays.append(delay)
         kinds = {
-            kind: KindIndex(posters, first, dict(sorted(first_by_user.items())))
-            for kind, (posters, first, first_by_user) in kinds.items()
+            kind: dict(zip(KIND_INDICES, (posters, first, dict(sorted(by_user.items())))))
+            for kind, (posters, first, by_user) in kinds.items()
         }
         mean_delays = {u: math.fsum(d) / len(d) for u, d in sorted(delays.items())}
         del delays  # freed before the follow sets are copied

@@ -17,7 +17,7 @@ from feedcover.cli import main
 from feedcover.cover import CoverSpec, joint_cover
 from feedcover.efficiency import evaluate_ego
 from feedcover.ingest import ego_context
-from feedcover.model import ARCHETYPES
+from feedcover.model import ARCHETYPES, KIND_INDICES
 from feedcover.synth import SynthSpec, generate
 
 from conftest import make_corpus, make_ctx
@@ -500,7 +500,7 @@ def test_format_6_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys, monkeyp
 
     old = corpus._replace(
         follows=as_sets(corpus.follows),
-        kinds={kind: part._replace(posters_by_meme=as_sets(part.posters_by_meme))
+        kinds={kind: {**part, "posters_by_meme": as_sets(part["posters_by_meme"])}
                for kind, part in corpus.kinds.items()},
     )
     monkeypatch.setattr(cli, "CACHE_FORMAT", 6)
@@ -528,11 +528,11 @@ def test_cache_of_meme_records_exit_2(redundant_dir, tmp_path, capsys, monkeypat
 
     corpus = cli._load_cached(redundant_dir)
     old = corpus._replace(kinds={
-        kind: part._replace(
-            posters_by_meme=as_records(part.posters_by_meme),
-            first_mention=as_records(part.first_mention),
-            first_post_by_user={u: as_records(first)
-                                for u, first in part.first_post_by_user.items()})
+        kind: {
+            "posters_by_meme": as_records(part["posters_by_meme"]),
+            "first_mention": as_records(part["first_mention"]),
+            "first_post_by_user": {u: as_records(first)
+                                   for u, first in part["first_post_by_user"].items()}}
         for kind, part in corpus.kinds.items()})
     if cache_format is not None:
         monkeypatch.setattr(cli, "CACHE_FORMAT", cache_format)
@@ -547,6 +547,48 @@ def test_cache_of_meme_records_exit_2(redundant_dir, tmp_path, capsys, monkeypat
         assert "(refusing global feedcover.model.MemeId)" in err
     else:
         assert f"cache format 7 from feedcover {feedcover.__version__}" in err
+
+
+@pytest.mark.parametrize("cache_format", [8, None], ids=["format_8", "current_format"])
+def test_cache_of_kind_index_records_exit_2(redundant_dir, tmp_path, capsys, monkeypatch,
+                                            cache_format):
+    # Format 8 pickled each kind's part as a feedcover.model.KindIndex
+    # record. A stand-in module of the same name length writes those bytes
+    # without the old class, in format 8 and, as a foreign cache would, in
+    # today's.
+    old_model = type(sys)("feedcover_model")
+    old_model.KindIndex = collections.namedtuple("KindIndex", KIND_INDICES,
+                                                 module=old_model.__name__)
+    monkeypatch.setitem(sys.modules, old_model.__name__, old_model)
+    corpus = cli._load_cached(redundant_dir)
+    old = corpus._replace(kinds={kind: old_model.KindIndex(**part)
+                                 for kind, part in corpus.kinds.items()})
+    if cache_format is not None:
+        monkeypatch.setattr(cli, "CACHE_FORMAT", cache_format)
+    path = cli._save_corpus(old, tmp_path / "old")
+    monkeypatch.undo()
+    path.write_bytes(path.read_bytes().replace(b"feedcover_model", b"feedcover.model"))
+    assert _efficiency_on(path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("; re-run `feedcover ingest`\n")
+    assert "Traceback" not in err
+    if cache_format is None:
+        assert "(refusing global feedcover.model.KindIndex)" in err
+    else:
+        assert f"cache format 8 from feedcover {feedcover.__version__}" in err
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda part: tuple(part.values()),
+    lambda part: {name: part[name] for name in KIND_INDICES if name != "first_mention"},
+], ids=["tuple", "missing_key"])
+def test_part_not_a_dict_of_the_kind_indices_exit_2(redundant_dir, tmp_path, capsys, reshape):
+    corpus = cli._load_cached(redundant_dir)
+    old = corpus._replace(kinds={kind: reshape(part) for kind, part in corpus.kinds.items()})
+    path = cli._save_corpus(old, tmp_path / "old")
+    assert _efficiency_on(path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not a feedcover corpus cache; re-run `feedcover ingest`\n"
 
 
 @pytest.mark.parametrize("fail_at", [1, 2], ids=["envelope", "kind_part"])
@@ -651,14 +693,14 @@ def _globals_named(data: bytes) -> set[tuple[str, str]]:
     return found
 
 
-def test_cache_names_no_class_but_kind_index(mixed_cache):
-    # A meme is a plain (kind, key) tuple: unpickling a part calls no
-    # Python-level constructor but KindIndex's, once.
+def test_cache_names_no_class(mixed_cache):
+    # A meme is a plain (kind, key) tuple and a part a plain dict:
+    # unpickling the cache calls no Python-level constructor.
     data = mixed_cache.read_bytes()
     spans = _part_spans(mixed_cache)
     assert _globals_named(data[:spans["hashtag"][0] - 8]) == set()  # the envelope
     for start, end in spans.values():
-        assert _globals_named(data[start:end]) == {("feedcover.model", "KindIndex")}
+        assert _globals_named(data[start:end]) == set()
 
 
 def _kind_efficiency(path, tmp_path, kind):

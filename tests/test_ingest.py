@@ -83,7 +83,8 @@ def test_url_normalization_idempotent_and_keeps_www():
 
 def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None):
     """``extract_memes`` as a plain loop: each URL occurrence classified
-    again, each meme appended unless an equal one is already listed."""
+    again, each meme appended unless an equal one is already listed. A
+    ``#`` inside a URL is blanked before hashtags are found."""
     url_aliases = url_aliases or {}
     seen = []
 
@@ -94,7 +95,7 @@ def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None
         if meme not in seen:
             seen.append(meme)
 
-    for tag in _HASHTAG_RE.findall(raw_text):
+    for tag in _HASHTAG_RE.findall(_URL_RE.sub(lambda url: url[0].replace("#", " "), raw_text)):
         emit("hashtag", tag.lower())
     for token in _URL_RE.findall(raw_text):
         url = normalize_url(token)
@@ -164,12 +165,31 @@ def test_hash_after_a_space_starts_every_plain_hashtag(text):
     ("https://x.org/page#section", []),
     ("abc#tag", []),
     ("me@host#tag", []),
-    ("https://x.org/#frag", ["frag"]),  # "/" is no word character
+    ("https://x.org/#frag", []),  # "/" is no word character, but the "#" is in a URL
     ("#ok,#Ok;(#b) &#c #d#e", ["ok", "b", "d"]),
     ("it&#39;s https://x.org/page#section abc#tag me@host#tag #ok", ["ok"]),
+    ("https://x.org/?q=#top #b", ["b"]),
 ])
 def test_hashtag_rule(text, hashtags):
     assert [m[1] for m in extract_memes(text) if m[0] == "hashtag"] == hashtags
+
+
+@pytest.mark.parametrize("url, video", [
+    ("https://www.youtube.com/watch?v=abc123&t=5", "abc123"),
+    ("https://WWW.YouTube.com/watch?v=Q", "Q"),
+    ("https://youtube.com/watch?v=abc123", "abc123"),
+    ("https://m.youtube.com/watch?v=abc123", "abc123"),
+    ("https://youtu.be/abc123", "abc123"),
+    ("https://youtu.be/abc123?t=5", "abc123"),
+    ("https://www.youtube.com/watch", None),
+    ("https://youtu.be/", None),
+    ("https://notyoutube.com/watch?v=abc123", None),
+    ("https://youtube.com/results?v=abc123", None),
+])
+def test_youtube_url_forms(url, video):
+    memes = extract_memes(url)
+    assert memes[0] == ("url", normalize_url(url))
+    assert [m[1] for m in memes if m[0] == "youtube_video"] == ([video] if video else [])
 
 
 @pytest.mark.parametrize("url, domain", [
@@ -532,7 +552,7 @@ def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
     assert ctx.memes == {m1, m2}
     hashtags = kind_corpus.kinds["hashtag"]
     born = kind_corpus._replace(kinds={
-        "hashtag": hashtags._replace(first_mention={m1: 1000, m2: 1000}),
+        "hashtag": {**hashtags, "first_mention": {m1: 1000, m2: 1000}},
     })
     assert delay_efficiency(ctx, born) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)
 

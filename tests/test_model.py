@@ -18,7 +18,7 @@ from feedcover.cover import (
     joint_cover,
 )
 from feedcover.ingest import ego_context
-from feedcover.model import MEME_KINDS, SECONDS_PER_DAY, Corpus
+from feedcover.model import KIND_INDICES, MEME_KINDS, SECONDS_PER_DAY, Corpus
 from feedcover.synth import generate_triadic_corpus
 
 from conftest import DAY, M, make_corpus
@@ -93,9 +93,30 @@ def test_joint_cover_weighs_mean_delay(rival_delay_days, picked):
     assert joint_cover(corpus, spec).selected == (picked,)
 
 
-def test_meme_id_ordering_and_identity():
-    assert ("hashtag", "a") < ("hashtag", "b")
-    assert ("url", "x") != ("hashtag", "x")
+# Two memes of each kind, arriving with the kinds interleaved.
+_MIXED_EVENTS = [
+    (2, ("youtube_video", "v2"), 30), (1, ("hashtag", "b"), 10), (3, ("url", "x.org/b"), 20),
+    (1, ("news_domain", "cnn.com"), 40), (2, ("hashtag", "a"), 15),
+    (3, ("youtube_video", "v1"), 35), (1, ("url", "x.org/a"), 25),
+    (2, ("news_domain", "bbc.co.uk"), 45), (3, ("hashtag", "b"), 5), (1, ("url", "x.org/a"), 8),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(_MIXED_EVENTS))
+def test_from_events_keeps_each_meme_in_its_own_kind_part(events):
+    corpus = Corpus.from_events(events, {})
+    assert list(corpus.kinds) == sorted(MEME_KINDS)
+    for kind, part in corpus.kinds.items():
+        assert list(part) == list(KIND_INDICES)
+        memes = sorted({meme for _, meme, _ in events if meme[0] == kind})
+        assert len(memes) == 2
+        assert list(part["posters_by_meme"]) == memes
+        assert list(part["first_mention"]) == memes
+        by_user = part["first_post_by_user"]
+        assert list(by_user) == sorted({u for u, meme, _ in events if meme[0] == kind})
+        for first in by_user.values():
+            assert list(first) == sorted(first) and {m[0] for m in first} == {kind}
 
 
 def _index_orders(corpus):
