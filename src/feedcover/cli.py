@@ -226,7 +226,9 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
     every kind, or with ``meme_kind`` only the shared part and that kind's
     part (a kind without memes loads as a corpus without meme indices).
     A missing, unreadable, corrupt, foreign or stale file raises a
-    MalformedRecord: ``<path>: <reason>; re-run `feedcover ingest```."""
+    MalformedRecord: ``<path>: <reason>; re-run `feedcover ingest```.
+    So does a shared field or a loaded part's index that is not a dict;
+    the keys and values inside those dicts are not checked."""
     def unusable(reason):
         return MalformedRecord(path, None, f"{reason}; re-run `feedcover ingest`")
     try:
@@ -238,6 +240,8 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
             if found != (CACHE_FORMAT, __version__):
                 raise unusable(f"cache format {found[0]} from feedcover {found[1]}; this "
                                f"feedcover {__version__} reads format {CACHE_FORMAT}")
+            if any(type(envelope.get(name)) is not dict for name in _SHARED):
+                raise unusable("not a feedcover corpus cache")
             kinds = {}
             for kind in envelope["kinds"]:
                 size = int.from_bytes(fh.read(_PART_SIZE_BYTES), "little")
@@ -245,7 +249,8 @@ def _load_cached(path, meme_kind: str | None = None) -> Corpus:
                     fh.seek(size, os.SEEK_CUR)
                     continue
                 part = kinds[kind] = _Unpickler(fh).load()
-                if type(part) is not dict or tuple(part) != KIND_INDICES:
+                if (type(part) is not dict or tuple(part) != KIND_INDICES
+                        or any(type(index) is not dict for index in part.values())):
                     raise unusable("not a feedcover corpus cache")
             return Corpus(kinds=kinds, **{name: envelope[name] for name in _SHARED})
     except OSError as exc:

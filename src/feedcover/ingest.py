@@ -17,22 +17,17 @@ from functools import lru_cache
 from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from .errors import EmptyCorpus, InvalidSpec, MalformedRecord, UndefinedMeasure
 from .model import MEME_KINDS, Corpus, EgoContext
 
 # The literal ``#`` first keeps the regex engine's fast scan (rule: extract_memes).
-_HASHTAG_RE = re.compile(r"#(?<![\w&]#)(\w+)")
-# A URL's host: before the first "/", "?" or "#", after the last "@", before a ":".
-_HOST_RE = re.compile(r"(?:[^/?#@]*@)*([^/?#:]*)")
+_HASHTAG_RE = re.compile(r"#(?<![\w&]#)(?=\d*[^\W\d])(\w+)")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+# A normalised URL's authority, path and query (rule: extract_memes).
+_URL_PARTS_RE = re.compile(r"([^/?#]*)([^?#]*)\??([^#]*)")
 _TRAILING_PUNCT = ".,;:!?)\"'>]"
-
-# Normalised-URL prefixes of a YouTube video: a watch page (its id is the
-# "v" query value) and a short link (its id is the first path segment).
-_YOUTUBE_WATCH = ("www.youtube.com/watch", "youtube.com/watch", "m.youtube.com/watch")
-_YOUTUBE_SHORT = "youtu.be/"
 
 # Each meme kind's one shared string, so that pre-extracted memes do not
 # each hold the kind split from their own line.
@@ -74,28 +69,6 @@ def normalize_url(token: str) -> str:
     return token.rstrip(_TRAILING_PUNCT)
 
 
-def _registered_domain(url: str, news_domains) -> str | None:
-    """The listed news domain that ``url``'s host, lower-cased and without
-    a trailing ``.``, is or ends with."""
-    host = _HOST_RE.match(url)[1].lower().removesuffix(".")
-    labels = host.split(".")
-    for i in range(len(labels) - 1):
-        suffix = ".".join(labels[i:])
-        if suffix in news_domains:
-            return suffix
-    return None
-
-
-def _youtube_video_id(url: str) -> str | None:
-    lowered = url.lower()
-    if lowered.startswith(_YOUTUBE_WATCH):
-        ids = parse_qs(urlsplit("//" + url).query).get("v")
-        return ids[0] if ids else None
-    if lowered.startswith(_YOUTUBE_SHORT):
-        return urlsplit("//" + url).path.split("/")[1] or None
-    return None
-
-
 @lru_cache(maxsize=1 << 16)
 def _hashtag_meme(tag: str) -> tuple[str, str]:
     return ("hashtag", tag.lower())
@@ -104,15 +77,25 @@ def _hashtag_meme(tag: str) -> tuple[str, str]:
 @lru_cache(maxsize=1 << 16)
 def _url_memes(url: str, news_domains: frozenset[str]) -> tuple[tuple[str, str], ...]:
     """The memes of one non-empty normalised URL: the url itself, then its
-    YouTube video and its news domain, if any. URLs repeat across posts, so
-    each distinct one is classified once."""
+    YouTube video and its news domain, if any, by the rules of
+    ``extract_memes``. URLs repeat across posts, so each distinct one is
+    split and classified once."""
+    authority, path, query = _URL_PARTS_RE.match(url).groups()
     memes = [("url", url)]
-    video = _youtube_video_id(url)
+    site, segment = authority.lower(), path[1:].partition("/")[0]
+    video = None
+    if site in ("www.youtube.com", "youtube.com", "m.youtube.com") and segment.lower() == "watch":
+        video = parse_qs(query).get("v", [None])[0]
+    elif site == "youtu.be":
+        video = segment
     if video:
         memes.append(("youtube_video", video))
-    domain = _registered_domain(url, news_domains)
-    if domain:
-        memes.append(("news_domain", domain))
+    labels = authority.rpartition("@")[2].partition(":")[0].lower().removesuffix(".").split(".")
+    for i in range(len(labels) - 1):
+        domain = ".".join(labels[i:])
+        if domain in news_domains:
+            memes.append(("news_domain", domain))
+            break
     return tuple(memes)  # shared by every caller, so immutable
 
 
@@ -124,17 +107,26 @@ def extract_memes(
     """Extract the memes of every kind from one post's text, each once, in
     first-seen order: the hashtags, then each URL's memes.
 
-    A hashtag is ``#`` and the word characters after it, lower-cased; a
-    ``#`` right after a word character or ``&`` (``page#section``,
-    ``abc#tag``, ``&#39;``) starts none, nor does a ``#`` inside a URL
+    A hashtag is ``#`` and the word characters after it, lower-cased, if
+    they hold a non-digit: ``#2016abc`` and ``#_1`` are hashtags, but
+    ``#2016`` is none, nor is ``#`` and an Arabic-Indic digit. A ``#``
+    right after a word character or ``&`` (``page#section``, ``abc#tag``,
+    ``&#39;``) starts none, nor does a ``#`` inside a URL
     (``https://x.org/#frag``).
 
-    URLs are first rewritten through the alias map (offline stand-in
-    for unshortening), then classified. A single URL can yield up to
-    three memes: url, plus youtube_video or news_domain. A YouTube video
-    is the ``v`` of a ``youtube.com``, ``www.youtube.com`` or
-    ``m.youtube.com`` watch URL, or the first path segment of a ``youtu.be``
-    link.
+    URLs are first rewritten through the alias map (offline stand-in for
+    unshortening), then split once: the authority runs up to the first
+    ``/``, ``?`` or ``#``, the path up to ``?`` or ``#``, and the query
+    from ``?`` up to ``#``. A URL yields the url meme, then up to two more:
+
+    - youtube_video: on a watch page, whose lower-cased authority is
+      ``www.youtube.com``, ``youtube.com`` or ``m.youtube.com`` and whose
+      lower-cased path is ``/watch`` or below it (not ``/watchlater``),
+      the first ``v`` query value; on a ``youtu.be`` short link, the
+      first path segment.
+    - news_domain: the longest suffix of two or more labels of the host
+      that is a listed domain. The host is the authority after its last
+      ``@`` and before a ``:``, lower-cased, without a trailing ``.``.
     """
     tags = _HASHTAG_RE.findall(raw_text)
     # Every URL match holds "://" or "www."; many posts have neither.
@@ -179,8 +171,8 @@ def load_lines(path) -> list[str]:
 
 
 def load_news_domains(path) -> frozenset[str]:
-    """The listed domains, each normalised as ``_registered_domain``
-    normalises a host: lower-cased, without a trailing ``.``."""
+    """The listed domains, each normalised as ``_url_memes`` normalises a
+    host: lower-cased, without a trailing ``.``."""
     return frozenset(
         line.strip().lower().removesuffix(".") for line in load_lines(path) if line.strip()
     )

@@ -732,6 +732,19 @@ def test_damaged_kind_part_exit_2(mixed_cache, tmp_path, capsys, damage):
     assert _kind_efficiency(damaged, tmp_path, "hashtag") == 0
 
 
+@pytest.mark.parametrize("changes", [
+    {"kinds": {"hashtag": {"posters_by_meme": 1, "first_mention": 2, "first_post_by_user": 3}}},
+    {"follows": 5},
+], ids=["part_indices", "shared_field"])
+def test_cache_field_not_a_dict_exit_2(mixed_cache, tmp_path, capsys, changes):
+    # The right keys with values of the wrong type are refused at load,
+    # not met by an analysis as a TypeError.
+    path = cli._save_corpus(cli._load_cached(mixed_cache)._replace(**changes), tmp_path / "bad")
+    assert _kind_efficiency(path, tmp_path, "hashtag") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not a feedcover corpus cache; re-run `feedcover ingest`\n"
+
+
 def test_kind_without_memes_in_cache(redundant_dir, tmp_path, capsys):
     # redundant_followees holds hashtags only: every ego is skipped.
     assert list(_part_spans(redundant_dir)) == ["hashtag"]

@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,7 @@ from feedcover.ingest import (
     _HASHTAG_RE,
     _URL_RE,
     IngestConfig,
-    _registered_domain,
-    _youtube_video_id,
+    _url_memes,
     ego_context,
     extract_memes,
     load_corpus,
@@ -81,6 +81,28 @@ def test_url_normalization_idempotent_and_keeps_www():
     assert normalize_url(url) == url
 
 
+def reference_url_memes(url, news_domains):
+    """The memes of one normalised URL by the rules of ``extract_memes``,
+    written with ``urlsplit`` and string methods."""
+    parts = urlsplit("//" + url)
+    site, path = parts.netloc.lower(), parts.path.lower()
+    memes = [("url", url)]
+    if site in {"www.youtube.com", "youtube.com", "m.youtube.com"} and (
+            path == "/watch" or path.startswith("/watch/")):
+        videos = parse_qs(parts.query).get("v")
+        if videos:
+            memes.append(("youtube_video", videos[0]))
+    elif site == "youtu.be":
+        video = parts.path.removeprefix("/").split("/")[0]
+        if video:
+            memes.append(("youtube_video", video))
+    host = parts.netloc.rpartition("@")[2].partition(":")[0].lower().removesuffix(".")
+    listed = [d for d in news_domains if "." in d and (host == d or host.endswith("." + d))]
+    if listed:
+        memes.append(("news_domain", max(listed, key=len)))
+    return memes
+
+
 def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None):
     """``extract_memes`` as a plain loop: each URL occurrence classified
     again, each meme appended unless an equal one is already listed. A
@@ -102,13 +124,8 @@ def reference_extract_memes(raw_text, news_domains=frozenset(), url_aliases=None
         url = url_aliases.get(url, url)
         if not url:
             continue
-        emit("url", url)
-        video = _youtube_video_id(url)
-        if video:
-            emit("youtube_video", video)
-        domain = _registered_domain(url, news_domains)
-        if domain:
-            emit("news_domain", domain)
+        for kind, key in reference_url_memes(url, news_domains):
+            emit(kind, key)
     return seen
 
 
@@ -156,7 +173,8 @@ def test_hash_after_a_word_character_starts_no_hashtag(text):
 @given(texts)
 def test_hash_after_a_space_starts_every_plain_hashtag(text):
     memes = extract_memes(text.replace("#", " #"))
-    plain = dict.fromkeys(tag.lower() for tag in re.findall(r"#(\w+)", text))
+    plain = dict.fromkeys(tag.lower() for tag in re.findall(r"#(\w+)", text)
+                          if not tag.isdecimal())
     assert [m[1] for m in memes if m[0] == "hashtag"] == list(plain)
 
 
@@ -169,6 +187,9 @@ def test_hash_after_a_space_starts_every_plain_hashtag(text):
     ("#ok,#Ok;(#b) &#c #d#e", ["ok", "b", "d"]),
     ("it&#39;s https://x.org/page#section abc#tag me@host#tag #ok", ["ok"]),
     ("https://x.org/?q=#top #b", ["b"]),
+    ("#2016", []),  # a hashtag holds a non-digit
+    ("#\u0663", []),  # an Arabic-Indic digit
+    ("#2016abc #a1 #_1", ["2016abc", "a1", "_1"]),
 ])
 def test_hashtag_rule(text, hashtags):
     assert [m[1] for m in extract_memes(text) if m[0] == "hashtag"] == hashtags
@@ -185,11 +206,38 @@ def test_hashtag_rule(text, hashtags):
     ("https://youtu.be/", None),
     ("https://notyoutube.com/watch?v=abc123", None),
     ("https://youtube.com/results?v=abc123", None),
+    ("https://www.youtube.com/watchlater?v=abc", None),  # the path is /watch or below it
+    ("https://www.youtube.com/watch_videos?v=abc", None),
+    ("https://www.youtube.com/watch/?v=abc", "abc"),
+    ("https://WWW.YouTube.com/WATCH?v=Q", "Q"),
+    ("https://youtube.com:443/watch?v=p", None),  # the authority is the whole site
+    ("https://me@youtu.be/x", None),
 ])
 def test_youtube_url_forms(url, video):
     memes = extract_memes(url)
     assert memes[0] == ("url", normalize_url(url))
     assert [m[1] for m in memes if m[0] == "youtube_video"] == ([video] if video else [])
+
+
+# URL strings built around the YouTube and news-domain rules: a site name,
+# a port, a path and a query, and noise with user info, ports, fragments and
+# percent escapes before and after them.
+_noise = st.text(alphabet="@:./?#=&vVaB1_%+", min_size=1, max_size=3)
+urls = st.tuples(
+    st.sampled_from(["", "www.", "m.", "WWW.", "me@"]) | _noise,
+    st.sampled_from(["youtube.com", "YouTube.COM", "youtu.be", "YOUTU.BE", "cnn.com", "a.co.uk."]),
+    st.sampled_from(["", ":443"]),
+    st.sampled_from(["", "/watch", "/WATCH", "/watch/x", "/watchlater", "/x/y"]),
+    st.sampled_from(["?v=Q", "?a=1&v=b&v=c", "", "#v=c"]),
+    st.just("") | _noise,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(urls, st.frozensets(st.sampled_from(
+    ["youtube.com", "youtu.be", "be", "cnn.com", "co.uk", "a.co.uk", ".com"])))
+def test_url_memes_match_reference(url, news_domains):
+    assert _url_memes(url, news_domains) == tuple(reference_url_memes(url, news_domains))
 
 
 @pytest.mark.parametrize("url, domain", [
