@@ -62,6 +62,7 @@ _UNPICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, IndexError, KeyError,
     OverflowError, TypeError, ValueError,
 )
+_COVER_DEFAULTS = cover_mod.CoverSpec._field_defaults  # of --alpha, --beta and --coverage
 
 
 def _fmt(value) -> str:
@@ -73,8 +74,8 @@ def _fmt(value) -> str:
 
 
 class ReportWriter:
-    """Writes one report file with a deterministic comment header; its
-    columns are the keys of the first row, in order."""
+    """Writes one report file, replaced whole, with a deterministic comment
+    header; its columns are the keys of the first row, in order."""
 
     def __init__(self, out_dir: Path, fmt: str, timestamp: bool, seed: int):
         self.out_dir = out_dir
@@ -102,7 +103,7 @@ class ReportWriter:
             lines.extend(
                 "\t".join(_fmt(row.get(c)) for c in columns) for row in rows
             )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_replacing(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
         return path
 
 
@@ -311,16 +312,15 @@ def _select_egos(corpus: Corpus, args) -> list[int]:
     return pool
 
 
+def _record(cls, args):
+    """The NamedTuple ``cls`` of the options in ``args`` whose dests are its fields. With
+    ``argument_default=argparse.SUPPRESS`` an option not given keeps its field's default."""
+    return cls(**{name: value for name, value in vars(args).items() if name in cls._fields})
+
+
 def cmd_ingest(args) -> list[str]:
-    config = IngestConfig(
-        window_start=args.window_start,
-        window_end=args.window_end,
-        require_pre_window_activity=not args.no_activity_filter,
-        news_domain_list=args.news_domains,
-        url_alias_map=args.url_aliases,
-        pre_extracted=args.pre_extracted,
-    )
-    corpus = load_corpus(args.posts, args.follows, config)
+    """Write the corpus cache of the ``IngestConfig`` of the options given."""
+    corpus = load_corpus(args.posts, args.follows, _record(IngestConfig, args))
     path = _save_corpus(corpus, Path(args.out))
     parts = corpus.kinds
     return [
@@ -512,23 +512,16 @@ def cmd_analysis(args) -> list[str]:
 
 
 def cmd_synth(args) -> list[str]:
+    """Write the corpus files of the ``SynthSpec`` of the options given."""
     from . import synth as synth_mod
+    spec = _record(synth_mod.SynthSpec, args)
     out = Path(args.out)
-    if args.archetype == "triadic_communities":
+    if spec.archetype == "triadic_communities":
         events, follows, egos = synth_mod.generate_triadic_events(
-            seed=args.seed, window_days=args.window_days
+            seed=spec.seed, window_days=spec.window_days
         )
         ego_note = f"{len(egos)} egos"
     else:
-        spec = synth_mod.SynthSpec(
-            seed=args.seed,
-            n_users=args.n_users,
-            n_memes=args.n_memes,
-            window_days=args.window_days,
-            archetype=args.archetype,
-            pareto_exponent=args.pareto_exponent,
-            ego_followee_count=args.ego_followees,
-        )
         events, follows, ego = synth_mod.generate_events(spec)
         ego_note = f"ego {ego}"
     out.mkdir(parents=True, exist_ok=True)
@@ -541,8 +534,8 @@ def cmd_synth(args) -> list[str]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="corpus.pkl from `ingest`")
     p.add_argument("--meme-kind", default="hashtag", choices=MEME_KINDS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=_COVER_DEFAULTS["alpha"])
+    p.add_argument("--beta", type=float, default=_COVER_DEFAULTS["beta"])
     p.add_argument("--min-followees", type=_count(0), default=20)
     p.add_argument("--sample-n", type=_count(1), default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -556,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feedcover")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse input files into a cached corpus")
+    p = sub.add_parser("ingest", help="parse input files into a cached corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--posts", required=True)
     p.add_argument("--follows", required=True)
     p.add_argument("--window-start", required=True, type=_iso_seconds,
@@ -564,9 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-end", required=True, type=_iso_seconds)
     p.add_argument("--pre-extracted", action="store_true",
                    help="posts file already carries meme kind/key columns")
-    p.add_argument("--no-activity-filter", action="store_true")
-    p.add_argument("--news-domains", default=None)
-    p.add_argument("--url-aliases", default=None)
+    p.add_argument("--no-activity-filter", action="store_false",
+                   dest="require_pre_window_activity")
+    p.add_argument("--news-domains", dest="news_domain_list")
+    p.add_argument("--url-aliases", dest="url_alias_map")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ingest)
 
@@ -577,16 +572,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=cmd_analysis)
 
-    p = sub.add_parser("synth", help="generate synthetic corpus files")
-    p.add_argument("--archetype", default="random_bipartite",
-                   choices=ARCHETYPES + ("triadic_communities",),
+    p = sub.add_parser("synth", help="generate synthetic corpus files",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--archetype", choices=ARCHETYPES + ("triadic_communities",),
                    help="triadic_communities reads only --seed and --window-days")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-users", type=int, default=20)
-    p.add_argument("--n-memes", type=int, default=30)
-    p.add_argument("--window-days", type=int, default=7)
-    p.add_argument("--pareto-exponent", type=float, default=1.5)
-    p.add_argument("--ego-followees", type=int, default=5)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-users", type=int)
+    p.add_argument("--n-memes", type=int)
+    p.add_argument("--window-days", type=int)
+    p.add_argument("--pareto-exponent", type=float)
+    p.add_argument("--ego-followees", type=int, dest="ego_followee_count")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
     return parser
@@ -602,7 +597,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "alpha" in vars(args):
-        args.coverage = getattr(args, "coverage", None) or [1.0]
+        args.coverage = getattr(args, "coverage", None) or [_COVER_DEFAULTS["coverage"]]
         try:
             for p in args.coverage:
                 cover_mod.CoverSpec(frozenset(), coverage=p, alpha=args.alpha, beta=args.beta)

@@ -1,11 +1,13 @@
 import argparse
 import collections
 import gc
+import io
 import os
 import pickle
 import pickletools
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from feedcover import cli, errors
 from feedcover.cli import main
 from feedcover.cover import CoverSpec, joint_cover
 from feedcover.efficiency import evaluate_ego
-from feedcover.ingest import ego_context
+from feedcover.ingest import IngestConfig, ego_context
 from feedcover.model import ARCHETYPES, KIND_INDICES
 from feedcover.synth import SynthSpec, generate
 
@@ -371,6 +373,97 @@ def test_synth_triadic_honours_window_days(tmp_path):
     assert days["7"] < 7 and 7 <= days["14"] < 14
 
 
+def _subparser(name):
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command, record", [("ingest", IngestConfig), ("synth", SynthSpec)])
+def test_each_record_field_is_the_dest_of_one_option(command, record):
+    dests = collections.Counter(a.dest for a in _subparser(command)._actions)
+    assert {field: dests[field] for field in record._fields} == dict.fromkeys(record._fields, 1)
+
+
+def test_records_of_no_options_are_the_record_defaults():
+    args = cli.build_parser().parse_args(["synth", "--out", "x"])
+    assert cli._record(SynthSpec, args) == SynthSpec()
+    args = cli.build_parser().parse_args(["ingest", "--posts", "p", "--follows", "f",
+                                          "--window-start", "5", "--window-end", "9",
+                                          "--out", "x"])
+    assert cli._record(IngestConfig, args) == IngestConfig(5, 9)
+
+
+# The option defaults and the field-by-field constructors that the ingest and
+# synth commands used before they built their records by dest: the reference.
+_SYNTH_OPTION_DEFAULTS = {"archetype": "random_bipartite", "seed": 0, "n_users": 20,
+                          "n_memes": 30, "window_days": 7, "pareto_exponent": 1.5,
+                          "ego_followees": 5}
+_INGEST_OPTION_DEFAULTS = {"pre_extracted": False, "no_activity_filter": False,
+                           "news_domains": None, "url_aliases": None}
+
+
+def _reference_synth_spec(args):
+    return SynthSpec(
+        seed=args.seed,
+        n_users=args.n_users,
+        n_memes=args.n_memes,
+        window_days=args.window_days,
+        archetype=args.archetype,
+        pareto_exponent=args.pareto_exponent,
+        ego_followee_count=args.ego_followees,
+    )
+
+
+def _reference_ingest_config(args):
+    return IngestConfig(
+        window_start=args.window_start,
+        window_end=args.window_end,
+        require_pre_window_activity=not args.no_activity_filter,
+        news_domain_list=args.news_domains,
+        url_alias_map=args.url_aliases,
+        pre_extracted=args.pre_extracted,
+    )
+
+
+def _given(options):
+    """``{flag: value}`` (True for a bare flag) as argv, and as the dests the
+    options had before: ``--ego-followees`` was ``ego_followees``."""
+    argv = [flag if value is True else f"{flag}={value}" for flag, value in options.items()]
+    return argv, {flag[2:].replace("-", "_"): value for flag, value in options.items()}
+
+
+_ints = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "--archetype": st.sampled_from(ARCHETYPES + ("triadic_communities",)),
+    "--seed": _ints, "--n-users": _ints, "--n-memes": _ints, "--window-days": _ints,
+    "--pareto-exponent": st.floats(allow_nan=False), "--ego-followees": _ints,
+}))
+def test_synth_record_matches_the_field_by_field_spec(options):
+    argv, given = _given(options)
+    args = cli.build_parser().parse_args(["synth", *argv, "--out", "x"])
+    expected = _reference_synth_spec(argparse.Namespace(**{**_SYNTH_OPTION_DEFAULTS, **given}))
+    assert cli._record(SynthSpec, args) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**9, 10**9), st.integers(1, 10**9), st.fixed_dictionaries({}, optional={
+    "--pre-extracted": st.just(True), "--no-activity-filter": st.just(True),
+    "--news-domains": st.text(max_size=8), "--url-aliases": st.text(max_size=8),
+}))
+def test_ingest_record_matches_the_field_by_field_config(start, length, options):
+    argv, given = _given(options)
+    window = {"window_start": start, "window_end": start + length}
+    args = cli.build_parser().parse_args(
+        ["ingest", "--posts", "p", "--follows", "f", *argv, f"--window-start={start}",
+         f"--window-end={start + length}", "--out", "x"])
+    expected = _reference_ingest_config(
+        argparse.Namespace(**{**_INGEST_OPTION_DEFAULTS, **window, **given}))
+    assert cli._record(IngestConfig, args) == expected
+
+
 @pytest.fixture
 def bipartite_corpus(tmp_path):
     data = tmp_path / "data"
@@ -616,6 +709,37 @@ def test_failed_cache_write_keeps_the_previous_cache(redundant_dir, tmp_path, ca
     assert capsys.readouterr().err == f"error: cannot write {cache}: No space left on device\n"
     assert redundant_dir.read_bytes() == previous
     assert [p.name for p in cache.iterdir()] == ["corpus.pkl"]
+
+
+def test_failed_report_write_keeps_the_previous_report(redundant_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    # A report is written beside its file and moved over it once whole, so a
+    # rerun whose write fails (here after half the bytes, as on a full disk)
+    # leaves the previous reports and no temporary file.
+    rep = tmp_path / "rep"
+    argv = ["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+            "--no-header-timestamp", "--out", rep]
+    assert run(argv) == 0
+    previous = {p.name: p.read_bytes() for p in rep.iterdir()}
+    capsys.readouterr()
+
+    class FullDisk(io.BufferedWriter):
+        def write(self, data):
+            super().write(data[:len(data) // 2])
+            self.flush()
+            raise OSError(28, "No space left on device")
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        if Path(file).parent == rep:
+            return FullDisk(io.FileIO(file, "w"))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    code = run([*argv, "--coverage", "0.5"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {rep}: No space left on device\n"
+    assert {p.name: p.read_bytes() for p in rep.iterdir()} == previous
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
