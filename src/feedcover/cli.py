@@ -7,7 +7,8 @@ function and extra options. The runner loads the corpus cache (its
 shared part and the part of ``--meme-kind`` only), builds each selected
 ego's context and rows, skips and counts an ego that raises a
 FeedcoverError, prefixes rows with ``ego``/``ego_label``, writes the main
-report (columns from its first row) and the summaries, and returns
+report (columns from its first row) and the summaries, each to a new file
+that replaces its report once all are written, and returns
 ``rows: N  egos skipped: K``: each command returns its stdout lines for
 ``main`` to print. ``cover --method`` and ``egonet`` read ``cover.ENGINES``.
 
@@ -50,9 +51,9 @@ from .ingest import IngestConfig, ego_context, load_corpus
 from .model import ARCHETYPES, KIND_INDICES, MEME_KINDS, Corpus
 
 HIST_BIN_WIDTH = 0.02
-# Bump when the cache layout changes (9: each kind's part is a plain dict keyed
-# by KIND_INDICES, so a cache names no class).
-CACHE_FORMAT = 9
+# Bump when the cache layout changes (10: each meme's posters are in arrival
+# order, where format 9 sorted them by id, which gives wrong delay covers).
+CACHE_FORMAT = 10
 # The Corpus fields that the cache's first part holds, shared by every meme kind.
 _SHARED = tuple(name for name in Corpus._fields if name != "kinds")
 # Bytes of the little-endian size that precedes each kind's part.
@@ -74,8 +75,8 @@ def _fmt(value) -> str:
 
 
 class ReportWriter:
-    """Writes one report file, replaced whole, with a deterministic comment
-    header; its columns are the keys of the first row, in order."""
+    """Writes report files, each with a deterministic comment header; a
+    report's columns are the keys of its first row, in order."""
 
     def __init__(self, out_dir: Path, fmt: str, timestamp: bool, seed: int):
         self.out_dir = out_dir
@@ -84,7 +85,8 @@ class ReportWriter:
         self.seed = seed
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, rows: list[dict]) -> Path:
+    def write(self, name: str, rows: list[dict]) -> tuple[Path, Path]:
+        """Write report ``name`` to a new file beside it, for ``_replace``."""
         columns = list(rows[0])
         ext = "jsonl" if self.fmt == "jsonl" else "tsv"
         path = self.out_dir / f"{name}.{ext}"
@@ -103,8 +105,7 @@ class ReportWriter:
             lines.extend(
                 "\t".join(_fmt(row.get(c)) for c in columns) for row in rows
             )
-        _write_replacing(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
-        return path
+        return _write_new(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
 
 
 class _Unpickler(pickle.Unpickler):
@@ -115,22 +116,44 @@ class _Unpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"refusing global {module}.{name}")
 
 
-def _write_replacing(path: Path, write) -> None:
-    """Call ``write`` on a new file beside ``path``, then move that file over
-    ``path``, so a reader finds the old file or the whole new one. On error
-    the new file is removed and the error raised, naming ``path``."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException as exc:
+def _discard(made, exc: BaseException) -> None:
+    """Remove each new file of the ``(new file, path)`` pairs ``made`` that is
+    left; an OSError ``exc`` that names a new file then names its path."""
+    for new, path in made:
         try:
-            os.unlink(tmp)
+            os.unlink(new)
         except OSError:
             pass
-        if isinstance(exc, OSError) and exc.filename == str(tmp):
+        if isinstance(exc, OSError) and exc.filename == str(new):
             exc.filename = str(path)
+
+
+def _write_new(path: Path, write) -> tuple[Path, Path]:
+    """Call ``write`` on a new file beside ``path``; return ``(new file, path)``.
+    On error the new file is removed and the error raised, naming ``path``."""
+    new = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(new, "wb") as fh:
+            write(fh)
+    except BaseException as exc:
+        _discard([(new, path)], exc)
+        raise
+    return new, path
+
+
+def _replace(moves) -> None:
+    """Take every ``(new file, path)`` pair of ``moves`` (a generator of
+    ``_write_new`` calls thus writes every file first), then move each new
+    file over its path. On error the new files are removed and the error
+    raised, naming the path."""
+    made = []
+    try:
+        for move in moves:
+            made.append(move)
+        for new, path in made:
+            os.replace(new, path)
+    except BaseException as exc:
+        _discard(made, exc)
         raise
 
 
@@ -157,7 +180,7 @@ def _save_corpus(corpus: Corpus, out_dir: Path) -> Path:
             fh.write((end - start - _PART_SIZE_BYTES).to_bytes(_PART_SIZE_BYTES, "little"))
             fh.seek(end)
 
-    _write_replacing(path, write)
+    _replace([_write_new(path, write)])
     for kind in MEME_KINDS:
         try:
             os.unlink(_store_path(path, kind))
@@ -217,7 +240,7 @@ def _save_store(path: Path, identity: tuple, orders: dict) -> None:
         fh.write(payload)
 
     try:
-        _write_replacing(path, write)
+        _replace([_write_new(path, write)])
     except OSError:
         pass
 
@@ -503,8 +526,7 @@ def cmd_analysis(args) -> list[str]:
         Path(args.out), args.format, not args.no_header_timestamp, args.seed
     )
     reports = {args.command: rows, **(summarize(rows, args) if summarize else {})}
-    for name, report in reports.items():
-        writer.write(name, report)
+    _replace(writer.write(name, report) for name, report in reports.items())
     # An order that raised is in neither, so it raises again next time.
     if identity and sum(map(len, stored.values())) > n_stored:
         _save_store(store, identity, stored)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from itertools import chain, repeat
 from operator import sub, truediv
 from typing import NamedTuple
@@ -212,23 +213,19 @@ def joint_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
 
 
 def delay_optimal_cover(corpus: Corpus, spec: CoverSpec) -> CoverResult:
-    """For each universe meme, pick its earliest poster.
+    """For each universe meme, pick its first poster in ``posters_by_meme``'s
+    arrival order: its earliest, ties on time going to the smallest user id.
 
     Full coverage only. Every meme arrives at its window-wide first
-    mention, so the mean delay is 0. Ties on time go to the smallest
-    user id.
+    mention, so the mean delay is 0.
     """
     if spec.coverage != 1.0:
         raise InfeasibleCover("delay-optimal cover is defined for full coverage only")
-    first, born = corpus.first_post_by_user, corpus.first_mention
-    chosen: dict[int, int] = {}
-    for meme in sorted(spec.universe):
-        posters = corpus.posters_by_meme.get(meme, ())
-        if not posters:
-            raise InfeasibleCover(f"meme {meme} has no poster")
-        # posters are sorted by id, and the first mention is their earliest post
-        best = next(v for v in posters if first[v][meme] == born[meme])
-        chosen[best] = chosen.get(best, 0) + 1
+    posters = corpus.posters_by_meme
+    missing = spec.universe.difference(posters)
+    if missing:
+        raise InfeasibleCover(f"meme {min(missing)} has no poster")
+    chosen = Counter(posters[meme][0] for meme in spec.universe)
     selected = tuple(sorted(chosen))
     return CoverResult(
         selected=selected,

@@ -36,7 +36,8 @@ ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pa
 
 # The keys of one kind's part of ``Corpus.kinds``, each naming the Corpus view
 # it feeds: ``posters_by_meme`` maps each meme to the ids of the users posting
-# it, as a sorted tuple without repeats, ``first_mention`` to its earliest post
+# it, as a tuple without repeats in arrival order (by each user's first post of
+# the meme, ties to the smaller id), ``first_mention`` to its first poster's
 # time, and ``first_post_by_user`` maps each user posting the kind to
 # ``{meme: time of the user's first post}``. Every dict is in sorted key order.
 KIND_INDICES = ("posters_by_meme", "first_mention", "first_post_by_user")
@@ -58,10 +59,11 @@ class Corpus(_CorpusFields):
     corpus cache can load one kind alone; the analysis commands run on
     such a one-kind corpus. The other fields cover every kind:
     ``post_count`` counts ALL kept posts (meme-bearing or not),
-    ``follows`` maps each follower to its followees' ids as a sorted tuple
-    without repeats, and ``mean_delay_days`` is each posting user's mean
+    ``follows`` maps each follower to its followees' ids as a tuple without
+    repeats sorted by id, and ``mean_delay_days`` is each posting user's mean
     delay in days over all of its memes, the joint cover's weight, computed
-    once by ``from_events``. Like ``posters_by_meme``, the follow lists are
+    once by ``from_events``. Like ``posters_by_meme``, whose tuples are in
+    arrival order instead (see ``KIND_INDICES``), the follow lists are
     tuples to keep the corpus and its cache small (20 ids take 200 bytes as
     a tuple, 2,264 as a frozenset): iterate them, or use
     ``frozenset.intersection``, which takes any iterable, for set algebra.
@@ -166,8 +168,9 @@ class Corpus(_CorpusFields):
                 kind = meme[0]
                 posters, first, first_by_user = kinds[kind] = ({}, {}, {})
             times = times_by_meme.pop(meme)  # freed once its indices are built
-            posters[meme] = tuple(sorted(times))
-            born = first[meme] = min(times.values())
+            # Arrival order: a stable sort by time of the posters sorted by id.
+            order = posters[meme] = tuple(sorted(sorted(times), key=times.__getitem__))
+            born = first[meme] = times[order[0]]
             for user, time in times.items():
                 per_user = first_by_user.get(user)
                 if per_user is None:

@@ -605,6 +605,26 @@ def test_format_6_cache_exit_2_as_stale(redundant_dir, tmp_path, capsys, monkeyp
     assert f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`" in err
 
 
+def test_format_9_cache_of_id_ordered_posters_exit_2(redundant_dir, tmp_path, capsys,
+                                                      monkeypatch):
+    # Format 9 held each meme's posters sorted by id. The delay cover reads
+    # the first poster as the earliest, so such a cache would give wrong
+    # picks with no error: it is refused as stale.
+    corpus = cli._load_cached(redundant_dir)
+    old = corpus._replace(kinds={
+        kind: {**part, "posters_by_meme": {meme: tuple(sorted(ids)) for meme, ids
+                                           in part["posters_by_meme"].items()}}
+        for kind, part in corpus.kinds.items()})
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 9)
+    path = cli._save_corpus(old, tmp_path / "old")
+    monkeypatch.undo()
+    assert _efficiency_on(path, tmp_path) == 2
+    version = feedcover.__version__
+    assert capsys.readouterr().err == (
+        f"error: {path}: cache format 9 from feedcover {version}; this feedcover {version} "
+        f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`\n")
+
+
 @pytest.mark.parametrize("cache_format", [7, None], ids=["format_7", "current_format"])
 def test_cache_of_meme_records_exit_2(redundant_dir, tmp_path, capsys, monkeypatch,
                                       cache_format):
@@ -740,6 +760,49 @@ def test_failed_report_write_keeps_the_previous_report(redundant_dir, tmp_path, 
     assert code == 2
     assert capsys.readouterr().err == f"error: cannot write {rep}: No space left on device\n"
     assert {p.name: p.read_bytes() for p in rep.iterdir()} == previous
+
+
+def test_failed_second_report_write_keeps_every_previous_report(redundant_dir, tmp_path,
+                                                                capsys, monkeypatch):
+    # The reports of a run replace the previous ones as a set: each is written
+    # beside its file first, and none is moved over its file until all are
+    # written. Here only the second report's write fails, so the new first
+    # report must not replace the previous one either.
+    rep = tmp_path / "rep"
+    argv = ["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+            "--no-header-timestamp", "--out", rep]
+    assert run(argv) == 0
+    previous = {p.name: p.read_bytes() for p in rep.iterdir()}
+    assert sorted(previous) == ["efficiency.tsv", "efficiency_aggregate.tsv"]
+    capsys.readouterr()
+
+    def second_report_fails(file, mode="r", *args, **kwargs):
+        if Path(file).name.startswith("efficiency_aggregate.tsv"):
+            raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", second_report_fails, raising=False)
+    code = run([*argv, "--coverage", "0.5"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {rep}: No space left on device\n"
+    assert {p.name: p.read_bytes() for p in rep.iterdir()} == previous
+    assert run([*argv, "--coverage", "0.5"]) == 0
+    assert (rep / "efficiency.tsv").read_bytes() != previous["efficiency.tsv"]
+
+
+def test_failed_report_move_names_the_report_and_leaves_no_new_file(redundant_dir, tmp_path,
+                                                                     capsys):
+    # A directory where the second report belongs: both reports are written,
+    # the move over it fails, and the error names the report, not its new file.
+    rep = tmp_path / "rep"
+    (rep / "efficiency_aggregate.tsv").mkdir(parents=True)
+    code = run(["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+                "--out", rep])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {rep / 'efficiency_aggregate.tsv'}: Is a directory\n")
+    assert sorted(p.name for p in rep.iterdir()) == ["efficiency.tsv", "efficiency_aggregate.tsv"]
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])

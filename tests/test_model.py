@@ -284,14 +284,25 @@ def test_user_id_sets_are_sorted_tuples(triples, follows):
     corpus = Corpus.from_events(events, follows)
     with tempfile.TemporaryDirectory() as tmp:
         loaded = _load_cached(_save_corpus(corpus, Path(tmp)))
-    posters: dict[tuple[str, str], set[int]] = {}
-    for user, meme, _ in events:
-        posters.setdefault(meme, set()).add(user)
+    # Each meme's posters are in arrival order: by the user's first post of
+    # the meme, ties to the smaller id; the first poster's time is the
+    # meme's first mention. Follow lists are sorted by id.
+    firsts: dict[tuple[str, str], dict[int, int]] = {}
+    for user, meme, time in events:
+        by_user = firsts.setdefault(meme, {})
+        by_user[user] = min(time, by_user.get(user, time))
     for one in (corpus, loaded):
-        assert {m: set(ids) for m, ids in one.posters_by_meme.items()} == posters
+        assert {m: set(ids) for m, ids in one.posters_by_meme.items()} == {
+            m: set(by_user) for m, by_user in firsts.items()}
         assert {u: set(ids) for u, ids in one.follows.items()} == {
             u: set(vs) for u, vs in follows.items()}
-        for ids in [*one.posters_by_meme.values(), *one.follows.values()]:
+        for meme, ids in one.posters_by_meme.items():
+            assert type(ids) is tuple
+            by_user = firsts[meme]
+            assert list(ids) == sorted(by_user, key=lambda v: (by_user[v], v))
+            assert all(one.first_post_by_user[v][meme] == by_user[v] for v in ids)
+            assert one.first_mention[meme] == firsts[meme][ids[0]]
+        for ids in one.follows.values():
             assert type(ids) is tuple
             assert all(a < b for a, b in zip(ids, ids[1:]))
     assert loaded == corpus
