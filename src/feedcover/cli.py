@@ -32,6 +32,7 @@ FeedcoverError exits with its ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import math
@@ -143,13 +144,18 @@ def _write_new(path: Path, write) -> tuple[Path, Path]:
 
 def _replace(moves) -> None:
     """Take every ``(new file, path)`` pair of ``moves`` (a generator of
-    ``_write_new`` calls thus writes every file first), then move each new
-    file over its path. On error the new files are removed and the error
-    raised, naming the path."""
+    ``_write_new`` calls thus writes every file first), refuse the set if a
+    path is a directory (a symlink to one is replaced, not followed), then
+    move each new file over its path. On error the new files are removed
+    and the error raised, naming the path. A move that fails for another
+    reason after an earlier one succeeded still leaves that path new."""
     made = []
     try:
         for move in moves:
             made.append(move)
+        for _, path in made:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for new, path in made:
             os.replace(new, path)
     except BaseException as exc:

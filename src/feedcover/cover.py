@@ -35,8 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from itertools import chain, repeat
-from operator import sub, truediv
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import InfeasibleCover, InvalidSpec, UndefinedMeasure
@@ -87,14 +86,6 @@ def _masks(corpus: Corpus, universe, pool: list[int]) -> list[int]:
         for v in corpus.posters_by_meme.get(meme, ()):
             by_user[v] |= bit
     return [by_user[v] for v in pool]
-
-
-def _mean_delay_days(corpus: Corpus, first: dict[tuple[str, str], int]) -> float:
-    """Mean days from each meme's first mention to its time in ``first``."""
-    born = map(corpus.first_mention.__getitem__, first)
-    return math.fsum(
-        map(truediv, map(sub, first.values(), born), repeat(SECONDS_PER_DAY))
-    ) / len(first)
 
 
 def _greedy_order(pool: list[int], masks: list[int], weights, n_memes: int) -> list:
@@ -240,18 +231,18 @@ ENGINES = {"link": greedy_min_cover, "inflow": greedy_weighted_cover,
 
 
 def set_average_delay_days(corpus, selected, universe) -> float | None:
-    """Mean delay (days) at which the selected set first posts each meme."""
+    """Mean delay (days) at which the selected set receives each meme: at the
+    first post by its first member in the meme's arrival order, its earliest."""
     if not universe:
         return None
-    reached: dict[tuple[str, str], int] = {}
-    for v in selected:
-        first = corpus.first_post_by_user.get(v, {})
-        for meme in universe.intersection(first):
-            t = first[meme]
-            if reached.setdefault(meme, t) > t:
-                reached[meme] = t
-    if len(reached) < len(universe):
-        raise InfeasibleCover(
-            f"selected users post {len(reached)} of {len(universe)} memes"
-        )
-    return _mean_delay_days(corpus, reached)
+    members = frozenset(selected)
+    posters, first, born = corpus.posters_by_meme, corpus.first_post_by_user, corpus.first_mention
+    delays = []
+    for meme in universe:
+        for v in posters.get(meme, ()):
+            if v in members:
+                delays.append((first[v][meme] - born[meme]) / SECONDS_PER_DAY)
+                break
+    if len(delays) < len(universe):
+        raise InfeasibleCover(f"selected users post {len(delays)} of {len(universe)} memes")
+    return math.fsum(delays) / len(delays)

@@ -37,9 +37,10 @@ ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pa
 # The keys of one kind's part of ``Corpus.kinds``, each naming the Corpus view
 # it feeds: ``posters_by_meme`` maps each meme to the ids of the users posting
 # it, as a tuple without repeats in arrival order (by each user's first post of
-# the meme, ties to the smaller id), ``first_mention`` to its first poster's
-# time, and ``first_post_by_user`` maps each user posting the kind to
-# ``{meme: time of the user's first post}``. Every dict is in sorted key order.
+# the meme, ties to the smaller id; the delay cover takes the first poster,
+# ``cover.set_average_delay_days`` the first in a set), ``first_mention`` to its
+# first poster's time, and ``first_post_by_user`` maps each user posting the
+# kind to ``{meme: time of the user's first post}``. Every dict is sorted by key.
 KIND_INDICES = ("posters_by_meme", "first_mention", "first_post_by_user")
 
 
@@ -142,9 +143,9 @@ class Corpus(_CorpusFields):
         ``post_counts`` is omitted, each event counts as one post, so
         ``events`` is read twice and must be re-iterable, not an iterator. All
         indices share one meme tuple per meme (its first-seen one),
-        so a pickled corpus stores each meme once. Each user's mean delay
-        sums the terms of ``feedcover.cover._mean_delay_days`` with
-        ``math.fsum``, so it equals that function over all the user's memes.
+        so a pickled corpus stores each meme once. Each user's mean delay sums
+        its terms with ``math.fsum``: ``cover.set_average_delay_days`` over
+        that user alone and all of its memes gives the same float.
         """
         from array import array  # here: the analysis commands build no corpus
 

@@ -794,15 +794,36 @@ def test_failed_second_report_write_keeps_every_previous_report(redundant_dir, t
 def test_failed_report_move_names_the_report_and_leaves_no_new_file(redundant_dir, tmp_path,
                                                                      capsys):
     # A directory where the second report belongs: both reports are written,
-    # the move over it fails, and the error names the report, not its new file.
+    # the set is refused before any move, and the error names the report,
+    # not its new file. The first report keeps the previous run's bytes.
     rep = tmp_path / "rep"
-    (rep / "efficiency_aggregate.tsv").mkdir(parents=True)
-    code = run(["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
-                "--out", rep])
+    args = ["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+            "--out", rep]
+    assert run(args) == 0
+    before = (rep / "efficiency.tsv").read_bytes()
+    (rep / "efficiency_aggregate.tsv").unlink()
+    (rep / "efficiency_aggregate.tsv").mkdir()
+    capsys.readouterr()
+    code = run(args + ["--coverage", "0.5"])
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: cannot write {rep / 'efficiency_aggregate.tsv'}: Is a directory\n")
     assert sorted(p.name for p in rep.iterdir()) == ["efficiency.tsv", "efficiency_aggregate.tsv"]
+    assert (rep / "efficiency.tsv").read_bytes() == before
+
+
+def test_report_path_symlinked_to_a_directory_is_replaced(redundant_dir, tmp_path):
+    # The move replaces the link itself, so the set is not refused.
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    (rep / "efficiency_aggregate.tsv").symlink_to(tmp_path / "elsewhere")
+    code = run(["efficiency", "--corpus", redundant_dir, "--egos", "0", "--min-followees", "1",
+                "--out", rep])
+    assert code == 0
+    assert (rep / "efficiency_aggregate.tsv").is_file()
+    assert not (rep / "efficiency_aggregate.tsv").is_symlink()
+    assert list((tmp_path / "elsewhere").iterdir()) == []
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])

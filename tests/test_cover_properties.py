@@ -26,7 +26,7 @@ from feedcover.cover import (
     set_average_delay_days,
 )
 from feedcover.errors import InfeasibleCover
-from feedcover.model import SECONDS_PER_DAY, CoverResult
+from feedcover.model import SECONDS_PER_DAY, Corpus, CoverResult
 
 from conftest import DAY, M, make_corpus, random_instance
 
@@ -255,19 +255,37 @@ def test_partial_cover_is_prefix_of_full_order(instance, coverage):
         assert len(part.covered) >= math.ceil(coverage * len(spec.universe))
 
 
+def as_two_kinds(corpus, universe, moved):
+    """The same posts with the memes in ``moved`` made urls: a corpus of
+    two kinds when ``moved`` holds some of its memes but not all, so its
+    views are merged copies. Returns it and the universe's new memes."""
+    kind = {m: ("url", m[1]) if m in moved else m
+            for m in universe.union(corpus.first_mention)}
+    events = [(v, kind[m], t) for v, first in corpus.first_post_by_user.items()
+              for m, t in first.items()]
+    corpus = Corpus.from_events(events, corpus.follows, post_counts=corpus.post_count)
+    return corpus, frozenset(map(kind.get, universe))
+
+
 @settings(max_examples=120, deadline=None)
 @given(instances(), st.data())
 def test_set_average_delay_matches_per_meme_minimum(instance, data):
     corpus, spec = instance
+    everything = sorted(corpus.first_mention)
+    moved = everything[data.draw(st.integers(0, len(everything))):]  # none, some or all
+    corpus, universe = as_two_kinds(corpus, spec.universe, moved)
     users = sorted(corpus.post_count)
-    selected = data.draw(st.lists(st.sampled_from(users), unique=True))
+    container = data.draw(st.sampled_from([tuple, frozenset]))  # a cover's, a context's
+    selected = container(data.draw(st.lists(st.sampled_from(users), unique=True)))
     reachable = frozenset().union(*(corpus.memes_by_user[v] for v in selected))
-    if spec.universe <= reachable:
-        assert (set_average_delay_days(corpus, selected, spec.universe)
-                == eager_set_delay(corpus, selected, spec.universe))
+    if universe <= reachable:
+        assert (set_average_delay_days(corpus, selected, universe)
+                == eager_set_delay(corpus, selected, universe))
     else:
-        with pytest.raises(InfeasibleCover):
-            set_average_delay_days(corpus, selected, spec.universe)
+        with pytest.raises(InfeasibleCover) as exc:
+            set_average_delay_days(corpus, selected, universe)
+        reached = len(universe & reachable)
+        assert str(exc.value) == f"selected users post {reached} of {len(universe)} memes"
 
 
 @settings(max_examples=250, deadline=None)

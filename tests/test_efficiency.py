@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from feedcover.cover import (
     CoverSpec,
-    _mean_delay_days,
     delay_optimal_cover,
     greedy_min_cover,
     greedy_weighted_cover,
@@ -160,14 +159,13 @@ def test_delay_sums_independent_of_iteration_order():
     times.update({(2, i): (3 - i) * DAY // 10 for i in range(3)})
     corpus = make_corpus({9: [0, 1, 2, 3], 8: [3], 1: [0, 1, 2], 2: [0, 1, 2]},
                          times=times)
-    first = corpus.first_post_by_user[1]
     results = set()
     for order in permutations(M(i) for i in range(3)):
         memes = IterOrder(order)
         ctx = EgoContext(EGO, frozenset({1}), memes)
         reordered = corpus._replace(mean_delay_days={
             **corpus.mean_delay_days,
-            1: _mean_delay_days(corpus, {m: first[m] for m in order}),
+            1: set_average_delay_days(corpus, (1,), memes),
         })
         spec = CoverSpec(universe=memes, alpha=0.0, beta=1.0)
         results.add((
