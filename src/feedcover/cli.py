@@ -52,9 +52,9 @@ from .ingest import IngestConfig, ego_context, load_corpus
 from .model import ARCHETYPES, KIND_INDICES, MEME_KINDS, Corpus
 
 HIST_BIN_WIDTH = 0.02
-# Bump when the cache layout changes (10: each meme's posters are in arrival
-# order, where format 9 sorted them by id, which gives wrong delay covers).
-CACHE_FORMAT = 10
+# Bump when the cache layout changes (11: no stored first mentions; 10: posters
+# in arrival order, where format 9 sorted them by id, giving wrong delay covers).
+CACHE_FORMAT = 11
 # The Corpus fields that the cache's first part holds, shared by every meme kind.
 _SHARED = tuple(name for name in Corpus._fields if name != "kinds")
 # Bytes of the little-endian size that precedes each kind's part.
@@ -358,7 +358,7 @@ def cmd_ingest(args) -> list[str]:
         f"posts: {corpus.inflow(corpus.post_count)}",
         "user-meme pairs: "
         f"{sum(len(f) for part in parts.values() for f in part['first_post_by_user'].values())}",
-        *(f"unique {kind}: {len(parts[kind]['first_mention']) if kind in parts else 0}"
+        *(f"unique {kind}: {len(parts[kind]['posters_by_meme']) if kind in parts else 0}"
           for kind in MEME_KINDS),
     ]
 

@@ -231,17 +231,18 @@ ENGINES = {"link": greedy_min_cover, "inflow": greedy_weighted_cover,
 
 
 def set_average_delay_days(corpus, selected, universe) -> float | None:
-    """Mean delay (days) at which the selected set receives each meme: at the
-    first post by its first member in the meme's arrival order, its earliest."""
+    """Mean delay (days) after each meme's first poster at which the selected set
+    receives it: at the first post by its first member in the meme's arrival order."""
     if not universe:
         return None
     members = frozenset(selected)
-    posters, first, born = corpus.posters_by_meme, corpus.first_post_by_user, corpus.first_mention
+    posters, first = corpus.posters_by_meme, corpus.first_post_by_user
     delays = []
     for meme in universe:
-        for v in posters.get(meme, ()):
+        for v in (order := posters.get(meme, ())):
             if v in members:
-                delays.append((first[v][meme] - born[meme]) / SECONDS_PER_DAY)
+                delays.append(0.0 if v == order[0] else
+                              (first[v][meme] - first[order[0]][meme]) / SECONDS_PER_DAY)
                 break
     if len(delays) < len(universe):
         raise InfeasibleCover(f"selected users post {len(delays)} of {len(universe)} memes")

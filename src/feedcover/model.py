@@ -3,7 +3,7 @@
 A meme, one unique piece of information, is a plain ``(kind, key)``
 tuple of two strings: its kind (one of ``MEME_KINDS``) and its
 normalized key, so equality, ordering, hashing and pickling all run in
-C. A post event is a plain ``(user, meme, time)`` triple, and the
+C. A post event is a plain ``(user, meme, time)`` triple, and the two
 indices of one meme kind are a plain dict keyed by ``KIND_INDICES``.
 Every other record is a ``typing.NamedTuple``. Nothing in the package
 mutates a record's dict or set fields, or a kind's indices, after
@@ -37,11 +37,11 @@ ARCHETYPES = ("random_bipartite", "redundant_followees", "superuser_shadow", "pa
 # The keys of one kind's part of ``Corpus.kinds``, each naming the Corpus view
 # it feeds: ``posters_by_meme`` maps each meme to the ids of the users posting
 # it, as a tuple without repeats in arrival order (by each user's first post of
-# the meme, ties to the smaller id; the delay cover takes the first poster,
-# ``cover.set_average_delay_days`` the first in a set), ``first_mention`` to its
-# first poster's time, and ``first_post_by_user`` maps each user posting the
-# kind to ``{meme: time of the user's first post}``. Every dict is sorted by key.
-KIND_INDICES = ("posters_by_meme", "first_mention", "first_post_by_user")
+# the meme, ties to the smaller id; the first poster's post is the first mention,
+# the delay cover takes it, ``cover.set_average_delay_days`` the first in a set),
+# and ``first_post_by_user`` maps each user posting the kind to ``{meme: time of
+# the user's first post}``. Every dict is sorted by key.
+KIND_INDICES = ("posters_by_meme", "first_post_by_user")
 
 
 class _CorpusFields(NamedTuple):
@@ -56,7 +56,7 @@ class Corpus(_CorpusFields):
     """Immutable indexed view over the post events kept by ingest and a follow graph.
 
     ``kinds`` maps each meme kind present, in sorted order, to a plain
-    dict of its three indices, keyed by ``KIND_INDICES``, so that the
+    dict of its two indices, keyed by ``KIND_INDICES``, so that the
     corpus cache can load one kind alone; the analysis commands run on
     such a one-kind corpus. The other fields cover every kind:
     ``post_count`` counts ALL kept posts (meme-bearing or not),
@@ -69,12 +69,12 @@ class Corpus(_CorpusFields):
     a tuple, 2,264 as a frozenset): iterate them, or use
     ``frozenset.intersection``, which takes any iterable, for set algebra.
 
-    ``posters_by_meme``, ``first_mention``, ``first_post_by_user`` and
-    ``memes_by_user`` are read-only views over the kinds in ``kinds``,
-    built on first access. With one kind the first three are that kind's
-    own dicts; with several, merged copies. ``memes_by_user`` maps each
-    posting user to the keys of its ``first_post_by_user`` entry, so each
-    user's memes are stored once. Do not mutate them.
+    ``posters_by_meme``, ``first_post_by_user``, ``memes_by_user`` and
+    ``first_mention`` are read-only views over the kinds in ``kinds``, built on
+    first access. With one kind the first two are that kind's own dicts; with
+    several, merged copies. ``memes_by_user`` maps each posting user to the keys
+    of its ``first_post_by_user`` entry, so each user's memes are stored once;
+    ``first_mention`` each meme to its first poster's time. Do not mutate them.
 
     ``_memo`` is a private cache that the greedy cover engines fill,
     lazily, with their latest instance; its dict of greedy orders is the
@@ -90,24 +90,23 @@ class Corpus(_CorpusFields):
     def _memo(self) -> dict:
         return {}
 
-    def _merged(self, name: str) -> dict:
-        parts = [part[name] for part in self.kinds.values()]
-        if len(parts) == 1:
-            return parts[0]
-        return {key: value for part in parts for key, value in part.items()}
-
     @cached_property
     def posters_by_meme(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        return self._merged("posters_by_meme")
+        parts = [part["posters_by_meme"] for part in self.kinds.values()]
+        if len(parts) == 1:
+            return parts[0]
+        return {meme: ids for part in parts for meme, ids in part.items()}
 
     @cached_property
     def first_mention(self) -> dict[tuple[str, str], int]:
-        return self._merged("first_mention")
+        return {meme: part["first_post_by_user"][order[0]][meme]
+                for part in self.kinds.values()
+                for meme, order in part["posters_by_meme"].items()}
 
     @cached_property
     def first_post_by_user(self) -> dict[int, dict[tuple[str, str], int]]:
         if len(self.kinds) == 1:
-            return self._merged("first_post_by_user")
+            return next(iter(self.kinds.values()))["first_post_by_user"]
         merged: dict[int, dict[tuple[str, str], int]] = {}
         for part in self.kinds.values():  # kinds in sorted order, so memes too
             for user, first in part["first_post_by_user"].items():
@@ -159,7 +158,7 @@ class Corpus(_CorpusFields):
                 times_by_meme[meme] = {user: time}
             elif time < times.get(user, time + 1):
                 times[user] = time
-        kinds: dict[str, tuple[dict, dict, dict]] = {}
+        kinds: dict[str, tuple[dict, dict]] = {}
         # Each user's delay in days to each meme it posts, of any kind, as
         # C doubles: the terms of its mean delay.
         delays: dict[int, array] = {}
@@ -167,11 +166,11 @@ class Corpus(_CorpusFields):
         for meme in sorted(times_by_meme):  # each kind is one contiguous run
             if meme[0] != kind:
                 kind = meme[0]
-                posters, first, first_by_user = kinds[kind] = ({}, {}, {})
+                posters, first_by_user = kinds[kind] = ({}, {})
             times = times_by_meme.pop(meme)  # freed once its indices are built
             # Arrival order: a stable sort by time of the posters sorted by id.
             order = posters[meme] = tuple(sorted(sorted(times), key=times.__getitem__))
-            born = first[meme] = times[order[0]]
+            born = times[order[0]]
             for user, time in times.items():
                 per_user = first_by_user.get(user)
                 if per_user is None:
@@ -185,8 +184,8 @@ class Corpus(_CorpusFields):
                 else:
                     user_delays.append(delay)
         kinds = {
-            kind: dict(zip(KIND_INDICES, (posters, first, dict(sorted(by_user.items())))))
-            for kind, (posters, first, by_user) in kinds.items()
+            kind: dict(zip(KIND_INDICES, (posters, dict(sorted(by_user.items())))))
+            for kind, (posters, by_user) in kinds.items()
         }
         mean_delays = {u: math.fsum(d) / len(d) for u, d in sorted(delays.items())}
         del delays  # freed before the follow sets are copied

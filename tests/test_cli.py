@@ -643,7 +643,6 @@ def test_cache_of_meme_records_exit_2(redundant_dir, tmp_path, capsys, monkeypat
     old = corpus._replace(kinds={
         kind: {
             "posters_by_meme": as_records(part["posters_by_meme"]),
-            "first_mention": as_records(part["first_mention"]),
             "first_post_by_user": {u: as_records(first)
                                    for u, first in part["first_post_by_user"].items()}}
         for kind, part in corpus.kinds.items()})
@@ -691,10 +690,37 @@ def test_cache_of_kind_index_records_exit_2(redundant_dir, tmp_path, capsys, mon
         assert f"cache format 8 from feedcover {feedcover.__version__}" in err
 
 
+def _with_first_mentions(part):
+    """``part`` in format 10's layout, which stored each meme's first
+    mention between the posters and the users' first posts."""
+    posters, first = part["posters_by_meme"], part["first_post_by_user"]
+    return {"posters_by_meme": posters,
+            "first_mention": {meme: first[ids[0]][meme] for meme, ids in posters.items()},
+            "first_post_by_user": first}
+
+
+def test_format_10_cache_of_stored_first_mentions_exit_2(redundant_dir, tmp_path, capsys,
+                                                         monkeypatch):
+    # Format 10 stored each meme's first mention, which the first poster's
+    # first post now gives.
+    corpus = cli._load_cached(redundant_dir)
+    old = corpus._replace(kinds={kind: _with_first_mentions(part)
+                                 for kind, part in corpus.kinds.items()})
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 10)
+    path = cli._save_corpus(old, tmp_path / "old")
+    monkeypatch.undo()
+    assert _efficiency_on(path, tmp_path) == 2
+    version = feedcover.__version__
+    assert capsys.readouterr().err == (
+        f"error: {path}: cache format 10 from feedcover {version}; this feedcover {version} "
+        f"reads format {cli.CACHE_FORMAT}; re-run `feedcover ingest`\n")
+
+
 @pytest.mark.parametrize("reshape", [
     lambda part: tuple(part.values()),
-    lambda part: {name: part[name] for name in KIND_INDICES if name != "first_mention"},
-], ids=["tuple", "missing_key"])
+    lambda part: {name: part[name] for name in KIND_INDICES if name != "first_post_by_user"},
+    _with_first_mentions,
+], ids=["tuple", "missing_key", "stored_first_mention"])
 def test_part_not_a_dict_of_the_kind_indices_exit_2(redundant_dir, tmp_path, capsys, reshape):
     corpus = cli._load_cached(redundant_dir)
     old = corpus._replace(kinds={kind: reshape(part) for kind, part in corpus.kinds.items()})
@@ -941,7 +967,7 @@ def test_damaged_kind_part_exit_2(mixed_cache, tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("changes", [
-    {"kinds": {"hashtag": {"posters_by_meme": 1, "first_mention": 2, "first_post_by_user": 3}}},
+    {"kinds": {"hashtag": {"posters_by_meme": 1, "first_post_by_user": 2}}},
     {"follows": 5},
 ], ids=["part_indices", "shared_field"])
 def test_cache_field_not_a_dict_exit_2(mixed_cache, tmp_path, capsys, changes):

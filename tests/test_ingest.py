@@ -562,20 +562,21 @@ def test_load_corpus_matches_set_and_tuple_reference(pre_extracted, active_only,
                 == _save_corpus(want, tmp / "want").read_bytes())
 
 
+_KIND_POSTS = (
+    "ego\t100\twarmup\n"
+    "A\t100\twarmup\n"
+    "B\t100\twarmup\n"
+    "A\t1100\t#m1 posted at some point\n"
+    "A\t1300\t#m2\n"
+    "B\t1200\tno memes here\n"
+    "B\t1150\t#m1\n"
+)
+_KIND_FOLLOWS = "ego\tA\nego\tB\n"
+
+
 @pytest.fixture
 def kind_corpus(tmp_path):
-    posts = (
-        "ego\t100\twarmup\n"
-        "A\t100\twarmup\n"
-        "B\t100\twarmup\n"
-        "A\t1100\t#m1 posted at some point\n"
-        "A\t1300\t#m2\n"
-        "B\t1200\tno memes here\n"
-        "B\t1150\t#m1\n"
-    )
-    follows = "ego\tA\nego\tB\n"
-    p, f = _write(tmp_path, posts, follows)
-    return load_corpus(p, f, CFG)
+    return load_corpus(*_write(tmp_path, _KIND_POSTS, _KIND_FOLLOWS), CFG)
 
 
 def _uid(corpus, label):
@@ -590,19 +591,19 @@ def test_ego_context_restricts_to_kind_posters(kind_corpus):
         ego_context(kind_corpus, ego, "url")
 
 
-def test_ego_context_receipt_is_earliest_followee_post(kind_corpus):
-    # A posts m1 at 1100 and m2 at 1300, B posts m1 at 1150. With both
-    # memes born at 1000, receipts at 1100 and 1300 give a mean delay of
-    # 200 s; a receipt of m1 at B's 1150 would give 225 s.
-    ego = _uid(kind_corpus, "ego")
-    ctx = ego_context(kind_corpus, ego, "hashtag")
+def test_ego_context_receipt_is_earliest_followee_post(tmp_path):
+    # A posts m1 at 1100 and m2 at 1300, B posts m1 at 1150. C, active but
+    # unfollowed, posts both memes at 1000, their first mention. Receipts
+    # at 1100 and 1300 give a mean delay of 200 s; a receipt of m1 at B's
+    # 1150 would give 225 s.
+    posts = _KIND_POSTS + "C\t100\twarmup\nC\t1000\t#m1 #m2\n"
+    corpus = load_corpus(*_write(tmp_path, posts, _KIND_FOLLOWS), CFG)
+    ego = _uid(corpus, "ego")
+    ctx = ego_context(corpus, ego, "hashtag")
     m1, m2 = ("hashtag", "m1"), ("hashtag", "m2")
     assert ctx.memes == {m1, m2}
-    hashtags = kind_corpus.kinds["hashtag"]
-    born = kind_corpus._replace(kinds={
-        "hashtag": {**hashtags, "first_mention": {m1: 1000, m2: 1000}},
-    })
-    assert delay_efficiency(ctx, born) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)
+    assert corpus.first_mention == {m1: 1000, m2: 1000}
+    assert delay_efficiency(ctx, corpus) == pytest.approx(1 / (1 + 200 / 86400), rel=1e-12)
 
 
 def test_ego_context_min_followees(kind_corpus):

@@ -112,11 +112,12 @@ def test_from_events_keeps_each_meme_in_its_own_kind_part(events):
         memes = sorted({meme for _, meme, _ in events if meme[0] == kind})
         assert len(memes) == 2
         assert list(part["posters_by_meme"]) == memes
-        assert list(part["first_mention"]) == memes
         by_user = part["first_post_by_user"]
         assert list(by_user) == sorted({u for u, meme, _ in events if meme[0] == kind})
         for first in by_user.values():
             assert list(first) == sorted(first) and {m[0] for m in first} == {kind}
+    # The derived first mentions, like the merged views, go kind by kind.
+    assert list(corpus.first_mention) == sorted({meme for _, meme, _ in events})
 
 
 def _index_orders(corpus):
@@ -286,7 +287,7 @@ def test_user_id_sets_are_sorted_tuples(triples, follows):
         loaded = _load_cached(_save_corpus(corpus, Path(tmp)))
     # Each meme's posters are in arrival order: by the user's first post of
     # the meme, ties to the smaller id; the first poster's time is the
-    # meme's first mention. Follow lists are sorted by id.
+    # meme's earliest. Follow lists are sorted by id.
     firsts: dict[tuple[str, str], dict[int, int]] = {}
     for user, meme, time in events:
         by_user = firsts.setdefault(meme, {})
@@ -301,8 +302,9 @@ def test_user_id_sets_are_sorted_tuples(triples, follows):
             by_user = firsts[meme]
             assert list(ids) == sorted(by_user, key=lambda v: (by_user[v], v))
             assert all(one.first_post_by_user[v][meme] == by_user[v] for v in ids)
-            assert one.first_mention[meme] == firsts[meme][ids[0]]
+            assert one.first_mention[meme] == min(by_user.values())
         for ids in one.follows.values():
             assert type(ids) is tuple
             assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert all(tuple(part) == KIND_INDICES for part in loaded.kinds.values())
     assert loaded == corpus
